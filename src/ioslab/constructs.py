@@ -255,6 +255,22 @@ def _level_knot_rows(table: ConvergenceTimeTable, eps0: ScalarFn,
     return r_grid, _monotone_knot_rows(rows)
 
 
+def _staircase(radii, level) -> ScalarFn:
+    """Class Kinf envelope through (0, 0) and (r, level(r)) for each positive
+    radius: the values are raised to strictly increasing (steps of at least
+    1e-12), interpolated linearly and given a tiny extra slope."""
+    knots, values = [0.0], [0.0]
+    for r in radii:
+        if r <= 0:
+            continue
+        knots.append(float(r))
+        values.append(max(level(r), values[-1] + 1e-12))
+    return cf.declare(
+        cf.add(cf.pwl(knots, values, fn_class="increasing"), cf.scale(cf.EPS_SLOPE)),
+        "Kinf",
+    )
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -272,18 +288,7 @@ def decompose_bound(mu, t_slice: float | None = None):
         raise CertificateError("decompose_bound needs a reachability table")
     t = float(mu.t_grid[-1]) if t_slice is None else float(t_slice)
     c = mu.eval(*_origin_cell(mu), t)
-    knots = [0.0]
-    values = [0.0]
-    for r in mu.r_grid:
-        if r <= 0.0:
-            continue
-        s = min(r, mu.s_grid[-1])
-        knots.append(float(r))
-        values.append(max(mu.eval(r, s, t) - c, values[-1] + 1e-12))
-    sigma1 = cf.declare(
-        cf.add(cf.pwl(knots, values, fn_class="increasing"), cf.scale(cf.EPS_SLOPE)),
-        "Kinf",
-    )
+    sigma1 = _staircase(mu.r_grid, lambda r: mu.eval(r, min(r, mu.s_grid[-1]), t) - c)
     cert = Certificate(PropertyId.H_BOUNDED, {"sigma1": sigma1, "gamma1": sigma1, "c": c})
     record = ConstructionRecord(
         "decompose_bound", (f"mu over {len(mu.r_grid)} radii",), cert,
@@ -385,24 +390,17 @@ def ougb_from_ouag_bors(ouag: Certificate, mu: ReachabilityBound, smooth: bool =
 
     r0, s0 = _origin_cell(mu)
     sigma0 = mu.eval(r0, s0, min(tau_of(r0), mu.t_grid[-1]))
-    knots = [0.0]
-    values = [0.0]
-    for r in mu.r_grid:
-        if r <= 0:
-            continue
+
+    def level(r: float) -> float:
         tau_r = tau_of(r)
         if tau_r > mu.t_grid[-1] + 1e-12:
             raise DomainError(
                 f"reachability table missing cell (r={r:g}, r, tau={tau_r:g}): "
                 f"time grid ends at {mu.t_grid[-1]:g}"
             )
-        knots.append(float(r))
-        values.append(max(mu.eval(r, min(r, mu.s_grid[-1]), tau_r) - sigma0,
-                          values[-1] + 1e-12))
-    sigma = cf.declare(
-        cf.add(cf.pwl(knots, values, fn_class="increasing"), cf.scale(cf.EPS_SLOPE)),
-        "Kinf",
-    )
+        return mu.eval(r, min(r, mu.s_grid[-1]), tau_r) - sigma0
+
+    sigma = _staircase(mu.r_grid, level)
     c = max(sigma0, 1.0)
     gamma_prime = _merge_gains(gamma, sigma)
     cert = Certificate(PropertyId.OUGB, {"sigma": sigma, "gamma": gamma_prime, "c": c})
@@ -616,16 +614,7 @@ def ol_from_ooulim_localol_obors(ooulim: Certificate, local_ol: Certificate,
         return mu.eval(big_r, min(u_ball, mu.s_grid[-1]), tau_r)
 
     base = sigma_tilde_at(mu.r_grid[0] if mu.r_grid[0] > 0 else mu.r_grid[1])
-    knots, values = [0.0], [0.0]
-    for r in mu.r_grid:
-        if r <= 0:
-            continue
-        knots.append(float(r))
-        values.append(max(sigma_tilde_at(r) - base, values[-1] + 1e-12))
-    sigma = cf.declare(
-        cf.add(cf.pwl(knots, values, fn_class="increasing"), cf.scale(cf.EPS_SLOPE)),
-        "Kinf",
-    )
+    sigma = _staircase(mu.r_grid, lambda r: sigma_tilde_at(r) - base)
     gamma_oougb = cf.declare(cf.compose(sigma, gamma_tilde), "Kinf")
     oougb = Certificate(PropertyId.OOUGB,
                         {"sigma": sigma, "gamma": gamma_oougb, "c": base})

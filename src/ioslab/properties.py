@@ -6,11 +6,17 @@ tables, constants) claimed to witness the defining inequality.  Checking is
 sampled: a plan expands into a deterministic family of probes (initial
 states on radius shells times seeded directions, inputs from a documented
 family with constants first), each probe is simulated once, and the
-defining inequality is evaluated with its quantifier structure respected:
+defining inequality is evaluated with its quantifier structure respected.
+``_CHECKERS`` is the single table that maps a property to its quantifier:
+the probe source its samples come from and the checker that reduces them,
+shared by ``verify`` (over the whole source) and ``falsify`` (one probe at a
+time).  The quantifier patterns are:
 
   pointwise notions   bound must hold at every grid time
                       (IOS, ISS, IOpS, OCAG, OL family, OUGS family, IOSS,
-                      output-map bounds, reachability bounds)
+                      output-map bounds)
+  window notions      sup of |y| over the certificate's horizon must stay
+                      below its constant (reachability bounds BORS, OBORS)
   convergence notions bound must hold at every grid time at or beyond the
                       certificate's tabulated time (OUAG, OGUAG)
   visit notions       bound must hold at SOME grid time at or before the
@@ -35,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from typing import Optional
 
@@ -130,8 +136,42 @@ def _cell_value(values, idx) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class ConvergenceTimeTable:
+class _GridTable:
+    """Equality, hash and dict round trip of a frozen grid table, read off
+    its dataclass fields: arrays compare with ``np.array_equal`` and hash by
+    their bytes, grids serialise as lists (or None), and a field missing
+    from a dict takes its default."""
+
+    def _items(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._items(), other._items())
+        )
+
+    def __hash__(self):
+        return hash(tuple(v.tobytes() if isinstance(v, np.ndarray) else v
+                          for v in self._items()))
+
+    def to_dict(self) -> dict:
+        return {f.name: v.tolist() if isinstance(v, np.ndarray)
+                else list(v) if isinstance(v, tuple) else v
+                for f, v in zip(fields(self), self._items())}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        kwargs = {}
+        for f in fields(cls):
+            if f.name in d or f.default is MISSING:
+                v = d[f.name]
+                kwargs[f.name] = tuple(v) if isinstance(v, list) else v
+        return cls(**kwargs)
+
+
+@dataclass(frozen=True, eq=False)
+class ConvergenceTimeTable(_GridTable):
     """Tabulated convergence/visit times over (eps, r[, s]) grids.
 
     Raw empirical tables are rectified before use: nonincreasing in eps,
@@ -172,20 +212,6 @@ class ConvergenceTimeTable:
         if self.mode not in ("uag", "lim"):
             raise DomainError("table mode must be 'uag' or 'lim'")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConvergenceTimeTable)
-            and self.eps_grid == other.eps_grid
-            and self.r_grid == other.r_grid
-            and self.s_grid == other.s_grid
-            and self.mode == other.mode
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __hash__(self):
-        return hash((self.eps_grid, self.r_grid, self.s_grid, self.mode,
-                     self.values.tobytes()))
-
     def eval(self, eps: float, r: float, s: float | None = None) -> float:
         idx = (_snap_down(self.eps_grid, eps, "eps"), _snap_up(self.r_grid, r, "r"))
         if self.s_grid is not None:
@@ -194,35 +220,9 @@ class ConvergenceTimeTable:
             idx = idx + (_snap_up(self.s_grid, s, "s"),)
         return _cell_value(self.values, idx)
 
-    def max_time(self) -> float:
-        finite = self.values[np.isfinite(self.values)]
-        return float(finite.max()) if finite.size else math.inf
 
-    def has_gaps(self) -> bool:
-        return bool(np.any(~np.isfinite(self.values)))
-
-    def to_dict(self) -> dict:
-        return {
-            "eps_grid": list(self.eps_grid),
-            "r_grid": list(self.r_grid),
-            "s_grid": list(self.s_grid) if self.s_grid is not None else None,
-            "values": self.values.tolist(),
-            "mode": self.mode,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ConvergenceTimeTable":
-        return ConvergenceTimeTable(
-            tuple(d["eps_grid"]),
-            tuple(d["r_grid"]),
-            tuple(d["s_grid"]) if d["s_grid"] is not None else None,
-            np.array(d["values"]),
-            d.get("mode", "uag"),
-        )
-
-
-@dataclass(frozen=True)
-class DeltaTable:
+@dataclass(frozen=True, eq=False)
+class DeltaTable(_GridTable):
     """Continuity table: delta levels per (eps[, tau]) row.
 
     Rectified so that delta is nondecreasing in eps and nonincreasing in
@@ -248,17 +248,6 @@ class DeltaTable:
         if self.tau_grid is not None:
             object.__setattr__(self, "tau_grid", tuple(float(x) for x in self.tau_grid))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DeltaTable)
-            and self.eps_grid == other.eps_grid
-            and self.tau_grid == other.tau_grid
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __hash__(self):
-        return hash((self.eps_grid, self.tau_grid, self.values.tobytes()))
-
     def rows(self):
         if self.tau_grid is None:
             for i, eps in enumerate(self.eps_grid):
@@ -276,24 +265,9 @@ class DeltaTable:
             idx = idx + (_snap_up(self.tau_grid, tau, "tau"),)
         return _cell_value(self.values, idx)
 
-    def to_dict(self) -> dict:
-        return {
-            "eps_grid": list(self.eps_grid),
-            "tau_grid": list(self.tau_grid) if self.tau_grid is not None else None,
-            "values": self.values.tolist(),
-        }
 
-    @staticmethod
-    def from_dict(d: dict) -> "DeltaTable":
-        return DeltaTable(
-            tuple(d["eps_grid"]),
-            tuple(d["tau_grid"]) if d["tau_grid"] is not None else None,
-            np.array(d["values"]),
-        )
-
-
-@dataclass(frozen=True)
-class ReachabilityBound:
+@dataclass(frozen=True, eq=False)
+class ReachabilityBound(_GridTable):
     """Empirical sup-output table over (r, s, t), rectified monotone.
 
     ``over_initial_output`` switches the first axis from initial-state norm
@@ -320,20 +294,6 @@ class ReachabilityBound:
         object.__setattr__(self, "s_grid", tuple(float(x) for x in self.s_grid))
         object.__setattr__(self, "t_grid", tuple(float(x) for x in self.t_grid))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ReachabilityBound)
-            and self.r_grid == other.r_grid
-            and self.s_grid == other.s_grid
-            and self.t_grid == other.t_grid
-            and self.over_initial_output == other.over_initial_output
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __hash__(self):
-        return hash((self.r_grid, self.s_grid, self.t_grid,
-                     self.over_initial_output, self.values.tobytes()))
-
     def eval(self, r: float, s: float, t: float) -> float:
         try:
             idx = (
@@ -345,14 +305,6 @@ class ReachabilityBound:
         except TableGapError as exc:
             raise TableGapError(f"bound table cell ({r:g}, {s:g}, {t:g}): {exc}") from None
 
-    def diagonal_slice(self):
-        """(r, mu(r, r, t_max)) pairs used by the two-argument decomposition."""
-        out = []
-        for r in self.r_grid:
-            s = min(r, self.s_grid[-1])
-            out.append((r, self.eval(r, s, self.t_grid[-1])))
-        return out
-
     def growth_diagnostic(self) -> dict:
         """Does sup |y| appear to diverge in r at the final horizon?"""
         last = self.values[:, -1, -1]
@@ -363,22 +315,6 @@ class ReachabilityBound:
             ratio = float(last[-1] / max(last[0], 1e-300))
         return {"diverging_cells": int(np.sum(~finite)), "top_over_bottom": ratio,
                 "suspected_unbounded": diverges or (ratio is not None and ratio > 1e3)}
-
-    def to_dict(self) -> dict:
-        return {
-            "r_grid": list(self.r_grid),
-            "s_grid": list(self.s_grid),
-            "t_grid": list(self.t_grid),
-            "values": self.values.tolist(),
-            "over_initial_output": self.over_initial_output,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ReachabilityBound":
-        return ReachabilityBound(
-            tuple(d["r_grid"]), tuple(d["s_grid"]), tuple(d["t_grid"]),
-            np.array(d["values"]), d.get("over_initial_output", False),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1038,7 +974,15 @@ def _probe_filter(cert: Certificate, data: ProbeData) -> bool:
     return True
 
 
-def _check_pointwise(cert: Certificate, datas, out: _Outcome):
+def _sweep(cert: Certificate, datas, levels, sample, out: _Outcome) -> list:
+    """Per-probe loop shared by the pointwise, convergence and visit checkers.
+
+    Probes outside the property's ball are skipped and blow-ups recorded.
+    Each remaining probe is sampled once per level by ``sample(data,
+    level)``, which returns (t, observed, bound), or None for an empty cell.
+    A cell whose table lookup raises ``TableGapError`` is skipped; the
+    skipped (probe, error message) pairs are returned.
+    """
     gaps = []
     for data in datas:
         if not _probe_filter(cert, data):
@@ -1046,20 +990,33 @@ def _check_pointwise(cert: Certificate, datas, out: _Outcome):
         if data.blown:
             out.add_blown(data.probe)
             continue
-        try:
-            bound = _pointwise_bound(cert, data)
-        except TableGapError as exc:  # table-backed beta: no claim this far out
-            gaps.append(f"first at r = {data.probe.r:g}: {exc}")
-            continue
+        for level in levels:
+            try:
+                hit = sample(data, level)
+            except TableGapError as exc:
+                gaps.append((data.probe, str(exc)))  # not exc: its traceback pins frames
+                continue
+            if hit is not None:
+                out.add(data.probe, *hit)
+    return gaps
+
+
+def _check_pointwise(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
+    def sample(data, _level):
+        bound = _pointwise_bound(cert, data)
         observed = _observed_series(cert, data)
         k = int(np.argmin(bound - observed))
-        out.add(data.probe, data.times[k], observed[k], bound[k])
+        return data.times[k], observed[k], bound[k]
+
+    # a table-backed beta raises TableGapError: no claim this far out
+    gaps = _sweep(cert, datas, (None,), sample, out)
     if gaps:
+        probe, reason = gaps[0]
         out.notes.append(f"{len(gaps)} probe(s) beyond the certified radius skipped "
-                         f"({gaps[0]})")
+                         f"(first at r = {probe.r:g}: {reason})")
 
 
-def _check_sup_bound(cert: Certificate, datas, out: _Outcome):
+def _check_sup_bound(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     """Reachability bounds: sup over t < horizon of |y| against a constant."""
     horizon = cert["horizon"]
     bound = cert["bound"]
@@ -1081,182 +1038,192 @@ def _check_uag(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     table: ConvergenceTimeTable = cert["tau_table"]
     gamma = cert["gamma"]
     global_form = cert.property == PropertyId.OGUAG
-    for data in datas:
-        if not _probe_filter(cert, data):
-            continue
-        if data.blown:
-            out.add_blown(data.probe)
-            continue
-        for eps in table.eps_grid:
-            try:
-                tau = (
-                    table.eval(eps, data.probe.r)
-                    if global_form
-                    else table.eval(eps, data.probe.r, data.probe.s)
-                )
-            except TableGapError:
-                continue
-            if tau > plan.horizon + 1e-12:
-                out.notes.append(
-                    f"tau({eps:g}, {data.probe.r:g}) exceeds the horizon; cell skipped"
-                )
-                continue
-            mask = data.times >= tau - 1e-12
-            if not np.any(mask):
-                continue
-            bound = eps + _gain_at(gamma, data.probe.s)
-            k_rel = int(np.argmax(np.where(mask, data.ynorm, -math.inf)))
-            out.add(data.probe, data.times[k_rel], data.ynorm[k_rel], bound)
+
+    def sample(data, eps):
+        r, s = data.probe.r, data.probe.s
+        tau = table.eval(eps, r) if global_form else table.eval(eps, r, s)
+        if tau > plan.horizon + 1e-12:
+            out.notes.append(f"tau({eps:g}, {r:g}) exceeds the horizon; cell skipped")
+            return None
+        mask = data.times >= tau - 1e-12
+        if not np.any(mask):
+            return None
+        k = int(np.argmax(np.where(mask, data.ynorm, -math.inf)))
+        return data.times[k], data.ynorm[k], eps + _gain_at(gamma, s)
+
+    _sweep(cert, datas, table.eps_grid, sample, out)
 
 
-def _check_lim(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome,
-               horizon_proxy: bool = False):
+def _check_lim(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     gamma = cert["gamma"]
     table: ConvergenceTimeTable | None = cert.get("tau_table")
-    for data in datas:
-        if not _probe_filter(cert, data):
-            continue
-        if data.blown:
-            out.add_blown(data.probe)
-            continue
-        eps_levels = table.eps_grid if table is not None else plan.eps_grid
-        for eps in eps_levels:
-            if table is not None:
-                key_r = data.y0 if cert.property == PropertyId.OOULIM else data.probe.r
-                try:
-                    if table.s_grid is not None:
-                        tau = table.eval(eps, key_r, data.probe.s)
-                    else:
-                        tau = table.eval(eps, key_r)
-                except TableGapError:
-                    continue
-            else:
-                tau = plan.horizon
-            mask = data.times <= tau + 1e-12
-            if not np.any(mask):
-                continue
-            bound = eps + _gain_at(gamma, data.probe.s)
-            # existence check: best time must dip below the bound
-            k_best = int(np.argmin(np.where(mask, data.ynorm, math.inf)))
-            out.add(data.probe, data.times[k_best], data.ynorm[k_best], bound)
-    if horizon_proxy:
+    by_output = cert.property == PropertyId.OOULIM
+
+    def sample(data, eps):
+        if table is None:
+            tau = plan.horizon
+        else:
+            r = data.y0 if by_output else data.probe.r
+            tau = table.eval(eps, r) if table.s_grid is None else table.eval(eps, r, data.probe.s)
+        mask = data.times <= tau + 1e-12
+        if not np.any(mask):
+            return None
+        # existence check: best time must dip below the bound
+        k = int(np.argmin(np.where(mask, data.ynorm, math.inf)))
+        return data.times[k], data.ynorm[k], eps + _gain_at(gamma, data.probe.s)
+
+    _sweep(cert, datas, plan.eps_grid if table is None else table.eps_grid, sample, out)
+    if table is None:
         out.notes.append(
             "visit times capped by the plan horizon: per-trajectory quantifier "
             "is checked as a finite-horizon proxy"
         )
 
 
-def _check_delta_rows(sys: SystemModel, cert: Certificate, probe_set: ProbeSet,
-                      out: _Outcome, full_horizon_default: float):
-    """Continuity rows: probes from the delta-ball must stay below eps."""
-    table: DeltaTable = cert["delta_table"]
-    for eps, tau, delta in table.rows():
-        horizon = tau if tau is not None else full_horizon_default
+def _input_global(check):
+    """The checker plus the note that an input-global claim was only
+    exercised up to the largest input norm sampled."""
+    def run(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
+        check(cert, datas, plan, out)
+        out.notes.append(f"input-global claim certified up to s_max = "
+                         f"{cert.get('s_max', plan.s_max):g}")
+    return run
+
+
+def _check_delta_rows(cert: Certificate, rows, plan: SamplingPlan, out: _Outcome):
+    """Continuity rows: each (eps, horizon, probe) from a delta ball must
+    stay below eps up to the row's horizon."""
+    for eps, horizon, data in rows:
+        if data.blown:
+            out.add_blown(data.probe)
+            continue
+        mask = data.times <= horizon + 1e-12
+        k = int(np.argmax(np.where(mask, data.ynorm, -math.inf)))
+        out.add(data.probe, data.times[k], data.ynorm[k], eps)
+
+
+# ---------------------------------------------------------------------------
+# probe sources and the checker table
+# ---------------------------------------------------------------------------
+
+def _plan_probes(cert: Certificate, ps: ProbeSet, plan: SamplingPlan, out: _Outcome):
+    return ps.all_data()
+
+
+def _initial_output_shells(cert: Certificate, ps: ProbeSet, plan: SamplingPlan,
+                           out: _Outcome):
+    """Probes from the initial-output balls the visit table is indexed by."""
+    datas = []
+    for r_y in cert["tau_table"].r_grid:
+        for s in (0.0,) + tuple(plan.input_norms):
+            datas.extend(ps.initial_output_shell(r_y, s))
+    return datas
+
+
+def _delta_row_shells(cert: Certificate, ps: ProbeSet, plan: SamplingPlan, out: _Outcome):
+    """(eps, horizon, probe) for each continuity row, from the shells at
+    delta and delta / 2; a row without horizon runs to the plan's."""
+    rows = []
+    for eps, tau, delta in cert["delta_table"].rows():
         if delta <= 0.0:
             out.notes.append(f"empty delta at eps={eps:g}; row skipped")
             continue
+        horizon = tau if tau is not None else plan.horizon
         for frac in (1.0, 0.5):
-            for data in probe_set.shell(delta * frac, min(delta * frac, probe_set.plan.s_max)
-                                        if probe_set.sys.input_dim else 0.0):
-                if data.blown:
-                    out.add_blown(data.probe)
-                    continue
-                mask = data.times <= horizon + 1e-12
-                k = int(np.argmax(np.where(mask, data.ynorm, -math.inf)))
-                out.add(data.probe, data.times[k], data.ynorm[k], eps)
+            r = delta * frac
+            s = min(r, ps.plan.s_max) if ps.sys.input_dim else 0.0
+            rows.extend((eps, horizon, data) for data in ps.shell(r, s))
+    return rows
+
+
+# property -> (probe source, checker): the one place that decides which
+# quantifier a property's inequality is checked under
+_CHECKERS = {
+    PropertyId.IOS: (_plan_probes, _check_pointwise),
+    PropertyId.ISS: (_plan_probes, _check_pointwise),
+    PropertyId.IOPS: (_plan_probes, _check_pointwise),
+    PropertyId.OCAG: (_plan_probes, _check_pointwise),
+    PropertyId.OL: (_plan_probes, _check_pointwise),
+    PropertyId.LOCAL_OL: (_plan_probes, _check_pointwise),
+    PropertyId.OUGS: (_plan_probes, _check_pointwise),
+    PropertyId.OULS: (_plan_probes, _check_pointwise),
+    PropertyId.OUGB: (_plan_probes, _check_pointwise),
+    PropertyId.OOUGB: (_plan_probes, _check_pointwise),
+    PropertyId.IOSS: (_plan_probes, _check_pointwise),
+    PropertyId.H_BOUNDED: (_plan_probes, _check_pointwise),
+    PropertyId.H_K_BOUNDED: (_plan_probes, _check_pointwise),
+    PropertyId.BORS: (_plan_probes, _check_sup_bound),
+    PropertyId.OBORS: (_plan_probes, _check_sup_bound),
+    PropertyId.OUAG: (_plan_probes, _check_uag),
+    PropertyId.OGUAG: (_plan_probes, _input_global(_check_uag)),
+    PropertyId.OLIM: (_plan_probes, _check_lim),
+    PropertyId.OAG: (_plan_probes, _check_lim),
+    PropertyId.OULIM: (_plan_probes, _check_lim),
+    PropertyId.OGULIM: (_plan_probes, _input_global(_check_lim)),
+    PropertyId.OOULIM: (_initial_output_shells, _check_lim),
+    PropertyId.OCEP: (_delta_row_shells, _check_delta_rows),
+}
+
+
+def _checker(cert: Certificate):
+    """The table entry for ``cert``.  The table form of OULS is a continuity
+    table without a tau axis, so it is checked as OCEP is."""
+    prop = PropertyId.OCEP if "delta_table" in cert.params else cert.property
+    if prop not in _CHECKERS:
+        raise CertificateError(f"no checker for property {cert.property.value}")
+    return _CHECKERS[prop]
 
 
 # ---------------------------------------------------------------------------
 # public checking API
 # ---------------------------------------------------------------------------
 
-_POINTWISE = {
-    PropertyId.IOS, PropertyId.ISS, PropertyId.IOPS, PropertyId.OCAG,
-    PropertyId.OL, PropertyId.LOCAL_OL, PropertyId.OUGS, PropertyId.OULS,
-    PropertyId.OUGB, PropertyId.OOUGB, PropertyId.IOSS,
-    PropertyId.H_BOUNDED, PropertyId.H_K_BOUNDED,
-}
-
-_LIM_FAMILY = {PropertyId.OLIM, PropertyId.OAG, PropertyId.OULIM,
-               PropertyId.OGULIM, PropertyId.OOULIM}
-
-
 def verify(sys: SystemModel, cert: Certificate, plan: SamplingPlan,
            probe_set: ProbeSet | None = None) -> Verdict:
-    """Check the certificate's defining inequality over the plan's probes."""
-    if cert.property == PropertyId.FC:
-        raise CertificateError("forward completeness is not a bound-form property")
-    phash = plan_hash(plan)
+    """Check the certificate's defining inequality over the probes its
+    table entry draws: the plan's, or shells of its own balls."""
+    source, check = _checker(cert)
     ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
     out = _Outcome()
-    prop = cert.property
-
-    if prop == PropertyId.OULS and "delta_table" in cert.params:
-        _check_delta_rows(sys, cert, ps, out, plan.horizon)
-    elif prop == PropertyId.OCEP:
-        _check_delta_rows(sys, cert, ps, out, plan.horizon)
-    elif prop in _POINTWISE:
-        _check_pointwise(cert, ps.all_data(), out)
-    elif prop in (PropertyId.BORS, PropertyId.OBORS):
-        _check_sup_bound(cert, ps.all_data(), out)
-    elif prop in (PropertyId.OUAG, PropertyId.OGUAG):
-        _check_uag(cert, ps.all_data(), plan, out)
-        if prop == PropertyId.OGUAG:
-            out.notes.append(f"input-global claim certified up to s_max = "
-                             f"{cert.get('s_max', plan.s_max):g}")
-    elif prop in _LIM_FAMILY:
-        datas = ps.all_data()
-        if prop == PropertyId.OOULIM:
-            table: ConvergenceTimeTable = cert["tau_table"]
-            datas = []
-            for r_y in table.r_grid:
-                for s in (0.0,) + tuple(plan.input_norms):
-                    datas.extend(ps.initial_output_shell(r_y, s))
-        _check_lim(cert, datas, plan, out,
-                   horizon_proxy=prop in (PropertyId.OLIM, PropertyId.OAG))
-        if prop == PropertyId.OGULIM:
-            out.notes.append(f"input-global claim certified up to s_max = {plan.s_max:g}")
-    else:
-        raise CertificateError(f"no checker for property {prop.value}")
-    return out.verdict(prop, plan, phash)
+    check(cert, source(cert, ps, plan, out), plan, out)
+    return out.verdict(cert.property, plan, plan_hash(plan))
 
 
 def falsify(sys: SystemModel, cert: Certificate, budget: int,
             plan: SamplingPlan) -> Verdict:
     """Search for a maximal-margin witness within a simulation budget.
 
-    The plan's probes are swept first (constants before richer inputs);
-    afterwards the worst probe is refined by local grid search over the
-    initial-state radius, the direction on its shell and the input
-    amplitude, with the violation time taken as the worst grid time of each
-    refined trajectory.  The search is deterministic for a fixed plan seed.
+    The plan's probes are swept first (constants before richer inputs), as
+    far as the budget reaches; afterwards the worst swept probes are refined
+    by local grid search over the initial-state radius, the direction on
+    their shell and the input amplitude, with the violation time taken as
+    the worst grid time of each refined trajectory.  The verdict's
+    ``samples`` counts probe requests, so it bounds the simulations run and
+    never exceeds ``budget``.  The search is deterministic for a fixed plan
+    seed.  Continuity-table certificates are not supported: their checker
+    needs the row each probe was drawn for.
     """
+    _, check = _checker(cert)
+    if check is _check_delta_rows:
+        raise CertificateError(f"falsification unsupported for {cert.property.value}")
     phash = plan_hash(plan)
     ps = ProbeSet(sys, plan)
     spent = 0
-    best = None  # (margin, probe, t, observed, bound)
+    ranked = []  # (margin, probe, t, observed, bound) per admissible swept probe
     for probe in ps.probes:
         if spent >= budget:
             break
         data = ps.data(probe)
         spent += 1
         margin, t, observed, bound = _probe_margin_from_data(cert, plan, data)
-        if margin == -math.inf:
-            continue
-        if best is None or margin > best[0]:
-            best = (margin, probe, t, observed, bound)
-    if best is None:
+        if margin > -math.inf:
+            ranked.append((margin, probe, t, observed, bound))
+    if not ranked:
         return Verdict("inconclusive", cert.property, spent, None, None,
                        "no admissible probes for this certificate", phash)
 
     # multi-start local refinement: one hill-climb per elite coarse probe,
     # so a degenerate near-zero basin cannot shadow a genuine violation
-    ranked = []
-    for probe in ps.probes:
-        data = ps.data(probe)
-        m, t, observed, bound = _probe_margin_from_data(cert, plan, data)
-        if m > -math.inf:
-            ranked.append((m, probe, t, observed, bound))
     ranked.sort(key=lambda item: (-item[0], item[1].index))
     starts = []
     seen_radii = set()
@@ -1333,17 +1300,7 @@ def _refine_from(sys, cert, plan, ps, start, spent, budget):
 
 def _probe_margin_from_data(cert, plan, data) -> tuple[float, float, float, float]:
     out = _Outcome()
-    prop = cert.property
-    if prop in _POINTWISE:
-        _check_pointwise(cert, [data], out)
-    elif prop in (PropertyId.BORS, PropertyId.OBORS):
-        _check_sup_bound(cert, [data], out)
-    elif prop in (PropertyId.OUAG, PropertyId.OGUAG):
-        _check_uag(cert, [data], plan, out)
-    elif prop in _LIM_FAMILY:
-        _check_lim(cert, [data], plan, out)
-    else:
-        raise CertificateError(f"falsification unsupported for {prop.value}")
+    _checker(cert)[1](cert, [data], plan, out)
     if out.worst is None:
         return -math.inf, 0.0, 0.0, 0.0
     _, t, observed, bound = out.worst
@@ -1380,6 +1337,34 @@ def _scaled_input(u: InputSignal, factor: float) -> InputSignal:
 # estimation
 # ---------------------------------------------------------------------------
 
+def _shell_tau(datas, eps: float, mode: str, gamma_ref: ScalarFn):
+    """Worst convergence ("uag": just after the last miss) or visit ("lim":
+    the first hit) time of ``eps + gamma_ref(s)`` over a shell of probes.
+
+    Returns (tau, None), or (None, offending ProbeData) when some probe
+    blows up or never satisfies the bound within the horizon.
+    """
+    if mode not in ("uag", "lim"):
+        raise DomainError("mode must be 'uag' or 'lim'")
+    worst = 0.0
+    for data in datas:
+        if data.blown:
+            return None, data
+        ok = data.ynorm <= eps + _gain_at(gamma_ref, data.probe.s) + 1e-12
+        if mode == "uag":
+            if not ok[-1]:
+                return None, data
+            bad = np.nonzero(~ok)[0]
+            tau = 0.0 if bad.size == 0 else float(data.times[bad[-1] + 1])
+        else:
+            hits = np.nonzero(ok)[0]
+            if hits.size == 0:
+                return None, data
+            tau = float(data.times[hits[0]])
+        worst = max(worst, tau)
+    return worst, None
+
+
 def estimate_tau(sys: SystemModel, eps: float, r: float, s: float, mode: str,
                  plan: SamplingPlan, gamma_ref: ScalarFn,
                  probe_set: ProbeSet | None = None):
@@ -1389,26 +1374,7 @@ def estimate_tau(sys: SystemModel, eps: float, r: float, s: float, mode: str,
     trajectory never satisfies the bound within the horizon.
     """
     ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
-    worst = 0.0
-    for data in ps.shell(r, s):
-        if data.blown:
-            return None, data
-        bound = eps + _gain_at(gamma_ref, data.probe.s)
-        ok = data.ynorm <= bound + 1e-12
-        if mode == "uag":
-            if not ok[-1]:
-                return None, data
-            bad = np.nonzero(~ok)[0]
-            tau_probe = 0.0 if bad.size == 0 else float(data.times[bad[-1] + 1])
-        elif mode == "lim":
-            hits = np.nonzero(ok)[0]
-            if hits.size == 0:
-                return None, data
-            tau_probe = float(data.times[hits[0]])
-        else:
-            raise DomainError("mode must be 'uag' or 'lim'")
-        worst = max(worst, tau_probe)
-    return worst, None
+    return _shell_tau(ps.shell(r, s), eps, mode, gamma_ref)
 
 
 def build_tau_table(sys: SystemModel, plan: SamplingPlan, mode: str,
@@ -1427,26 +1393,8 @@ def build_tau_table(sys: SystemModel, plan: SamplingPlan, mode: str,
         collapse_s = False
 
     def cell(eps, r, s):
-        if over_initial_output:
-            datas = ps.initial_output_shell(r, s)
-            worst = 0.0
-            for data in datas:
-                if data.blown:
-                    return math.inf
-                bound = eps + _gain_at(gamma_ref, data.probe.s)
-                ok = data.ynorm <= bound + 1e-12
-                if mode == "lim":
-                    hits = np.nonzero(ok)[0]
-                    if hits.size == 0:
-                        return math.inf
-                    worst = max(worst, float(data.times[hits[0]]))
-                else:
-                    if not ok[-1]:
-                        return math.inf
-                    bad = np.nonzero(~ok)[0]
-                    worst = max(worst, 0.0 if bad.size == 0 else float(data.times[bad[-1] + 1]))
-            return worst
-        tau, _ = estimate_tau(sys, eps, r, s, mode, plan, gamma_ref, ps)
+        shell = ps.initial_output_shell(r, s) if over_initial_output else ps.shell(r, s)
+        tau, _ = _shell_tau(shell, eps, mode, gamma_ref)
         return math.inf if tau is None else tau
 
     if collapse_s:
@@ -1516,16 +1464,12 @@ def _residual_gain(datas, bound_fn, force_abscissa="s"):
     """Envelope of positive residuals against the input norm."""
     samples = {0.0: 0.0}
     for data in datas:
-        resid = float(np.max(_np_clip_min(data.ynorm - bound_fn(data), 0.0)))
+        resid = float(np.max(np.maximum(data.ynorm - bound_fn(data), 0.0)))
         key = data.probe.s if force_abscissa == "s" else float(np.max(data.urestr))
         samples[key] = max(samples.get(key, 0.0), resid)
     if len(samples) == 1:
         samples[1.0] = 0.0
     return cf.fit_monotone_envelope(sorted(samples.items()), force_zero_at_zero=True)
-
-
-def _np_clip_min(arr, lo):
-    return np.maximum(arr, lo)
 
 
 def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
@@ -1599,7 +1543,7 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
         # static-map residuals are pointwise in the instantaneous input value
         resid = {0.0: 0.0}
         for d in live:
-            gap = _np_clip_min(d.ynorm - sigma1(d.xnorm), 0.0)
+            gap = np.maximum(d.ynorm - sigma1(d.xnorm), 0.0)
             for uv, g in zip(d.uval_norm.tolist(), gap.tolist()):
                 resid[uv] = max(resid.get(uv, 0.0), g)
         if len(resid) == 1:
@@ -1620,7 +1564,7 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
                 return beta(d.probe.r, d.times) + gamma2(d.ysup)
             resid = {0.0: 0.0}
             for d in live:
-                r = float(np.max(_np_clip_min(d.xnorm - bound_fn(d), 0.0)))
+                r = float(np.max(np.maximum(d.xnorm - bound_fn(d), 0.0)))
                 key = float(np.max(d.urestr)) if d.probe.s > 0 else 0.0
                 resid[key] = max(resid.get(key, 0.0), r)
             if len(resid) == 1:

@@ -63,9 +63,6 @@ class SystemModel:
         if self.time_set not in ("continuous", "discrete"):
             raise DomainError("time_set must be 'continuous' or 'discrete'")
 
-    def zero_input(self) -> InputSignal:
-        return InputSignal.zero(self.input_dim) if self.input_dim else InputSignal.zero(0)
-
     def output_norms(self, outputs: np.ndarray) -> np.ndarray:
         return np.linalg.norm(np.atleast_2d(outputs), axis=1)
 
@@ -78,7 +75,6 @@ class SimPlan:
     step: float = 1e-2
     method: str = "rk4"  # "rk4" | "euler"
     blow_up_threshold: float = 1e9
-    refinement: int = 0
 
     def __post_init__(self):
         if self.horizon < 0 or self.step <= 0:
@@ -88,7 +84,7 @@ class SimPlan:
 
     def refined(self, levels: int = 1) -> "SimPlan":
         return SimPlan(self.horizon, self.step / (2.0 ** levels), self.method,
-                       self.blow_up_threshold, self.refinement)
+                       self.blow_up_threshold)
 
 
 @dataclass
@@ -115,9 +111,6 @@ class Trajectory:
 
     def output_norms(self) -> np.ndarray:
         return np.linalg.norm(self.outputs, axis=1)
-
-    def state_norms(self, norm=_euclidean) -> np.ndarray:
-        return np.array([norm(x) for x in self.states])
 
     def at_time(self, t: float) -> int:
         """Index of the grid point closest to t (grid contains probe times)."""

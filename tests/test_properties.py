@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from ioslab.properties import (
     DeltaTable,
     ProbeSet,
     PropertyId,
+    ReachabilityBound,
     SamplingPlan,
     build_reachability_bound,
     build_tau_table,
@@ -282,6 +284,55 @@ def test_falsify_l2_blowup_bors():
         assert float(np.max(traj.output_norms())) > 11.0
     else:
         assert verdict.witness.observed > 10.0
+
+
+def test_falsify_budget_is_a_hard_cap(lin_sys, lin_plan, monkeypatch):
+    """Budget 5 on a 42-probe plan: at most 5 simulations, 5 samples reported."""
+    import ioslab.properties as props
+
+    calls = []
+    real = props.simulate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(props, "simulate", counting)
+    assert len(ProbeSet(lin_sys, lin_plan).probes) == 42
+    verdict = falsify(lin_sys, ios_exp_cert(cf.identity()), 5, lin_plan)
+    assert len(calls) <= 5 == verdict.samples
+
+
+@pytest.mark.parametrize("prop, table", [
+    (PropertyId.OCEP, DeltaTable((0.1, 0.5), (6.0, 12.0), np.full((2, 2), 0.05))),
+    (PropertyId.OULS, DeltaTable((0.1, 0.5), None, np.array([0.05, 0.25]))),
+])
+def test_falsify_rejects_continuity_tables(sin_sys, sin_plan, prop, table):
+    cert = Certificate(prop, {"delta_table": table})
+    with pytest.raises(CertificateError, match="falsification unsupported"):
+        falsify(sin_sys, cert, 10, sin_plan)
+
+
+def test_table_dict_format_and_load_defaults():
+    tau = ConvergenceTimeTable((0.1,), (1.0, 2.0), None, np.array([[1.0, 2.0]]))
+    delta = DeltaTable((0.1, 0.5), None, np.array([0.05, 0.25]))
+    mu = ReachabilityBound((1.0,), (0.0,), (1.0, 2.0), np.array([[[1.0, 2.0]]]))
+    assert json.dumps(tau.to_dict()) == (
+        '{"eps_grid": [0.1], "r_grid": [1.0, 2.0], "s_grid": null, '
+        '"values": [[1.0, 2.0]], "mode": "uag"}')
+    assert json.dumps(delta.to_dict()) == (
+        '{"eps_grid": [0.1, 0.5], "tau_grid": null, "values": [0.05, 0.25]}')
+    assert json.dumps(mu.to_dict()) == (
+        '{"r_grid": [1.0], "s_grid": [0.0], "t_grid": [1.0, 2.0], '
+        '"values": [[[1.0, 2.0]]], "over_initial_output": false}')
+    for table, defaulted in ((tau, "mode"), (delta, None), (mu, "over_initial_output")):
+        d = {k: v for k, v in table.to_dict().items() if k != defaulted}
+        back = type(table).from_dict(d)
+        assert back == table and hash(back) == hash(table)
+    assert tau != ConvergenceTimeTable((0.1,), (1.0, 2.0), None, np.array([[1.0, 2.0]]),
+                                       mode="lim")
+    with pytest.raises(KeyError):
+        DeltaTable.from_dict({"eps_grid": [0.1], "values": [0.05]})
 
 
 # ---------------------------------------------------------------------------
