@@ -56,7 +56,7 @@ from .errors import (
     TableGapError,
 )
 from .signals import InputSignal
-from .systems import SimPlan, SystemModel, Trajectory, simulate
+from .systems import SimPlan, SystemModel, Trajectory, simulate, simulate_batch
 
 __all__ = [
     "PropertyId",
@@ -625,9 +625,6 @@ class Probe:
     tag: str
     direction: tuple = ()
 
-    def state(self) -> np.ndarray:
-        return np.asarray(self.x0)
-
 
 @dataclass
 class ProbeData:
@@ -708,20 +705,35 @@ class ProbeSet:
         return probes
 
     def data(self, probe: Probe) -> ProbeData:
-        key = (probe.x0, probe.u)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._simulate(probe)
-            self._cache[key] = hit
-        if hit.probe.index != probe.index:
-            hit = replace_probe(hit, probe)
-        return hit
+        return self.data_many([probe])[0]
 
-    def _simulate(self, probe: Probe) -> ProbeData:
-        traj = simulate(self.sys, probe.state(), probe.u, self.plan.sim)
+    def data_many(self, probes) -> list[ProbeData]:
+        """Data for each probe: every key is looked up once, and all misses
+        run as one ``simulate_batch`` call (a key asked for twice runs once)."""
+        datas = [None] * len(probes)
+        misses: dict = {}  # key -> positions in probes that asked for it
+        for i, probe in enumerate(probes):
+            key = (probe.x0, probe.u)
+            hit = self._cache.get(key)
+            if hit is None:
+                misses.setdefault(key, []).append(i)
+            else:
+                datas[i] = hit
+        if misses:
+            firsts = [probes[where[0]] for where in misses.values()]
+            trajs = simulate_batch(self.sys, [p.x0 for p in firsts], [p.u for p in firsts],
+                                   self.plan.sim)
+            for (key, where), probe, traj in zip(misses.items(), firsts, trajs):
+                data = self._cache[key] = self._probe_data(probe, traj)
+                for i in where:
+                    datas[i] = data
+        return [d if d.probe.index == p.index else replace_probe(d, p)
+                for d, p in zip(datas, probes)]
+
+    def _probe_data(self, probe: Probe, traj: Trajectory) -> ProbeData:
         ynorm = traj.output_norms()
         ysup = np.maximum.accumulate(ynorm)
-        xnorm = np.array([self.sys.state_norm(x) for x in traj.states])
+        xnorm = np.asarray(self.sys.state_norm(traj.states), dtype=float)
         if probe.u.dim:
             piece = np.linalg.norm(probe.u.values, axis=1)
             run = np.maximum.accumulate(piece)
@@ -734,21 +746,19 @@ class ProbeSet:
         return ProbeData(probe, traj, ynorm, ysup, xnorm, urestr, uval)
 
     def all_data(self) -> list[ProbeData]:
-        return [self.data(p) for p in self.probes]
+        return self.data_many(self.probes)
 
     def shell(self, r: float, s: float, extra_seed: int = 0) -> list[ProbeData]:
         """Probes at exactly state-norm r and input-norm s (cached)."""
         dirs = _directions(self.sys.state_dim, self.plan.directions, self.plan.seed + extra_seed)
         inputs = _inputs_at_norm(self.plan, self.sys.input_dim, s, extra_seed)
-        out = []
-        idx = 0
+        probes = []
         for d in dirs:
             x0 = np.asarray(self.sys.embed(r, d), dtype=float)
             for tag, u in inputs:
-                probe = Probe(-1000 - idx, tuple(x0), u, r, u.norm(), f"shell:{tag}", tuple(d))
-                out.append(self.data(probe))
-                idx += 1
-        return out
+                probes.append(Probe(-1000 - len(probes), tuple(x0), u, r, u.norm(),
+                                    f"shell:{tag}", tuple(d)))
+        return self.data_many(probes)
 
     def initial_output_shell(self, r_y: float, s: float) -> list[ProbeData]:
         """Probes whose initial output norm lies at or below r_y.
@@ -770,12 +780,11 @@ class ProbeSet:
                     if y0 <= r_y + 1e-12:
                         kept.append((float(y0), radius, x0, u, tag, tuple(d)))
         kept.sort(key=lambda item: (-item[0], item[1], tuple(item[2])))
-        out = []
-        for i, (y0, radius, x0, u, tag, d) in enumerate(kept[: 3 * max(self.plan.directions, 3)]):
-            probe = Probe(-2000 - i, tuple(x0), u, float(self.sys.state_norm(x0)), u.norm(),
-                          f"yshell:{tag}", d)
-            out.append(self.data(probe))
-        return out
+        probes = [Probe(-2000 - i, tuple(x0), u, float(self.sys.state_norm(x0)), u.norm(),
+                        f"yshell:{tag}", d)
+                  for i, (y0, radius, x0, u, tag, d) in
+                  enumerate(kept[: 3 * max(self.plan.directions, 3)])]
+        return self.data_many(probes)
 
 
 def replace_probe(data: ProbeData, probe: Probe) -> ProbeData:
@@ -1194,10 +1203,11 @@ def falsify(sys: SystemModel, cert: Certificate, budget: int,
     """Search for a maximal-margin witness within a simulation budget.
 
     The plan's probes are swept first (constants before richer inputs), as
-    far as the budget reaches; afterwards the worst swept probes are refined
-    by local grid search over the initial-state radius, the direction on
-    their shell and the input amplitude, with the violation time taken as
-    the worst grid time of each refined trajectory.  The verdict's
+    far as the budget reaches, in one simulation batch; afterwards the worst
+    swept probes are refined by local grid search over the initial-state
+    radius, the direction on their shell and the input amplitude, one batch
+    per round, with the violation time taken as the worst grid time of each
+    refined trajectory.  The verdict's
     ``samples`` counts probe requests, so it bounds the simulations run and
     never exceeds ``budget``.  The search is deterministic for a fixed plan
     seed.  Continuity-table certificates are not supported: their checker
@@ -1208,13 +1218,10 @@ def falsify(sys: SystemModel, cert: Certificate, budget: int,
         raise CertificateError(f"falsification unsupported for {cert.property.value}")
     phash = plan_hash(plan)
     ps = ProbeSet(sys, plan)
-    spent = 0
+    swept = ps.probes[: max(budget, 0)]
+    spent = len(swept)
     ranked = []  # (margin, probe, t, observed, bound) per admissible swept probe
-    for probe in ps.probes:
-        if spent >= budget:
-            break
-        data = ps.data(probe)
-        spent += 1
+    for probe, data in zip(swept, ps.data_many(swept)):
         margin, t, observed, bound = _probe_margin_from_data(cert, plan, data)
         if margin > -math.inf:
             ranked.append((margin, probe, t, observed, bound))
@@ -1258,9 +1265,14 @@ def falsify(sys: SystemModel, cert: Certificate, budget: int,
 
 
 def _refine_from(sys, cert, plan, ps, start, spent, budget):
-    margin, probe, t, observed, bound = start
-    span_r = _initial_span(plan.radii, probe.r)
-    dir_best = np.asarray(probe.direction) if probe.direction else np.ones(sys.state_dim)
+    """Hill-climb from a swept probe.  Each round's candidates move the
+    round-start best's radius, direction or amplitude, and run as one batch
+    cut to the remaining budget.  Amplitudes are absolute factors on the
+    swept probe's input, so accepted steps do not compound."""
+    best = start
+    base_u = start[1].u
+    span_r = _initial_span(plan.radii, start[1].r)
+    dir_best = np.asarray(start[1].direction) if start[1].direction else np.ones(sys.state_dim)
     if np.linalg.norm(dir_best) > 0:
         dir_best = dir_best / np.linalg.norm(dir_best)
     amp = 1.0
@@ -1268,34 +1280,33 @@ def _refine_from(sys, cert, plan, ps, start, spent, budget):
     for _ in range(18):
         if spent >= budget or span_r <= 1e-9 or stale >= 4:
             break
-        improved = False
-        candidates = []
-        for fr in (-1.0, -0.5, 0.5, 1.0):
-            r_new = probe.r + fr * span_r
-            if r_new > 1e-9:
-                candidates.append((r_new, dir_best, amp))
-        for d_new in _direction_neighbours(dir_best, span_angle=span_r / max(probe.r, 1e-9)):
-            candidates.append((probe.r, d_new, amp))
-        if probe.u.norm() > 0:
-            for fa in (0.8, 1.25):
-                candidates.append((probe.r, dir_best, amp * fa))
-        for r_new, d_new, amp_new in candidates:
-            if spent >= budget:
-                break
+        probe = best[1]
+        moves = [(probe.r + fr * span_r, dir_best, amp) for fr in (-1.0, -0.5, 0.5, 1.0)
+                 if probe.r + fr * span_r > 1e-9]
+        moves += [(probe.r, d_new, amp) for d_new in
+                  _direction_neighbours(dir_best, span_angle=span_r / max(probe.r, 1e-9))]
+        if base_u.norm() > 0:
+            moves += [(probe.r, dir_best, amp * fa) for fa in (0.8, 1.25)]
+        moves = moves[: budget - spent]
+        cands = []
+        for r_new, d_new, amp_new in moves:
             x0 = np.asarray(sys.embed(r_new, d_new), dtype=float)
-            u = _scaled_input(probe.u, amp_new)
-            cand = Probe(probe.index, tuple(x0), u, r_new, u.norm(),
-                         probe.tag + "+", tuple(d_new))
-            data = ps.data(cand)
-            spent += 1
+            u = _scaled_input(base_u, amp_new)
+            cands.append(Probe(probe.index, tuple(x0), u, r_new, u.norm(),
+                               probe.tag + "+", tuple(d_new)))
+        spent += len(cands)
+        improved = False
+        for cand, (_, d_new, amp_new), data in zip(cands, moves, ps.data_many(cands)):
             m, t_new, obs, bnd = _probe_margin_from_data(cert, plan, data)
-            if m > margin:
-                margin, probe, t, observed, bound = m, cand, t_new, obs, bnd
-                dir_best, amp = d_new, amp_new
+            if m > best[0]:
+                best = (m, cand, t_new, obs, bnd)
+                next_dir, next_amp = d_new, amp_new
                 improved = True
+        if improved:
+            dir_best, amp = next_dir, next_amp
         span_r *= 0.5
         stale = 0 if improved else stale + 1
-    return (margin, probe, t, observed, bound), spent
+    return best, spent
 
 
 def _probe_margin_from_data(cert, plan, data) -> tuple[float, float, float, float]:

@@ -23,7 +23,7 @@ __all__ = ["InputSignal"]
 class InputSignal:
     """Immutable piecewise-constant signal; values are row vectors."""
 
-    __slots__ = ("breakpoints", "values", "_norm")
+    __slots__ = ("breakpoints", "values", "_norm", "_hash")
 
     def __init__(self, breakpoints, values):
         bp = np.asarray(breakpoints, dtype=float)
@@ -45,6 +45,8 @@ class InputSignal:
         else:
             norm = float(np.max(np.linalg.norm(vals, axis=1)))
         object.__setattr__(self, "_norm", norm)
+        # immutable, so hash once: probe caches look signals up by key
+        object.__setattr__(self, "_hash", hash((bp.tobytes(), vals.tobytes())))
 
     def __setattr__(self, *a):
         raise AttributeError("InputSignal is immutable")
@@ -88,7 +90,7 @@ class InputSignal:
         )
 
     def __hash__(self):
-        return hash((self.breakpoints.tobytes(), self.values.tobytes()))
+        return self._hash
 
     def __repr__(self):
         return f"InputSignal(pieces={len(self.breakpoints)}, dim={self.dim}, norm={self._norm:g})"

@@ -20,8 +20,12 @@ Expression grammar (EBNF)::
 Identifiers are the state variables ``x0..x{n-1}``, input variables
 ``u0..u{m-1}``, declared parameters, and the built-in functions
 sin, cos, exp, ln, sqrt, abs, min, max, sat, atan2, pow (``sat`` is
-min{., 1}).  Division and ln are guarded at evaluation: out-of-domain
+min{., 1}).  Division, ln and sqrt are guarded at evaluation: out-of-domain
 arguments yield NaN, which the simulator reports.
+
+Compiled systems follow the simulator's batch contract: every expression is
+a broadcasting NumPy closure over ``x[..., i]`` and ``u[..., j]``, so one
+call evaluates a whole (P, n) block of states row by row.
 
 Whether the right-hand side is Lipschitz on bounded sets is the author's
 responsibility; descriptor systems violating it may break the
@@ -30,7 +34,6 @@ finite-dimensional equivalences this package checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,18 +44,31 @@ from .systems import SystemModel
 __all__ = ["SystemSpecDoc", "parse_system", "compile_system", "print_system",
            "Lit", "Name", "Un", "Bin", "Call"]
 
+
+def _guarded(fn, ok, safe):
+    """fn where ok(arguments) holds, NaN elsewhere; fn only ever sees
+    in-domain values (``safe`` replaces the rest), so it raises no warning."""
+    def apply(*args):
+        inside = ok(*args)
+        return np.where(inside, fn(*(np.where(inside, a, s) for a, s in zip(args, safe))), np.nan)
+    return apply
+
+
+_DIV = _guarded(np.divide, lambda a, b: b != 0.0, (0.0, 1.0))
+
 _FUNCS = {
     "sin": (1, np.sin),
     "cos": (1, np.cos),
     "exp": (1, np.exp),
-    "ln": (1, lambda a: np.log(a) if a > 0 else math.nan),
-    "sqrt": (1, lambda a: math.sqrt(a) if a >= 0 else math.nan),
-    "abs": (1, abs),
-    "min": (2, min),
-    "max": (2, max),
-    "sat": (1, lambda a: min(a, 1.0)),
-    "atan2": (2, math.atan2),
-    "pow": (2, lambda a, b: a ** b),
+    "ln": (1, _guarded(np.log, lambda a: a > 0.0, (1.0,))),
+    "sqrt": (1, _guarded(np.sqrt, lambda a: a >= 0.0, (0.0,))),
+    "abs": (1, np.abs),
+    "min": (2, np.minimum),
+    "max": (2, np.maximum),
+    "sat": (1, lambda a: np.minimum(a, 1.0)),
+    "atan2": (2, np.arctan2),
+    # libm's pow, as the scalar ``**`` was; np.power may round differently
+    "pow": (2, np.float_power),
 }
 
 
@@ -227,10 +243,7 @@ def _fold(node):
     if isinstance(node, Bin):
         left, right = _fold(node.left), _fold(node.right)
         if isinstance(left, Lit) and isinstance(right, Lit):
-            try:
-                return Lit(_APPLY_BIN[node.op](left.value, right.value))
-            except ZeroDivisionError:
-                return Bin(node.op, left, right)
+            return Lit(float(_APPLY_BIN[node.op](left.value, right.value)))
         return Bin(node.op, left, right)
     if isinstance(node, Call):
         args = tuple(_fold(a) for a in node.args)
@@ -241,12 +254,7 @@ def _fold(node):
     raise TypeError(node)
 
 
-_APPLY_BIN = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b if b != 0.0 else math.nan,
-}
+_APPLY_BIN = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _DIV}
 
 
 def _validate_idents(node, allowed: set, line: int):
@@ -382,7 +390,8 @@ def _expect_eol(p: _ExprParser):
 # ---------------------------------------------------------------------------
 
 def _compile_expr(node, env: dict):
-    """Build a closure (x, u) -> float; NaN propagates to the simulator."""
+    """Build a broadcasting closure (x, u) -> value per row; NaN propagates
+    to the simulator."""
     if isinstance(node, Lit):
         v = node.value
         return lambda x, u: v
@@ -393,22 +402,16 @@ def _compile_expr(node, env: dict):
             return lambda x, u: v
         axis, idx = ident[0], int(ident[1:])
         if axis == "x":
-            return lambda x, u: x[idx]
-        return lambda x, u: u[idx]
+            return lambda x, u: x[..., idx]
+        return lambda x, u: u[..., idx]
     if isinstance(node, Un):
         f = _compile_expr(node.arg, env)
         return lambda x, u: -f(x, u)
     if isinstance(node, Bin):
         fl = _compile_expr(node.left, env)
         fr = _compile_expr(node.right, env)
-        op = node.op
-        if op == "+":
-            return lambda x, u: fl(x, u) + fr(x, u)
-        if op == "-":
-            return lambda x, u: fl(x, u) - fr(x, u)
-        if op == "*":
-            return lambda x, u: fl(x, u) * fr(x, u)
-        return lambda x, u: (lambda a, b: a / b if b != 0.0 else math.nan)(fl(x, u), fr(x, u))
+        op = _APPLY_BIN[node.op]
+        return lambda x, u: op(fl(x, u), fr(x, u))
     if isinstance(node, Call):
         _, fn = _FUNCS[node.fn]
         fs = [_compile_expr(a, env) for a in node.args]
@@ -426,11 +429,17 @@ def compile_system(doc: SystemSpecDoc) -> SystemModel:
     rhs_fns = [_compile_expr(e, env) for e in doc.rhs_exprs]
     out_fns = [_compile_expr(e, env) for e in doc.output_exprs]
 
+    def rows(fns, x, u):
+        out = np.empty(np.shape(x)[:-1] + (len(fns),))
+        for j, f in enumerate(fns):
+            out[..., j] = f(x, u)
+        return out
+
     def rhs(x, u):
-        return np.array([f(x, u) for f in rhs_fns])
+        return rows(rhs_fns, x, u)
 
     def output(x, u):
-        return np.array([f(x, u) for f in out_fns])
+        return rows(out_fns, x, u)
 
     return SystemModel(
         name=doc.name,

@@ -2,10 +2,22 @@
 
 A system is a time set (continuous or discrete), a state evaluator and an
 output map; continuous-time systems are integrated with fixed-step RK4 (or
-explicit Euler), discrete-time systems iterate their step map exactly.  The
-integration grid is aligned with the input signal's breakpoints so that each
-step sees a constant input value, which preserves RK4's order for
-piecewise-constant inputs.
+explicit Euler), discrete-time systems iterate their step map exactly.  Each
+trajectory's integration grid is aligned with its own input signal's
+breakpoints so that each step sees a constant input value, which preserves
+RK4's order for piecewise-constant inputs.
+
+One kernel integrates everything: ``simulate_batch`` advances P trajectories
+in lockstep as one (P, n) state block, and ``simulate`` is its P = 1 call.
+Each row keeps its own grid (grids are padded to the longest row) and its
+own step sizes, so a row performs exactly the floating-point operations of a
+one-trajectory run and rows with different input breakpoints share a block.
+Batch contract: ``rhs``, ``output`` and ``state_norm`` take arrays with
+leading batch axes (index a coordinate as ``x[..., i]``, reduce over
+``axis=-1``) and act on each row alone.  The kernel re-evaluates them on
+single rows once per call and raises ``DomainError`` where a batched row
+differs, since a scalar-style ``np.array([-x[0] + u[0]])`` would otherwise
+give every row the first row's derivative.
 
 Blow-up handling: when the state norm crosses ``blow_up_threshold`` (or the
 state stops being finite while already large) the trajectory is truncated
@@ -25,11 +37,13 @@ import numpy as np
 from .errors import DomainError, IntegrationError
 from .signals import InputSignal
 
-__all__ = ["SystemModel", "SimPlan", "Trajectory", "AxiomReport", "simulate", "check_axioms", "full_state_wrap"]
+__all__ = ["SystemModel", "SimPlan", "Trajectory", "AxiomReport", "simulate", "simulate_batch",
+           "check_axioms", "full_state_wrap"]
 
 
-def _euclidean(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
+def _euclidean(x: np.ndarray) -> np.ndarray:
+    # a dot product per row: bit-identical to np.linalg.norm of a row alone
+    return np.sqrt(np.vecdot(x, x))
 
 
 def _embed_default(radius: float, direction: np.ndarray) -> np.ndarray:
@@ -45,6 +59,11 @@ class SystemModel:
     stored coordinates are not Euclidean (e.g. polar states) declare the norm
     the stability definitions quantify over and how to realise "a state of
     norm r in direction d".
+
+    ``rhs``, ``output`` and ``state_norm`` follow the batch contract: ``x``
+    and ``u_value`` may carry leading batch axes, shapes (..., n) and
+    (..., m), and the result is (..., n), (..., output_dim) and (...),
+    computed row by row.  ``embed`` and ``analytic_flow`` take one state.
     """
 
     name: str
@@ -156,34 +175,66 @@ def simulate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.state_dim,):
         raise DomainError(f"state must have shape ({sys.state_dim},)")
-    if u.dim != sys.input_dim:
-        raise DomainError(f"input dim {u.dim} does not match system ({sys.input_dim})")
+    traj = simulate_batch(sys, x0[None, :], [u], plan)[0]
+    if with_oracle and sys.analytic_flow is not None:
+        traj.oracle_states = np.stack([np.asarray(sys.analytic_flow(t, x0, u))
+                                       for t in traj.times])
+    return traj
+
+
+def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[Trajectory]:
+    """Run row i of x0s under input us[i], all rows in lockstep.
+
+    Row i is integrated on its own grid with its own step sizes, so it
+    performs exactly the floating-point operations of a one-trajectory run.
+    A row leaves the block when it blows up or reaches the end of its grid.
+    """
+    us = list(us)
+    if not us:
+        return []
+    x0s = np.asarray(x0s, dtype=float)
+    if x0s.shape != (len(us), sys.state_dim):
+        raise DomainError(f"states must have shape ({len(us)}, {sys.state_dim})")
+    for u in us:
+        if u.dim != sys.input_dim:
+            raise DomainError(f"input dim {u.dim} does not match system ({sys.input_dim})")
 
     if sys.time_set == "discrete":
-        times = np.arange(0.0, np.floor(plan.horizon) + 1.0)
+        grids = [np.arange(0.0, np.floor(plan.horizon) + 1.0)] * len(us)
     else:
-        times = _time_grid(plan.horizon, plan.step, u.breakpoints)
+        grids = [_time_grid(plan.horizon, plan.step, u.breakpoints) for u in us]
+    lengths = np.array([len(g) for g in grids])
+    width = int(lengths.max())
+    times = np.empty((len(us), width))
+    u_vals = np.empty((len(us), width, sys.input_dim))
+    for i, (grid, u) in enumerate(zip(grids, us)):
+        times[i, : len(grid)] = grid
+        times[i, len(grid):] = grid[-1]  # padded steps have h = 0
+        u_vals[i, : len(grid)] = u.values[np.searchsorted(u.breakpoints, grid, side="right") - 1]
+    _batched(sys, "rhs", sys.rhs, (x0s, u_vals[:, 0]), x0s.shape)
+    _batched(sys, "state_norm", sys.state_norm, (x0s,), (len(us),))
 
-    n_pts = len(times)
-    states = np.empty((n_pts, sys.state_dim))
-    u_vals = np.empty((n_pts, max(sys.input_dim, 0)))
-    states[0] = x0
-    u_vals[0] = u(times[0])
-    blow_up = None
+    # time-major copies, so that a step reads one contiguous (P, .) slice
+    u_steps = np.ascontiguousarray(u_vals.transpose(1, 0, 2))
+    h_steps = np.ascontiguousarray(np.diff(times, axis=1).T)[..., None]
+    states = np.empty((len(us), width, sys.state_dim))
+    states[:, 0] = x0s
+    ends = lengths.copy()
+    blow_up = [None] * len(us)
     threshold = plan.blow_up_threshold
-    x = x0.copy()
-    last = n_pts - 1
-
     rhs = sys.rhs
     discrete = sys.time_set == "discrete"
     rk4 = plan.method == "rk4"
-    for k in range(n_pts - 1):
-        t0, t1 = times[k], times[k + 1]
-        uv = u(t0)
+    rows = np.flatnonzero(lengths > 1)  # the active rows
+    sel = slice(None) if rows.size == len(us) else rows
+    next_end = lengths[rows].min(initial=width)
+    x = x0s[rows]
+    for k in range(width - 1):
+        uv = u_steps[k, sel]
         if discrete:
-            x_new = np.asarray(rhs(x, uv), dtype=float)
+            x_new = np.broadcast_to(np.asarray(rhs(x, uv), dtype=float), x.shape)
         else:
-            h = t1 - t0
+            h = h_steps[k, sel]
             k1 = rhs(x, uv)
             if rk4:
                 k2 = rhs(x + (0.5 * h) * k1, uv)
@@ -192,27 +243,67 @@ def simulate(
                 x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             else:
                 x_new = x + h * k1
-        finite = np.all(np.isfinite(x_new))
-        if not finite and sys.state_norm(x) < 1e3:
-            raise IntegrationError(
-                f"{sys.name}: non-finite right-hand side at t = {t0:g} with moderate state"
-            )
-        states[k + 1] = x_new if finite else x
-        u_vals[k + 1] = u(t1)
-        if not finite or sys.state_norm(states[k + 1]) > threshold:
-            blow_up = float(t1)
-            last = k + 1
+        finite = None
+        if not np.isfinite(x_new).all():
+            finite = np.isfinite(x_new).all(axis=-1)
+            moderate = np.flatnonzero(~finite)[sys.state_norm(x[~finite]) < 1e3]
+            if moderate.size:
+                raise IntegrationError(
+                    f"{sys.name}: non-finite right-hand side at t = "
+                    f"{times[rows[moderate[0]], k]:g} with moderate state"
+                )
+            x_new = np.where(finite[:, None], x_new, x)
+        states[sel, k + 1] = x_new
+        stop = sys.state_norm(x_new) > threshold
+        if finite is not None:
+            stop |= ~finite
+        if k + 2 < next_end and not stop.any():
+            x = x_new
+            continue
+        for i in rows[stop]:
+            blow_up[i] = float(times[i, k + 1])
+        ends[rows[stop]] = k + 2
+        keep = ~stop & (lengths[rows] > k + 2)
+        rows = sel = rows[keep]
+        if rows.size == 0:
             break
-        x = x_new
+        x = x_new[keep]
+        next_end = lengths[rows].min()
 
-    times = times[: last + 1]
-    states = states[: last + 1]
-    u_vals = u_vals[: last + 1]
-    outputs = np.stack([np.atleast_1d(sys.output(states[k], u_vals[k])) for k in range(len(times))])
-    oracle = None
-    if with_oracle and sys.analytic_flow is not None:
-        oracle = np.stack([np.asarray(sys.analytic_flow(t, x0, u)) for t in times])
-    return Trajectory(times, states, outputs, u_vals, blow_up, plan.step, plan.method, oracle)
+    out = []
+    for i in range(len(us)):
+        n_pts = ends[i]
+        x_i, u_i = states[i, :n_pts], u_vals[i, :n_pts]
+        y_i = _batched(sys, "output", sys.output, (x_i, u_i), (n_pts, sys.output_dim),
+                       check=i == 0)
+        out.append(Trajectory(times[i, :n_pts], x_i, y_i, u_i, blow_up[i], plan.step,
+                              plan.method))
+    return out
+
+
+def _batched(sys: SystemModel, name: str, fn, args, shape, check: bool = True) -> np.ndarray:
+    """fn on a block of rows, as an array of the given shape.
+
+    With ``check`` the first and last rows are re-evaluated alone: a
+    difference means fn does not follow the batch contract, and integrating
+    on would silently give every row the first row's values.
+    """
+    out = np.asarray(fn(*args), dtype=float)
+    if out.shape != shape:
+        try:
+            out = np.broadcast_to(out, shape)
+        except ValueError:
+            raise DomainError(f"{sys.name}: {name} on a batch returned shape {out.shape}, "
+                              f"expected {shape}") from None
+    if check:
+        for i in (0, -1):
+            alone = np.asarray(fn(*(a[i] for a in args)), dtype=float)
+            if not np.array_equal(alone, out[i], equal_nan=True):
+                raise DomainError(
+                    f"{sys.name}: {name} on a batch differs from {name} on its rows alone; "
+                    "evaluators must act on each row (index x[..., i], reduce over axis -1)"
+                )
+    return out
 
 
 @dataclass

@@ -144,7 +144,7 @@ def _sin_output() -> SystemModel:
         state_dim=1,
         input_dim=0,
         rhs=lambda x, u: -x,
-        output=lambda x, u: np.array([math.sin(x[0])]),
+        output=lambda x, u: np.sin(x[..., :1]),
         output_dim=1,
         analytic_flow=lambda t, x0, u: x0 * math.exp(-t),
     )
@@ -155,13 +155,19 @@ def _rotation() -> SystemModel:
         ct, st = math.cos(t), math.sin(t)
         return np.array([ct * x0[0] - st * x0[1], st * x0[0] + ct * x0[1]])
 
+    def rhs(x, u):
+        d = np.empty_like(x)
+        d[..., 0] = -x[..., 1]
+        d[..., 1] = x[..., 0]
+        return d
+
     return SystemModel(
         name="rotation",
         time_set="continuous",
         state_dim=2,
         input_dim=0,
-        rhs=lambda x, u: np.array([-x[1], x[0]]),
-        output=lambda x, u: np.array([x[0]]),
+        rhs=rhs,
+        output=lambda x, u: x[..., :1],
         output_dim=1,
         analytic_flow=flow,
     )
@@ -171,14 +177,16 @@ def _sat_polar() -> SystemModel:
     # state is (theta, rho); the angle rate saturates at 1, the radius
     # contracts at rate -min(rho, 1).  At rho = 0 the radius is frozen.
     def rhs(x, u):
-        rho = max(x[1], 0.0)
-        dtheta = 1.0 if rho <= 1.0 else 1.0 / rho
-        return np.array([dtheta, -min(rho, 1.0)])
+        rho = np.maximum(x[..., 1], 0.0)
+        d = np.empty_like(x)
+        d[..., 0] = 1.0 / np.maximum(rho, 1.0)  # exactly 1.0 for rho <= 1
+        d[..., 1] = -np.minimum(rho, 1.0)
+        return d
 
     def output(x, u):
-        c1 = x[1] * math.cos(x[0])
-        c2 = x[1] * math.sin(x[0])
-        return np.array([math.sqrt(c1 * c1 + min(c2 * c2, 1.0))])
+        c1 = x[..., 1] * np.cos(x[..., 0])
+        c2 = x[..., 1] * np.sin(x[..., 0])
+        return np.sqrt(c1 * c1 + np.minimum(c2 * c2, 1.0))[..., None]
 
     def embed(radius, direction):
         theta = math.atan2(direction[1], direction[0])
@@ -192,7 +200,7 @@ def _sat_polar() -> SystemModel:
         rhs=rhs,
         output=output,
         output_dim=1,
-        state_norm=lambda x: abs(x[1]),
+        state_norm=lambda x: np.abs(x[..., 1]),
         embed=embed,
         meta={"polar": True},
     )
@@ -204,9 +212,9 @@ def _l2_rhs(n_coords: int):
 
     def rhs(x, u):
         d = np.empty_like(x)
-        d[0] = -x[0]
-        xn = x[1:]
-        d[1:] = -xn + xn * xn * x[0] - xn * np.abs(xn) - inv_n2 * xn ** 3
+        d[..., 0] = -x[..., 0]
+        xn = x[..., 1:]
+        d[..., 1:] = -xn + xn * xn * x[..., :1] - xn * np.abs(xn) - inv_n2 * xn ** 3
         return d
 
     return rhs
@@ -234,7 +242,9 @@ def _l2_timewarp(n: int = 16) -> SystemModel:
     base = _l2_rhs(n)
 
     def rhs(x, u):
-        return base(x, u) / (1.0 + float(u[0]) ** 2)
+        # float_power is libm's pow, as Python's float ** is; u ** 2 is u * u,
+        # which rounds differently for a few inputs
+        return base(x, u) / (1.0 + np.float_power(u[..., :1], 2))
 
     return SystemModel(
         name=f"l2_timewarp_{n}",
@@ -265,7 +275,7 @@ def _lin_scalar() -> SystemModel:
         time_set="continuous",
         state_dim=1,
         input_dim=1,
-        rhs=lambda x, u: np.array([-x[0] + u[0]]),
+        rhs=lambda x, u: -x + u,
         output=lambda x, u: np.asarray(x, dtype=float),
         output_dim=1,
         analytic_flow=flow,

@@ -610,3 +610,47 @@ def test_certificate_json_roundtrip():
     assert back.property == cert.property
     assert back.params["gamma"] == cert.params["gamma"]
     assert back.params["tau_table"] == cert.params["tau_table"]
+
+
+def test_falsify_budget_caps_batched_simulations(lin_sys, lin_plan, monkeypatch):
+    """Every row handed to the kernel counts against the budget."""
+    import ioslab.properties as props
+
+    rows = []
+    real = props.simulate_batch
+
+    def counting(sys, x0s, us, plan):
+        rows.append(len(us))
+        return real(sys, x0s, us, plan)
+
+    monkeypatch.setattr(props, "simulate_batch", counting)
+    verdict = falsify(lin_sys, ios_exp_cert(cf.scale(0.5)), 50, lin_plan)
+    assert sum(rows) <= 50 == verdict.samples
+    assert rows[0] == 42  # the sweep runs as one block
+
+
+def test_falsify_refinement_scales_the_swept_input(lin_sys, lin_plan, monkeypatch):
+    """Refinement candidates scale the current best's input by 1, 0.8 or
+    1.25; accepted amplitude steps must not compound."""
+    batches = []
+    real = ProbeSet.data_many
+
+    def recording(self, probes):
+        batches.append([p.u.norm() for p in probes])
+        return real(self, probes)
+
+    monkeypatch.setattr(ProbeSet, "data_many", recording)
+    verdict = falsify(lin_sys, ios_exp_cert(cf.scale(0.5)), 120, lin_plan)
+    assert verdict.falsified
+    sweep, rounds = batches[0], batches[1:]
+    assert rounds
+    seen = set(sweep)
+    for norms in rounds:
+        best = norms[0]  # radius and direction moves keep the best's amplitude
+        assert any(math.isclose(best, s, rel_tol=1e-12) for s in seen)
+        for n in norms:
+            assert any(math.isclose(n, best * f, rel_tol=1e-12) for f in (1.0, 0.8, 1.25))
+        seen.update(norms)
+    # 18 rounds of at most x1.25 each from the largest swept norm
+    assert verdict.witness and InputSignal.from_dict(verdict.witness.u).norm() <= \
+        max(lin_plan.input_norms) * 1.25 ** 18

@@ -144,3 +144,53 @@ def test_guarded_ln_propagates_nan():
     sys = compile_system(parse_system("dim_x = 1\ndim_u = 0\ndx0 = -x0\ny0 = ln(x0)"))
     out = sys.output(np.array([-1.0]), np.zeros(0))
     assert math.isnan(out[0])
+
+
+BROADCAST_DOC = """
+dim_x = 3
+dim_u = 1
+dx0 = x1 / x0 + sat(u0)
+dx1 = ln(x0) - sqrt(x1)
+dx2 = min(x0, x2) * max(x1, u0) + abs(x2) - atan2(x2, x1)
+y0 = pow(abs(x2), 1.5) + x0 / x2
+y1 = sqrt(x0 - x1)
+"""
+
+
+def _scalar_reference(x, u):
+    """The descriptor evaluated one row at a time with scalar guards."""
+    x0, x1, x2 = (float(v) for v in x)
+    u0 = float(u[0])
+    div = lambda a, b: a / b if b != 0.0 else math.nan
+    ln = lambda a: math.log(a) if a > 0 else math.nan
+    sqrt = lambda a: math.sqrt(a) if a >= 0 else math.nan
+    rhs = [div(x1, x0) + min(u0, 1.0),
+           ln(x0) - sqrt(x1),
+           min(x0, x2) * max(x1, u0) + abs(x2) - math.atan2(x2, x1)]
+    out = [abs(x2) ** 1.5 + div(x0, x2), sqrt(x0 - x1)]
+    return np.array(rhs), np.array(out)
+
+
+def test_compiled_descriptor_broadcasts_over_rows():
+    sys = compile_system(parse_system(BROADCAST_DOC))
+    x = np.array([
+        [0.0, 1.0, 2.0],     # x1 / x0 divides by zero, ln(0)
+        [-1.0, 0.5, 0.0],    # ln of a negative value, x0 / x2 divides by zero
+        [2.0, -0.5, 1.5],    # sqrt of a negative value
+        [1.5, 0.25, -3.0],   # every guard passes
+        [0.7, 0.9, 0.2],     # sqrt(x0 - x1) of a negative value
+    ])
+    u = np.array([[0.3], [2.5], [-1.0], [1.0], [0.0]])
+    rhs, out = sys.rhs(x, u), sys.output(x, u)
+    assert rhs.shape == (5, 3) and out.shape == (5, 2)
+    for i in range(len(x)):
+        assert np.array_equal(rhs[i], sys.rhs(x[i], u[i]), equal_nan=True)
+        assert np.array_equal(out[i], sys.output(x[i], u[i]), equal_nan=True)
+        want_rhs, want_out = _scalar_reference(x[i], u[i])
+        assert np.array_equal(np.isnan(rhs[i]), np.isnan(want_rhs))
+        assert np.array_equal(np.isnan(out[i]), np.isnan(want_out))
+        # atan2 may differ from libm's by one ulp; everything else is exact
+        np.testing.assert_allclose(rhs[i], want_rhs, rtol=1e-15, atol=0.0)
+        assert np.array_equal(out[i], want_out, equal_nan=True)
+    assert np.isnan(rhs[0, 0]) and np.isnan(rhs[1, 1]) and np.isnan(rhs[2, 1])
+    assert np.isnan(out[1, 0]) and np.isnan(out[4, 1])

@@ -9,8 +9,9 @@ import pytest
 
 from ioslab.errors import DomainError
 from ioslab.signals import InputSignal
-from ioslab.systems import SimPlan, SystemModel, check_axioms, full_state_wrap, simulate
-from ioslab.zoo import make_example
+from ioslab.systems import (SimPlan, SystemModel, _time_grid, check_axioms, full_state_wrap,
+                            simulate, simulate_batch)
+from ioslab.zoo import blowup_seed_state, make_example, zoo_ids
 
 
 def test_simulate_linear_decay_closed_form():
@@ -184,3 +185,127 @@ def test_simulation_grid_aligns_with_input_breakpoints():
     t = 1.0
     expected = 1.0 * (math.exp(-(t - 0.333)) - math.exp(-t))
     assert traj.states[traj.at_time(1.0), 0] == pytest.approx(expected, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# lockstep kernel: a batch equals its rows run one at a time, bit for bit
+# ---------------------------------------------------------------------------
+
+def _mixed_inputs(dim):
+    """Zero, const, step and pw inputs: four different time grids."""
+    def steps(breakpoints, levels):
+        return InputSignal.steps(breakpoints, np.outer(levels, np.ones(dim)))
+
+    return [
+        InputSignal.zero(dim),
+        steps([0.0], [0.7]),
+        steps([0.0, 0.555], [1.5, 0.0]),
+        steps([0.0, 0.1234, 0.8137, 1.3771], [-0.4, 0.9, 0.25, -1.1]),
+    ]
+
+
+def _halving():
+    return SystemModel(
+        name="halving",
+        time_set="discrete",
+        state_dim=1,
+        input_dim=1,
+        rhs=lambda x, u: 0.5 * x + u,
+        output=lambda x, u: x,
+    )
+
+
+def _reference_simulate(sys, x0, u, plan):
+    """The one-trajectory step loop the kernel replaced, kept as the
+    reference: (times, states, outputs, input values, blow-up time)."""
+    if sys.time_set == "discrete":
+        times = np.arange(0.0, np.floor(plan.horizon) + 1.0)
+    else:
+        times = _time_grid(plan.horizon, plan.step, u.breakpoints)
+    states = np.empty((len(times), sys.state_dim))
+    u_vals = np.empty((len(times), sys.input_dim))
+    states[0], u_vals[0] = x0, u(times[0])
+    x, last, blow_up = np.asarray(x0, dtype=float), len(times) - 1, None
+    for k in range(len(times) - 1):
+        t0, t1 = times[k], times[k + 1]
+        uv = u(t0)
+        if sys.time_set == "discrete":
+            x_new = np.asarray(sys.rhs(x, uv), dtype=float)
+        else:
+            h = t1 - t0
+            k1 = sys.rhs(x, uv)
+            k2 = sys.rhs(x + (0.5 * h) * k1, uv)
+            k3 = sys.rhs(x + (0.5 * h) * k2, uv)
+            k4 = sys.rhs(x + h * k3, uv)
+            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        finite = np.all(np.isfinite(x_new))
+        assert finite or sys.state_norm(x) >= 1e3
+        states[k + 1] = x_new if finite else x
+        u_vals[k + 1] = u(t1)
+        if not finite or sys.state_norm(states[k + 1]) > plan.blow_up_threshold:
+            blow_up, last = float(t1), k + 1
+            break
+        x = x_new
+    n = last + 1
+    outputs = np.stack([np.atleast_1d(sys.output(states[k], u_vals[k])) for k in range(n)])
+    return times[:n], states[:n], outputs, u_vals[:n], blow_up
+
+
+def _assert_batch_equals_rows(sys, x0s, us, plan):
+    batch = simulate_batch(sys, x0s, us, plan)
+    assert len(batch) == len(us)
+    for x0, u, got in zip(x0s, us, batch):
+        one = simulate(sys, x0, u, plan)
+        ref = _reference_simulate(sys, x0, u, plan)
+        for traj in (got, one):
+            assert np.array_equal(traj.times, ref[0])
+            assert np.array_equal(traj.states, ref[1])
+            assert np.array_equal(traj.outputs, ref[2])
+            assert np.array_equal(traj.input_values, ref[3])
+            assert traj.blow_up == ref[4]
+    return batch
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing l2 row
+@pytest.mark.parametrize("zoo_id", zoo_ids())
+def test_batch_equals_one_at_a_time(zoo_id):
+    sys = make_example(zoo_id, n=8) if zoo_id.startswith("l2_") else make_example(zoo_id)
+    rng = np.random.default_rng(3)
+    x0s, us = [], []
+    for radius in (0.3, 2.0):
+        for u in _mixed_inputs(sys.input_dim):
+            d = rng.normal(size=sys.state_dim)
+            x0s.append(sys.embed(radius, d / np.linalg.norm(d)))
+            us.append(u)
+    plan = SimPlan(2.0, 1e-2, blow_up_threshold=50.0)
+    if zoo_id == "l2_blowup":
+        # the j = 6 seed crosses the threshold, the last row overflows on its
+        # first step and is frozen; the others run to the horizon
+        for x0 in (blowup_seed_state(8, 3), blowup_seed_state(8, 6), np.full(8, 1e160)):
+            x0s.append(x0)
+            us.append(_mixed_inputs(0)[3])
+    batch = _assert_batch_equals_rows(sys, np.array(x0s), us, plan)
+    assert len({len(t.times) for t in batch}) >= 3
+    if zoo_id == "l2_blowup":
+        assert [t.blow_up is None for t in batch[-3:]] == [True, False, False]
+        assert len(batch[-1].times) == 2 and np.array_equal(*batch[-1].states)
+
+
+def test_batch_equals_one_at_a_time_discrete():
+    us = _mixed_inputs(1)
+    _assert_batch_equals_rows(_halving(), np.array([[4.0], [-1.0], [0.5], [2.0]]), us,
+                              SimPlan(6.0))
+
+
+def test_batch_rejects_scalar_style_rhs():
+    sys = SystemModel(
+        name="scalar_style",
+        time_set="continuous",
+        state_dim=1,
+        input_dim=1,
+        rhs=lambda x, u: np.array([-x[0] + u[0]]),
+        output=lambda x, u: x,
+    )
+    with pytest.raises(DomainError, match="rows alone"):
+        simulate_batch(sys, np.array([[1.0], [2.0]]), [InputSignal.zero(1)] * 2,
+                       SimPlan(1.0, 1e-2))
