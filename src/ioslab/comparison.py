@@ -18,7 +18,7 @@ a logarithmic grid; a function failing its sampled check is rejected with
 violation found on the grid".
 
 Two-argument decay functions beta(r, t) are expression trees as well.  They
-are validated on demand (:func:`assert_kl`) rather than per node, because
+are validated on demand (:func:`check_kl`) rather than per node, because
 useful intermediate nodes (e.g. the time profile ``1 + exp(-t)``) are not KL
 on their own even though enclosing min-expressions are.
 
@@ -73,7 +73,6 @@ __all__ = [
     "check_class",
     "declare",
     "check_kl",
-    "assert_kl",
     "fn_to_dict",
     "fn_from_dict",
     "EPS_SLOPE",
@@ -407,11 +406,11 @@ def combine(op: str, f: ScalarFn, g) -> ScalarFn:
 # inversion
 # ---------------------------------------------------------------------------
 
-def invert(f: ScalarFn, v: float, rtol: float = 1e-10) -> float:
+def invert(f: ScalarFn, v: float) -> float:
     """Solve f(r) = v for a Kinf function f.
 
     Closed forms are inverted exactly; otherwise an expanding-bracket
-    bisection is used down to relative tolerance ``rtol``.
+    bisection is used down to relative tolerance 1e-10.
     """
     if f.fn_class != "Kinf":
         raise ClassError(f"inversion requires class Kinf, got {f.fn_class}")
@@ -435,7 +434,7 @@ def invert(f: ScalarFn, v: float, rtol: float = 1e-10) -> float:
     if f.kind == "compose":
         outer, inner = f.children
         if outer.fn_class == "Kinf" and inner.fn_class == "Kinf":
-            return invert(inner, invert(outer, v, rtol), rtol)
+            return invert(inner, invert(outer, v))
     lo, hi = 0.0, 1.0
     with np.errstate(over="ignore"):
         for _ in range(2000):
@@ -445,7 +444,7 @@ def invert(f: ScalarFn, v: float, rtol: float = 1e-10) -> float:
         else:
             raise ClassError("no finite bracket found; function not unbounded?")
         for _ in range(200):
-            if hi - lo <= rtol * max(hi, 1e-300):
+            if hi - lo <= 1e-10 * max(hi, 1e-300):
                 break
             mid = 0.5 * (lo + hi)
             if float(f(mid)) < v:
@@ -462,15 +461,13 @@ def invert(f: ScalarFn, v: float, rtol: float = 1e-10) -> float:
 def fit_monotone_envelope(
     samples,
     force_zero_at_zero: bool = False,
-    eps_slope: float = EPS_SLOPE,
-    zero_tol: float = 1e-9,
 ) -> ScalarFn:
     """Smallest nondecreasing piecewise-linear dominator of (r, value) samples.
 
     The envelope is the running maximum over increasing abscissae, then made
-    strictly increasing by adding ``eps_slope * r``.  With
+    strictly increasing by adding ``EPS_SLOPE * r``.  With
     ``force_zero_at_zero`` the result is pinned to f(0) = 0, which requires
-    all samples at r = 0 to sit below ``zero_tol`` and no negative values.
+    all samples at r <= 1e-9 to sit at or below 1e-9 and no negative values.
     """
     pts = sorted((float(r), float(v)) for r, v in samples)
     if len(pts) < 2:
@@ -480,7 +477,7 @@ def fit_monotone_envelope(
     if force_zero_at_zero:
         if any(v < 0 for _, v in pts):
             raise FitError("negative sample values cannot be dominated from zero")
-        if any(r <= zero_tol and v > zero_tol for r, v in pts):
+        if any(r <= 1e-9 and v > 1e-9 for r, v in pts):
             raise FitError("samples at r = 0 exceed tolerance; cannot force f(0) = 0")
     # collapse duplicate abscissae to their max
     grouped: dict[float, float] = {}
@@ -503,7 +500,7 @@ def fit_monotone_envelope(
         rs = [rs[0], rs[0] + 1.0]
         env = [env[0], env[0]]
     table = ScalarFn("pwl", "increasing", knots=tuple(rs), values=tuple(env))
-    out = add(table, scale(eps_slope))
+    out = add(table, scale(EPS_SLOPE))
     cls = "Kinf" if (force_zero_at_zero and rs[0] == 0.0 and env[0] == 0.0) else "increasing"
     out = ScalarFn(out.kind, cls, children=out.children)
     return check_class(out)
@@ -687,7 +684,6 @@ def check_kl(
     beta: KLFn,
     r_grid=None,
     t_grid=None,
-    strict_r: bool = True,
 ) -> list[str]:
     """Sampled KL marginal checks; returns a list of violation messages.
 
@@ -706,10 +702,8 @@ def check_kl(
     if np.any(np.abs(vals[0]) > 1e-9) and r_grid[0] == 0.0:
         problems.append("r-marginal does not vanish at r = 0")
     diffs_r = np.diff(vals, axis=0)
-    if strict_r and not np.all(diffs_r > 0.0):
+    if not np.all(diffs_r > 0.0):
         problems.append("r-marginal not strictly increasing at some t")
-    if not strict_r and not np.all(diffs_r >= -1e-12):
-        problems.append("r-marginal decreasing at some t")
     diffs_t = np.diff(vals, axis=1)
     if not np.all(diffs_t <= 1e-12):
         problems.append("t-marginal increasing at some r")
@@ -719,13 +713,6 @@ def check_kl(
     if not np.all(tail <= np.maximum(1e-6 * head, 1e-9)):
         problems.append("t-marginal tail does not vanish")
     return problems
-
-
-def assert_kl(beta: KLFn, **kwargs) -> KLFn:
-    problems = check_kl(beta, **kwargs)
-    if problems:
-        raise ClassError("; ".join(problems))
-    return beta
 
 
 # ---------------------------------------------------------------------------

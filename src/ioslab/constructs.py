@@ -226,14 +226,13 @@ def _monotone_knot_rows(rows) -> list[tuple]:
     return out
 
 
-def _level_knot_rows(table: ConvergenceTimeTable, eps0: ScalarFn,
-                     knot_gap: float) -> tuple[list, list]:
+def _level_knot_rows(table: ConvergenceTimeTable, eps0: ScalarFn) -> tuple[list, list]:
     """Radius grid and knot rows of the level sequence eps_n = e^-n eps0(r).
 
     One row per positive table radius: tau_0 = 0 and tau_n the tabulated
     time at (eps_n, r), read on the diagonal s = r when the table is indexed
     by input norm too, for every level still on the table's eps grid;
-    rectified to strictly increasing with gap ``knot_gap``, then made
+    rectified to strictly increasing with gap 1, then made
     monotone across radii by ``_monotone_knot_rows``.
     """
     eps_min = table.eps_grid[0]
@@ -247,9 +246,9 @@ def _level_knot_rows(table: ConvergenceTimeTable, eps0: ScalarFn,
             eps_n = math.exp(-n) * float(eps0(r))
             if eps_n < eps_min:
                 break
-            knots.append(max(table.eval(eps_n, r, s), knots[-1] + knot_gap))
+            knots.append(max(table.eval(eps_n, r, s), knots[-1] + 1.0))
         if len(knots) < 2:
-            knots.append(knot_gap)
+            knots.append(1.0)
         rows.append(knots)
         r_grid.append(float(r))
     return r_grid, _monotone_knot_rows(rows)
@@ -275,18 +274,18 @@ def _staircase(radii, level) -> ScalarFn:
 # operations
 # ---------------------------------------------------------------------------
 
-def decompose_bound(mu, t_slice: float | None = None):
+def decompose_bound(mu):
     """Two-argument bound -> (sigma1, gamma1, c) with sigma1 = gamma1.
 
     ``mu`` is a reachability table; the decomposition reads its diagonal at
-    a fixed time slice (default: the last tabulated time):
+    the last tabulated time:
     sigma1(r) = mu(r, r) - mu(0, 0) and c = mu(0, 0), where mu(0, 0) is the
     cell of the first positive radius r0 at the largest tabulated input norm
     s <= min(r0, s_max).
     """
     if not isinstance(mu, ReachabilityBound):
         raise CertificateError("decompose_bound needs a reachability table")
-    t = float(mu.t_grid[-1]) if t_slice is None else float(t_slice)
+    t = float(mu.t_grid[-1])
     c = mu.eval(*_origin_cell(mu), t)
     sigma1 = _staircase(mu.r_grid, lambda r: mu.eval(r, min(r, mu.s_grid[-1]), t) - c)
     cert = Certificate(PropertyId.H_BOUNDED, {"sigma1": sigma1, "gamma1": sigma1, "c": c})
@@ -367,24 +366,20 @@ def ogulim_from_oulim(oulim: Certificate, hbound: Certificate):
     return cert, record
 
 
-def ougb_from_ouag_bors(ouag: Certificate, mu: ReachabilityBound, smooth: bool = False):
+def ougb_from_ouag_bors(ouag: Certificate, mu: ReachabilityBound):
     """Convergence times + reachability table -> global output bound.
 
     With tau(r) the tabulated time at (1, r, r): sigma~(r) = mu(r, r, tau(r)),
     sigma(s) = sigma~(s) - sigma~(0), c = max(sigma~(0), 1) and
     gamma' = max(gamma, sigma).  sigma~(0) is read from the cell that stands
     for mu(0, 0): the first positive radius r0 at the largest tabulated input
-    norm s <= min(r0, s_max), at time tau(r0).  ``smooth`` applies the integral-mean
-    majorant tau_bar before the lookup (useful when the table is a raw step
-    function far from continuity).
+    norm s <= min(r0, s_max), at time tau(r0).
     """
     _expect(ouag, PropertyId.OUAG, "first input")
     table: ConvergenceTimeTable = ouag["tau_table"]
     gamma = ouag["gamma"]
 
     def tau_of(r: float) -> float:
-        if smooth:
-            return tau_bar(table, 1.0, r, min(r, table.s_grid[-1]) if table.s_grid else None)
         s = min(r, table.s_grid[-1]) if table.s_grid is not None else None
         return table.eval(1.0, r, s)
 
@@ -407,19 +402,18 @@ def ougb_from_ouag_bors(ouag: Certificate, mu: ReachabilityBound, smooth: bool =
     record = ConstructionRecord(
         "ougb_from_ouag_bors", (ouag, f"mu over {len(mu.r_grid)} radii"), cert,
         "sigma~(r) = mu(r, r, tau(1, r, r)); sigma = sigma~ - sigma~(0); "
-        f"c = max(sigma~(0), 1) = {c:.6g}; gamma' = max(gamma, sigma)"
-        + ("; tau smoothed by (1/r) int_r^2r tau" if smooth else ""),
+        f"c = max(sigma~(0), 1) = {c:.6g}; gamma' = max(gamma, sigma)",
     )
     return cert, record
 
 
-def ocag_from_oguag(oguag: Certificate, ougb: Certificate, knot_gap: float = 1.0):
+def ocag_from_oguag(oguag: Certificate, ougb: Certificate):
     """Input-global convergence + global bound -> complete decay certificate.
 
     Level sequence eps_0(r) = sigma(r) + r, eps_n = e^-n eps_0; the knots are
     the tabulated times at (eps_n(r), r) with tau_0 = 0 (the t = 0 level is
     covered by the global bound), rectified to strictly increasing with gap
-    ``knot_gap``.  The knot rows are then made monotone across radii: knots
+    1.  The knot rows are then made monotone across radii: knots
     are only delayed until no row decays faster than the row of a smaller
     radius, so beta increases in r.  The offset folds into the radius
     argument: the claim is |y| <= beta(|x| + c, t) + gamma(|u|).
@@ -433,7 +427,7 @@ def ocag_from_oguag(oguag: Certificate, ougb: Certificate, knot_gap: float = 1.0
     c = ougb["c"]
     gamma = _merge_gains(oguag["gamma"], ougb["gamma"])
     eps0 = cf.declare(cf.add(sigma, cf.identity()), "Kinf")
-    r_grid, rows = _level_knot_rows(table, eps0, knot_gap)
+    r_grid, rows = _level_knot_rows(table, eps0)
     if not rows:
         raise DomainError("convergence table has no usable radius rows")
     beta = cf.grid_piecewise_kl(r_grid, rows, eps0)
@@ -507,8 +501,7 @@ def ios_from_ocag_ougs(ocag: Certificate, ougs: Certificate):
     return cert, record
 
 
-def ios_from_oulim_ol(oulim: Certificate, ol: Certificate, hbound: Certificate,
-                      knot_gap: float = 1.0):
+def ios_from_oulim_ol(oulim: Certificate, ol: Certificate, hbound: Certificate):
     """Visit times + initial-output bound + output-map bound -> decay.
 
     The level sequence starts at eps_0 = sigma o 2 sigma1 + sigma o 2 gamma1
@@ -544,7 +537,7 @@ def ios_from_oulim_ol(oulim: Certificate, ol: Certificate, hbound: Certificate,
         else cf.compose(sigma, cf.compose(two, gamma_inner)),
         "Kinf",
     )
-    r_grid, rows = _level_knot_rows(table, eps0, knot_gap)
+    r_grid, rows = _level_knot_rows(table, eps0)
     if not rows:
         raise DomainError("visit table has no usable radius rows")
     beta = cf.kl_outer(sigma_tilde, cf.grid_piecewise_kl(r_grid, rows, eps0))

@@ -24,6 +24,12 @@ time).  The quantifier patterns are:
   continuity tables   outputs from the tabulated ball must stay below the
                       row's level over the row's horizon (OCEP, table OULS)
 
+Across quantifiers the notions differ on two axes, each decided by one set:
+``_BY_OUTPUT`` holds the notions whose bound or table radius reads the
+initial output |y(0)| instead of |x0| (OL, local OL, OOUGB, OOULIM), and
+``_OF_STATE`` the notions that bound the state norm |x| instead of |y|
+(ISS, IOSS).
+
 Verdicts are three-valued.  "certified" never asserts the mathematical
 truth of a universally quantified statement; it records that no sampled
 violation beat the margin, together with the sample count and the worst
@@ -43,6 +49,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -103,6 +110,14 @@ class PropertyId(str, Enum):
     OGULIM = "OGULIM"
     OOULIM = "OOULIM"
     IOSS = "IOSS"
+
+
+# notions whose bound (or table radius) measures the initial condition by
+# the initial output |y(0)|; every other notion measures it by |x0|
+_BY_OUTPUT = frozenset({PropertyId.OL, PropertyId.LOCAL_OL, PropertyId.OOUGB,
+                        PropertyId.OOULIM})
+# notions that bound the state norm |x|; every other notion bounds |y|
+_OF_STATE = frozenset({PropertyId.ISS, PropertyId.IOSS})
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +813,11 @@ def replace_probe(data: ProbeData, probe: Probe) -> ProbeData:
 
 @dataclass(frozen=True)
 class Witness:
-    """Replayable violation: initial state, input, time, observed vs bound."""
+    """Replayable violation: initial state, input, time, observed vs bound.
+
+    ``series`` names the norm that was observed: "output" (|y|) or "state"
+    (|x|, for the notions in ``_OF_STATE``).
+    """
 
     x0: tuple
     u: dict
@@ -807,15 +826,24 @@ class Witness:
     bound: float
     margin: float
     probe_index: int = -1
+    series: str = "output"
+
+    @staticmethod
+    def of_probe(prop: PropertyId, probe: Probe, t: float, observed: float,
+                 bound: float) -> "Witness":
+        """The violation of ``prop`` by ``probe`` at time t."""
+        return Witness(x0=probe.x0, u=probe.u.to_dict(), t=t, observed=observed,
+                       bound=bound, margin=observed - bound, probe_index=probe.index,
+                       series="state" if prop in _OF_STATE else "output")
 
     def signal(self) -> InputSignal:
         return InputSignal.from_dict(self.u)
 
-    def replay(self, sys: SystemModel, sim: SimPlan, state_norm: bool = False) -> float:
-        """Re-simulate and return the observed output (or state) norm at t."""
+    def replay(self, sys: SystemModel, sim: SimPlan) -> float:
+        """Re-simulate and return the observed norm (of ``series``) at t."""
         traj = simulate(sys, np.asarray(self.x0), self.signal(), sim)
         k = traj.at_time(self.t)
-        if state_norm:
+        if self.series == "state":
             return float(sys.state_norm(traj.states[k]))
         return float(np.linalg.norm(traj.outputs[k]))
 
@@ -828,6 +856,7 @@ class Witness:
             "bound": self.bound,
             "margin": self.margin,
             "probe_index": self.probe_index,
+            "series": self.series,
         }
 
 
@@ -901,16 +930,7 @@ class _Outcome:
         if self.min_slack >= -plan.delta_margin:
             return Verdict("certified", prop, self.samples, float(self.min_slack),
                            None, None, phash, notes)
-        probe, t, observed, bound = self.worst
-        witness = Witness(
-            x0=probe.x0,
-            u=probe.u.to_dict(),
-            t=t,
-            observed=observed,
-            bound=bound,
-            margin=observed - bound,
-            probe_index=probe.index,
-        )
+        witness = Witness.of_probe(prop, *self.worst)
         return Verdict("falsified", prop, self.samples, float(self.min_slack),
                        witness, None, phash, notes)
 
@@ -919,29 +939,22 @@ class _Outcome:
 # per-property checkers
 # ---------------------------------------------------------------------------
 
-def _pointwise_bound(cert: Certificate, data: ProbeData) -> np.ndarray | None:
+def _initial(prop: PropertyId, data: ProbeData) -> float:
+    """The probe's initial condition as ``prop`` measures it: |y(0)| for
+    the notions in ``_BY_OUTPUT``, |x0| for every other."""
+    return data.y0 if prop in _BY_OUTPUT else data.probe.r
+
+
+def _in_ball(r: float, s: float, radius: float) -> bool:
+    return r <= radius + 1e-12 and s <= radius + 1e-12
+
+
+def _pointwise_bound(cert: Certificate, data: ProbeData) -> np.ndarray:
     """Bound curve over the probe's time grid for pointwise properties."""
     p = cert.property
     t = data.times
     s = data.probe.s
-    if p in (PropertyId.IOS, PropertyId.ISS):
-        return cert["beta"](data.probe.r, t) + _gain_at(cert["gamma"], s)
-    if p == PropertyId.IOPS:
-        return cert["beta"](data.probe.r, t) + _gain_at(cert["gamma"], s) + cert["c"]
-    if p == PropertyId.OCAG:
-        return cert["beta"](data.probe.r + cert["c"], t) + _gain_at(cert["gamma"], s)
-    if p in (PropertyId.OL, PropertyId.LOCAL_OL):
-        const = _gain_at(cert["sigma"], data.y0) + _gain_at(cert["gamma"], s)
-        return np.full_like(t, const)
-    if p in (PropertyId.OUGS, PropertyId.OULS):
-        const = _gain_at(cert["sigma"], data.probe.r) + _gain_at(cert["gamma"], s)
-        return np.full_like(t, const)
-    if p == PropertyId.OUGB:
-        const = _gain_at(cert["sigma"], data.probe.r) + _gain_at(cert["gamma"], s) + cert["c"]
-        return np.full_like(t, const)
-    if p == PropertyId.OOUGB:
-        const = _gain_at(cert["sigma"], data.y0) + _gain_at(cert["gamma"], s) + cert["c"]
-        return np.full_like(t, const)
+    c = cert.get("c", 0.0)
     if p == PropertyId.IOSS:
         g1 = cert["gamma1"]
         g2 = cert["gamma2"]
@@ -951,36 +964,36 @@ def _pointwise_bound(cert: Certificate, data: ProbeData) -> np.ndarray | None:
             + (0.0 if g2.is_zero else g2(data.ysup))
         )
     if p in (PropertyId.H_BOUNDED, PropertyId.H_K_BOUNDED):
-        c = cert.get("c", 0.0)
         s1, g1 = cert["sigma1"], cert["gamma1"]
         return (
             (0.0 if s1.is_zero else s1(data.xnorm))
             + (0.0 if g1.is_zero else g1(data.uval_norm))
             + c
         )
-    return None
-
-
-def _observed_series(cert: Certificate, data: ProbeData) -> np.ndarray:
-    if cert.property in (PropertyId.ISS, PropertyId.IOSS):
-        return data.xnorm
-    return data.ynorm
+    if "beta" in cert.params:
+        # beta(r, t) + gamma(s): IOpS adds c, OCAG shifts r by c
+        shift, offset = (c, 0.0) if p == PropertyId.OCAG else (0.0, c)
+        return cert["beta"](data.probe.r + shift, t) + _gain_at(cert["gamma"], s) + offset
+    # sigma(initial condition) + gamma(s) + c: the OL and OUGS families
+    const = _gain_at(cert["sigma"], _initial(p, data)) + _gain_at(cert["gamma"], s) + c
+    return np.full_like(t, const)
 
 
 def _probe_filter(cert: Certificate, data: ProbeData) -> bool:
-    p = cert.property
-    if p in (PropertyId.LOCAL_OL, PropertyId.OULS):
-        radius = cert.get("radius")
-        if radius is None:  # table form handled elsewhere
-            return True
-        return data.probe.r <= radius + 1e-12 and data.probe.s <= radius + 1e-12
-    if p in (PropertyId.BORS,):
-        return data.probe.r <= cert["radius"] + 1e-12 and data.probe.s <= cert["radius"] + 1e-12
-    if p == PropertyId.OBORS:
-        return data.y0 <= cert["radius"] + 1e-12 and data.probe.s <= cert["radius"] + 1e-12
-    if p == PropertyId.OGUAG and "s_max" in cert.params:
-        return data.probe.s <= cert["s_max"] + 1e-12
-    return True
+    """Does the probe lie in the certificate's ball: |x0| (|y(0)| for OBORS)
+    and |u| up to its ``radius``, or |u| up to its ``s_max``?"""
+    radius = cert.get("radius")
+    if radius is not None:
+        r = data.y0 if cert.property == PropertyId.OBORS else data.probe.r
+        return _in_ball(r, data.probe.s, radius)
+    s_max = cert.get("s_max")
+    return s_max is None or data.probe.s <= s_max + 1e-12
+
+
+def _sup_until(data: ProbeData, horizon: float) -> int:
+    """Grid index of the largest |y| at times up to ``horizon``."""
+    mask = data.times <= horizon + 1e-12
+    return int(np.argmax(np.where(mask, data.ynorm, -math.inf)))
 
 
 def _sweep(cert: Certificate, datas, levels, sample, out: _Outcome) -> list:
@@ -1013,7 +1026,7 @@ def _sweep(cert: Certificate, datas, levels, sample, out: _Outcome) -> list:
 def _check_pointwise(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     def sample(data, _level):
         bound = _pointwise_bound(cert, data)
-        observed = _observed_series(cert, data)
+        observed = data.xnorm if cert.property in _OF_STATE else data.ynorm
         k = int(np.argmin(bound - observed))
         return data.times[k], observed[k], bound[k]
 
@@ -1036,10 +1049,7 @@ def _check_sup_bound(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome
             # unbounded excursion inside the window: worst possible sample
             out.add(data.probe, data.traj.blow_up, math.inf, bound)
             continue
-        mask = data.times <= horizon + 1e-12
-        if not np.any(mask):
-            continue
-        k = int(np.argmax(np.where(mask, data.ynorm, -math.inf)))
+        k = _sup_until(data, horizon)
         out.add(data.probe, data.times[k], data.ynorm[k], bound)
 
 
@@ -1049,7 +1059,7 @@ def _check_uag(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     global_form = cert.property == PropertyId.OGUAG
 
     def sample(data, eps):
-        r, s = data.probe.r, data.probe.s
+        r, s = _initial(cert.property, data), data.probe.s
         tau = table.eval(eps, r) if global_form else table.eval(eps, r, s)
         if tau > plan.horizon + 1e-12:
             out.notes.append(f"tau({eps:g}, {r:g}) exceeds the horizon; cell skipped")
@@ -1066,13 +1076,12 @@ def _check_uag(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
 def _check_lim(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     gamma = cert["gamma"]
     table: ConvergenceTimeTable | None = cert.get("tau_table")
-    by_output = cert.property == PropertyId.OOULIM
 
     def sample(data, eps):
         if table is None:
             tau = plan.horizon
         else:
-            r = data.y0 if by_output else data.probe.r
+            r = _initial(cert.property, data)
             tau = table.eval(eps, r) if table.s_grid is None else table.eval(eps, r, data.probe.s)
         mask = data.times <= tau + 1e-12
         if not np.any(mask):
@@ -1106,8 +1115,7 @@ def _check_delta_rows(cert: Certificate, rows, plan: SamplingPlan, out: _Outcome
         if data.blown:
             out.add_blown(data.probe)
             continue
-        mask = data.times <= horizon + 1e-12
-        k = int(np.argmax(np.where(mask, data.ynorm, -math.inf)))
+        k = _sup_until(data, horizon)
         out.add(data.probe, data.times[k], data.ynorm[k], eps)
 
 
@@ -1138,11 +1146,16 @@ def _delta_row_shells(cert: Certificate, ps: ProbeSet, plan: SamplingPlan, out: 
             out.notes.append(f"empty delta at eps={eps:g}; row skipped")
             continue
         horizon = tau if tau is not None else plan.horizon
-        for frac in (1.0, 0.5):
-            r = delta * frac
-            s = min(r, ps.plan.s_max) if ps.sys.input_dim else 0.0
-            rows.extend((eps, horizon, data) for data in ps.shell(r, s))
+        rows.extend((eps, horizon, data) for data in _delta_shells(ps, delta))
     return rows
+
+
+def _delta_shells(ps: ProbeSet, delta: float):
+    """Probes of the shells at delta and then delta / 2, with input norm up
+    to the shell radius (and the plan's s_max); the second shell is only
+    simulated once the first has been consumed."""
+    for r in (delta, delta * 0.5):
+        yield from ps.shell(r, min(r, ps.plan.s_max) if ps.sys.input_dim else 0.0)
 
 
 # property -> (probe source, checker): the one place that decides which
@@ -1252,10 +1265,7 @@ def falsify(sys: SystemModel, cert: Certificate, budget: int,
     margin, probe, t, observed, bound = best
 
     if margin > plan.delta_margin:
-        witness = Witness(
-            x0=probe.x0, u=probe.u.to_dict(), t=t, observed=observed,
-            bound=bound, margin=margin, probe_index=probe.index,
-        )
+        witness = Witness.of_probe(cert.property, probe, t, observed, bound)
         return Verdict("falsified", cert.property, spent, float(-margin),
                        witness, None, phash)
     return Verdict(
@@ -1471,16 +1481,23 @@ def _fit_separable_kl(datas, series, plan: SamplingPlan):
     return cf.kl_separable(sigma, temporal), sigma, a
 
 
-def _residual_gain(datas, bound_fn, force_abscissa="s"):
-    """Envelope of positive residuals against the input norm."""
+def _gain_envelope(pairs) -> ScalarFn:
+    """Class Kinf envelope through (0, 0) of the largest value per abscissa
+    among the (abscissa, value) pairs; (1, 0) stands in when no pair is
+    off the origin."""
     samples = {0.0: 0.0}
-    for data in datas:
-        resid = float(np.max(np.maximum(data.ynorm - bound_fn(data), 0.0)))
-        key = data.probe.s if force_abscissa == "s" else float(np.max(data.urestr))
-        samples[key] = max(samples.get(key, 0.0), resid)
+    for x, v in pairs:
+        samples[x] = max(samples.get(x, 0.0), v)
     if len(samples) == 1:
         samples[1.0] = 0.0
     return cf.fit_monotone_envelope(sorted(samples.items()), force_zero_at_zero=True)
+
+
+def _residual_gain(datas, bound_fn) -> ScalarFn:
+    """Envelope of positive output residuals against the input norm."""
+    return _gain_envelope(
+        (data.probe.s, float(np.max(np.maximum(data.ynorm - bound_fn(data), 0.0))))
+        for data in datas)
 
 
 def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
@@ -1488,11 +1505,13 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
                   table_form: bool = False) -> Certificate:
     """Fit a certificate from simulation data; over-approximates by envelopes.
 
-    The returned certificate verifies on the same plan by construction
-    (envelopes dominate every sample they were fitted to).  Properties whose
-    quantifiers cannot be exhausted from bounded-horizon data (the
-    per-trajectory visit property over unbounded inputs) are rejected with
-    ``EstimationError``.
+    The envelopes dominate every sample they were fitted to, so the result
+    verifies on the same plan wherever the check reads the samples the fit
+    read.  OOULIM is the exception: its table is fitted on initial-output
+    shells, while the check looks each probe up by its own |y(0)|, so the
+    estimate can come back falsified.  Properties whose quantifiers cannot
+    be exhausted from bounded-horizon data (the per-trajectory visit
+    property over unbounded inputs) are rejected with ``EstimationError``.
     """
     ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
     datas = ps.all_data()
@@ -1500,7 +1519,6 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
     if not live:
         raise EstimationError("every probe blew up; nothing to fit")
     zero_in = [d for d in live if d.probe.s == 0.0]
-    driven = [d for d in live if d.probe.s > 0.0]
 
     if prop == PropertyId.OAG:
         raise EstimationError(
@@ -1512,39 +1530,25 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
         table = _fit_delta_table(sys, plan, ps, with_tau=False)
         return Certificate(prop, {"delta_table": table})
 
-    if prop in (PropertyId.OUGS, PropertyId.OULS, PropertyId.OUGB):
+    if prop in (PropertyId.OUGS, PropertyId.OULS, PropertyId.OUGB,
+                PropertyId.OL, PropertyId.LOCAL_OL, PropertyId.OOUGB):
         if radius is None:
             radius = max(plan.radii)
-        pool = [d for d in live if prop != PropertyId.OULS or
-                (d.probe.r <= radius + 1e-12 and d.probe.s <= radius + 1e-12)]
-        zero_pool = [d for d in pool if d.probe.s == 0.0]
+        local = prop in (PropertyId.OULS, PropertyId.LOCAL_OL)
+        pool = [d for d in live if not local or _in_ball(d.probe.r, d.probe.s, radius)]
         sigma = cf.fit_monotone_envelope(
-            [(d.probe.r, float(np.max(d.ynorm))) for d in zero_pool] + [(0.0, 0.0)],
+            [(_initial(prop, d), float(np.max(d.ynorm))) for d in pool if d.probe.s == 0.0]
+            + [(0.0, 0.0)],
             force_zero_at_zero=True,
         )
-        gamma = _residual_gain(pool, lambda d: np.full_like(d.ynorm, float(sigma(d.probe.r))))
-        if prop == PropertyId.OUGS:
-            return Certificate(prop, {"sigma": sigma, "gamma": gamma})
-        if prop == PropertyId.OULS:
-            return Certificate(prop, {"sigma": sigma, "gamma": gamma, "radius": radius})
-        return Certificate(prop, {"sigma": sigma, "gamma": gamma, "c": 1e-9})
-
-    if prop in (PropertyId.OL, PropertyId.LOCAL_OL, PropertyId.OOUGB):
-        if radius is None:
-            radius = max(plan.radii)
-        pool = [d for d in live if prop != PropertyId.LOCAL_OL or
-                (d.probe.r <= radius + 1e-12 and d.probe.s <= radius + 1e-12)]
-        zero_pool = [d for d in pool if d.probe.s == 0.0]
-        sigma = cf.fit_monotone_envelope(
-            [(d.y0, float(np.max(d.ynorm))) for d in zero_pool] + [(0.0, 0.0)],
-            force_zero_at_zero=True,
-        )
-        gamma = _residual_gain(pool, lambda d: np.full_like(d.ynorm, float(sigma(d.y0))))
-        if prop == PropertyId.OL:
-            return Certificate(prop, {"sigma": sigma, "gamma": gamma})
-        if prop == PropertyId.LOCAL_OL:
-            return Certificate(prop, {"sigma": sigma, "gamma": gamma, "radius": radius})
-        return Certificate(prop, {"sigma": sigma, "gamma": gamma, "c": 1e-9})
+        gamma = _residual_gain(
+            pool, lambda d: np.full_like(d.ynorm, float(sigma(_initial(prop, d)))))
+        params = {"sigma": sigma, "gamma": gamma}
+        if local:
+            params["radius"] = radius
+        elif prop in (PropertyId.OUGB, PropertyId.OOUGB):
+            params["c"] = 1e-9
+        return Certificate(prop, params)
 
     if prop in (PropertyId.H_BOUNDED, PropertyId.H_K_BOUNDED):
         sigma1_samples = [(0.0, 0.0)]
@@ -1552,40 +1556,32 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
             sigma1_samples.extend(zip(d.xnorm.tolist(), d.ynorm.tolist()))
         sigma1 = cf.fit_monotone_envelope(sigma1_samples, force_zero_at_zero=True)
         # static-map residuals are pointwise in the instantaneous input value
-        resid = {0.0: 0.0}
-        for d in live:
-            gap = np.maximum(d.ynorm - sigma1(d.xnorm), 0.0)
-            for uv, g in zip(d.uval_norm.tolist(), gap.tolist()):
-                resid[uv] = max(resid.get(uv, 0.0), g)
-        if len(resid) == 1:
-            resid[1.0] = 0.0
-        gamma1 = cf.fit_monotone_envelope(sorted(resid.items()), force_zero_at_zero=True)
+        gamma1 = _gain_envelope(chain.from_iterable(
+            zip(d.uval_norm.tolist(), np.maximum(d.ynorm - sigma1(d.xnorm), 0.0).tolist())
+            for d in live))
+        params = {"sigma1": sigma1, "gamma1": gamma1}
         if prop == PropertyId.H_BOUNDED:
-            return Certificate(prop, {"sigma1": sigma1, "gamma1": gamma1, "c": 0.0})
-        return Certificate(prop, {"sigma1": sigma1, "gamma1": gamma1})
+            params["c"] = 0.0
+        return Certificate(prop, params)
 
     if prop in (PropertyId.IOS, PropertyId.ISS, PropertyId.OCAG, PropertyId.IOPS,
                 PropertyId.IOSS):
-        series = (lambda d: d.xnorm) if prop in (PropertyId.ISS, PropertyId.IOSS) \
-            else (lambda d: d.ynorm)
+        series = (lambda d: d.xnorm) if prop in _OF_STATE else (lambda d: d.ynorm)
         beta, sigma, a = _fit_separable_kl(zero_in, series, plan)
         if prop == PropertyId.IOSS:
             gamma2 = cf.identity()
-            def bound_fn(d):
-                return beta(d.probe.r, d.times) + gamma2(d.ysup)
-            resid = {0.0: 0.0}
-            for d in live:
-                r = float(np.max(np.maximum(d.xnorm - bound_fn(d), 0.0)))
-                key = float(np.max(d.urestr)) if d.probe.s > 0 else 0.0
-                resid[key] = max(resid.get(key, 0.0), r)
-            if len(resid) == 1:
-                resid[1.0] = 0.0
-            gamma1 = cf.fit_monotone_envelope(sorted(resid.items()), force_zero_at_zero=True)
-            return Certificate(prop, {"beta": beta, "gamma1": gamma1, "gamma2": gamma2})
-        gamma = _residual_gain(live, lambda d: beta(d.probe.r, d.times))
-        if prop == PropertyId.IOS or prop == PropertyId.ISS:
-            return Certificate(prop, {"beta": beta, "gamma": gamma})
-        return Certificate(prop, {"beta": beta, "gamma": gamma, "c": 0.0})
+            gamma1 = _gain_envelope(
+                (float(np.max(d.urestr)) if d.probe.s > 0 else 0.0,
+                 float(np.max(np.maximum(
+                     d.xnorm - (beta(d.probe.r, d.times) + gamma2(d.ysup)), 0.0))))
+                for d in live)
+            params = {"beta": beta, "gamma1": gamma1, "gamma2": gamma2}
+        else:
+            params = {"beta": beta,
+                      "gamma": _residual_gain(live, lambda d: beta(d.probe.r, d.times))}
+            if prop in (PropertyId.OCAG, PropertyId.IOPS):
+                params["c"] = 0.0
+        return Certificate(prop, params)
 
     if prop == PropertyId.OCEP:
         table = _fit_delta_table(sys, plan, ps, with_tau=True)
@@ -1597,14 +1593,10 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
         if prop == PropertyId.OLIM:
             return Certificate(prop, {"gamma": gamma})
         mode = "uag" if prop in (PropertyId.OUAG, PropertyId.OGUAG) else "lim"
-        if prop in (PropertyId.OUAG, PropertyId.OULIM):
-            table = build_tau_table(sys, plan, mode, gamma,
-                                    s_grid=(0.0,) + tuple(plan.input_norms), probe_set=ps)
-        elif prop == PropertyId.OOULIM:
-            table = build_tau_table(sys, plan, mode, gamma, probe_set=ps,
-                                    over_initial_output=True)
-        else:
-            table = build_tau_table(sys, plan, mode, gamma, probe_set=ps)
+        s_grid = ((0.0,) + tuple(plan.input_norms)
+                  if prop in (PropertyId.OUAG, PropertyId.OULIM) else None)
+        table = build_tau_table(sys, plan, mode, gamma, s_grid=s_grid, probe_set=ps,
+                                over_initial_output=prop in _BY_OUTPUT)
         if np.all(~np.isfinite(table.values)):
             raise EstimationError(
                 f"{prop.value}: no finite convergence cell within the horizon"
@@ -1625,18 +1617,8 @@ def _fit_asymptotic_gain(datas, plan: SamplingPlan) -> ScalarFn:
     table cells unreachable), while the gain must vanish at zero.
     """
     cut = 0.8 * plan.horizon
-    samples = {0.0: 0.0}
-    for d in datas:
-        if d.probe.s == 0.0:
-            continue
-        tail = d.ynorm[d.times >= cut]
-        if tail.size == 0:
-            continue
-        v = float(np.max(tail))
-        samples[d.probe.s] = max(samples.get(d.probe.s, 0.0), v)
-    if len(samples) == 1:
-        samples[1.0] = 0.0
-    return cf.fit_monotone_envelope(sorted(samples.items()), force_zero_at_zero=True)
+    tails = ((d.probe.s, d.ynorm[d.times >= cut]) for d in datas if d.probe.s != 0.0)
+    return _gain_envelope((s, float(np.max(tail))) for s, tail in tails if tail.size)
 
 
 def _fit_delta_table(sys: SystemModel, plan: SamplingPlan, ps: ProbeSet,
@@ -1646,17 +1628,9 @@ def _fit_delta_table(sys: SystemModel, plan: SamplingPlan, ps: ProbeSet,
 
     def largest_delta(eps: float, horizon: float) -> float:
         def ok(delta: float) -> bool:
-            if delta <= 0:
-                return True
-            for frac in (1.0, 0.5):
-                for data in ps.shell(delta * frac,
-                                     min(delta * frac, plan.s_max) if sys.input_dim else 0.0):
-                    if data.blown:
-                        return False
-                    mask = data.times <= horizon + 1e-12
-                    if float(np.max(np.where(mask, data.ynorm, -math.inf))) > eps * 0.98:
-                        return False
-            return True
+            return delta <= 0 or not any(
+                data.blown or data.ynorm[_sup_until(data, horizon)] > eps * 0.98
+                for data in _delta_shells(ps, delta))
 
         hi = min(eps, max(plan.radii))
         for _ in range(30):
@@ -1697,8 +1671,7 @@ def build_reachability_bound(sys: SystemModel, plan: SamplingPlan,
                     if data.blown and data.traj.blow_up <= t_cap:
                         worst = math.inf
                         break
-                    mask = data.times <= t_cap + 1e-12
-                    worst = max(worst, float(np.max(np.where(mask, data.ynorm, -math.inf))))
+                    worst = max(worst, float(data.ynorm[_sup_until(data, t_cap)]))
                 values[i, j, k] = worst
     return ReachabilityBound(r_grid, s_grid, t_grid, values, over_initial_output)
 

@@ -34,6 +34,7 @@ finite-dimensional equivalences this package checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,9 +210,12 @@ class _ExprParser:
         tok = self.next()
         if tok.kind == "NUM":
             try:
-                return Lit(float(tok.text))
+                value = float(tok.text)
             except ValueError:
-                raise ParseError(f"bad number {tok.text!r}", tok.line, tok.col) from None
+                value = math.inf
+            if math.isinf(value):  # malformed, or overflowing like 1e400
+                raise ParseError(f"bad number {tok.text!r}", tok.line, tok.col)
+            return Lit(value)
         if tok.kind == "IDENT":
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "(":
@@ -232,7 +236,9 @@ class _ExprParser:
 
 
 def _fold(node):
-    """Constant folding: subtrees with only literal leaves become literals."""
+    """Constant folding: subtrees with only literal leaves become literals,
+    as long as their value is finite (a NaN or inf has no number token, so
+    it could not be printed back; such a subtree stays as written)."""
     if isinstance(node, Lit) or isinstance(node, Name):
         return node
     if isinstance(node, Un):
@@ -242,16 +248,23 @@ def _fold(node):
         return Un(node.op, arg)
     if isinstance(node, Bin):
         left, right = _fold(node.left), _fold(node.right)
-        if isinstance(left, Lit) and isinstance(right, Lit):
-            return Lit(float(_APPLY_BIN[node.op](left.value, right.value)))
-        return Bin(node.op, left, right)
+        return _folded(Bin(node.op, left, right), _APPLY_BIN[node.op], (left, right))
     if isinstance(node, Call):
-        args = tuple(_fold(a) for a in node.args)
-        if all(isinstance(a, Lit) for a in args):
-            _, fn = _FUNCS[node.fn]
-            return Lit(float(fn(*(a.value for a in args))))
-        return Call(node.fn, args)
+        call = Call(node.fn, tuple(_fold(a) for a in node.args))
+        if _FUNCS.get(call.fn, (None,))[0] != len(call.args):
+            return call  # unknown function or wrong arity: validation reports it
+        return _folded(call, _FUNCS[call.fn][1], call.args)
     raise TypeError(node)
+
+
+def _folded(node, fn, args):
+    """``node`` as a literal when all its arguments are literals and
+    ``fn`` of them is finite; ``node`` itself otherwise."""
+    if not all(isinstance(a, Lit) for a in args):
+        return node
+    with np.errstate(all="ignore"):
+        value = float(fn(*(a.value for a in args)))
+    return Lit(value) if math.isfinite(value) else node
 
 
 _APPLY_BIN = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _DIV}

@@ -124,10 +124,6 @@ class Trajectory:
     method: str
     oracle_states: Optional[np.ndarray] = None
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
     def output_norms(self) -> np.ndarray:
         return np.linalg.norm(self.outputs, axis=1)
 

@@ -501,13 +501,6 @@ def _lin_scalar_certs() -> dict:
 # entries
 # ---------------------------------------------------------------------------
 
-_H = {
-    "holds": "holds",
-    "fails": "fails",
-    "unknown": "unknown",
-}
-
-
 def _sin_output_entry() -> ZooEntry:
     return ZooEntry(
         id="sin_output",

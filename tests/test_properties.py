@@ -223,6 +223,17 @@ def test_falsify_rotation_ios(rot_sys, rot_plan):
     assert w.replay(rot_sys, rot_plan.sim) == pytest.approx(w.observed, abs=1e-6)
 
 
+def test_witness_replays_the_norm_it_observed(rot_sys, rot_plan):
+    """ISS bounds the state norm: the witness says so and replays |x|, which
+    differs from the rotation's output |x_0| at the violation time."""
+    cert = Certificate(PropertyId.ISS, {"beta": cf.kl_exp(), "gamma": cf.zero()})
+    for verdict in (falsify(rot_sys, cert, 40, rot_plan), verify(rot_sys, cert, rot_plan)):
+        assert verdict.falsified
+        w = verdict.witness
+        assert w.to_dict()["series"] == "state"
+        assert w.replay(rot_sys, rot_plan.sim) == pytest.approx(w.observed, abs=1e-6)
+
+
 def test_verify_rotation_ios_unit_shell(rot_sys):
     """On the unit shell the recurring output beats any sub-unit decay bound."""
     plan = SamplingPlan(radii=(1.0,), input_norms=(), eps_grid=(0.1,),
@@ -403,6 +414,25 @@ def test_estimate_self_consistency_over_zoo():
             cert = estimate_gain(sys, prop, plan, probe_set=ps)
             verdict = verify(sys, cert, plan, probe_set=ps)
             assert verdict.certified, (zid, prop, verdict.reason, verdict.min_slack)
+
+
+@pytest.mark.parametrize("zid", ["lin_scalar", "sin_output"])
+def test_estimate_verify_round_trip_for_every_estimable_property(zid):
+    """Every property estimate_gain accepts certifies on the plan it was
+    fitted on; the others raise EstimationError before any fit."""
+    entry = get_entry(zid)
+    sys, plan = entry.factory(), entry.default_plan()
+    ps = ProbeSet(sys, plan)
+    rejected = {PropertyId.FC, PropertyId.BORS, PropertyId.OBORS, PropertyId.OAG}
+    for prop in PropertyId:
+        if prop in rejected:
+            with pytest.raises(EstimationError):
+                estimate_gain(sys, prop, plan, probe_set=ps)
+            continue
+        for kwargs in ({}, {"table_form": True}) if prop == PropertyId.OULS else ({},):
+            cert = estimate_gain(sys, prop, plan, probe_set=ps, **kwargs)
+            verdict = verify(sys, cert, plan, probe_set=ps)
+            assert verdict.certified, (prop, kwargs, verdict.min_slack)
 
 
 # ---------------------------------------------------------------------------

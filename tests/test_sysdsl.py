@@ -105,6 +105,32 @@ def test_constant_folding():
     assert doc.output_exprs[0] == Lit(6.0)
 
 
+@pytest.mark.parametrize("expr, want", [
+    ("1/0", math.nan),
+    ("ln(0)", math.nan),
+    ("sqrt(0-1)", math.nan),
+    ("exp(1000)", math.inf),
+])
+def test_nonfinite_constants_are_not_folded_and_round_trip(expr, want):
+    doc = parse_system(f"dim_x = 1\ndim_u = 0\ndx0 = -x0 + {expr}\ny0 = x0")
+    again = parse_system(print_system(doc))
+    assert again == doc
+    with np.errstate(over="ignore"):
+        got = compile_system(again).rhs(np.zeros(1), np.zeros(0))[0]
+    assert got == want or (math.isnan(want) and math.isnan(got))
+
+
+@pytest.mark.parametrize("expr, fragment", [
+    ("1e400", "bad number"),
+    ("foo(1)", "unknown function"),
+    ("sin(1, 2)", "takes 1 argument"),
+])
+def test_rejects_bad_literal_expressions(expr, fragment):
+    with pytest.raises(ParseError) as err:
+        parse_system(f"dim_x = 1\ndim_u = 0\ndx0 = -x0\ny0 = {expr}")
+    assert fragment in str(err.value)
+
+
 def test_sat_builtin_value():
     doc = parse_system("dim_x = 1\ndim_u = 0\ndx0 = -x0\ny0 = sat(1.7)")
     assert doc.output_exprs[0] == Lit(1.0)
