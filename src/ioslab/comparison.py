@@ -748,25 +748,51 @@ def fn_to_dict(fn) -> dict:
     raise TypeError(f"not a comparison function: {fn!r}")
 
 
+# leaf nodes rebuilt through their factories, which validate parameters
+_SCALAR_LEAVES = {
+    "identity": lambda d: identity(),
+    "scale": lambda d: scale(d["param"]),
+    "power": lambda d: power(d["param"]),
+    "constant": lambda d: constant(d["param"]),
+    "sat": lambda d: sat(),
+    "exp_decay": lambda d: exp_decay(),
+    "pwl": lambda d: pwl(d["knots"], d["values"], d["class"]),
+}
+_KL_LEAVES = {
+    "kl_pw_exp": lambda d, fns: build_piecewise_kl(
+        KnotSequence(tuple(d["knots"]), fns[0], d["param"])),
+    "kl_grid_pw_exp": lambda d, fns: grid_piecewise_kl(d["r_grid"], d["knot_rows"], fns[0],
+                                                       d["param"]),
+}
+_SCALAR_COMPOSITES = ("add", "max", "min", "compose")
+_KL_COMPOSITES = ("kl_separable", "kl_min", "kl_max", "kl_sum", "kl_outer", "kl_inner",
+                  "kl_time_scale")
+_CLASSES = ("K", "Kinf", "L", "increasing", "decreasing", "constant", "zero", "generic")
+
+
 def fn_from_dict(d: dict):
-    node = d.get("node", "scalar")
-    if node == "scalar":
-        return ScalarFn(
-            kind=d["kind"],
-            fn_class=d["class"],
-            children=tuple(fn_from_dict(c) for c in d.get("children", ())),
-            param=d.get("param"),
-            knots=tuple(d.get("knots", ())),
-            values=tuple(d.get("values", ())),
-        )
+    """Inverse of ``fn_to_dict``.
+
+    Leaf nodes are rebuilt through their factories and re-declared with the
+    stored class when it differs, so invalid parameters or a class the
+    sampled check refutes raise.  Composite nodes keep their stored class
+    unchecked: the structural closure rules tagged them, and some valid
+    structural tags do not survive the sampled check.  An unknown node,
+    kind or class raises ``DomainError``.
+    """
+    node, kind = d.get("node", "scalar"), d.get("kind")
+    children = tuple(fn_from_dict(c) for c in d.get("children", ()))
+    if node == "scalar" and d.get("class") in _CLASSES:
+        if kind in _SCALAR_LEAVES:
+            fn = _SCALAR_LEAVES[kind](d)
+            return fn if fn.fn_class == d["class"] else declare(fn, d["class"])
+        if kind in _SCALAR_COMPOSITES:
+            return ScalarFn(kind, d["class"], children, d.get("param"))
     if node == "kl":
-        return KLFn(
-            kind=d["kind"],
-            children=tuple(fn_from_dict(c) for c in d.get("children", ())),
-            fns=tuple(fn_from_dict(c) for c in d.get("fns", ())),
-            knots=tuple(d.get("knots", ())),
-            r_grid=tuple(d.get("r_grid", ())),
-            knot_rows=tuple(tuple(row) for row in d.get("knot_rows", ())),
-            param=d.get("param"),
-        )
-    raise ValueError(f"unknown node tag {node!r}")
+        fns = tuple(fn_from_dict(c) for c in d.get("fns", ()))
+        if kind in _KL_LEAVES:
+            return _KL_LEAVES[kind](d, fns)
+        if kind in _KL_COMPOSITES:
+            return KLFn(kind, children, fns, param=d.get("param"))
+    raise DomainError(f"unknown comparison-function node {node!r}, kind {kind!r} "
+                      f"or class {d.get('class')!r}")

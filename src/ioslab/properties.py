@@ -30,6 +30,12 @@ initial output |y(0)| instead of |x0| (OL, local OL, OOUGB, OOULIM), and
 ``_OF_STATE`` the notions that bound the state norm |x| instead of |y|
 (ISS, IOSS).
 
+Probes come from the plan or from shells: the (r, s) balls that the
+tables (tau, delta and reachability) and the shell-sourced checks (OOULIM,
+the continuity tables) read.  ``ProbeSet.shells`` is the one shell request:
+each consumer asks it once for all its cells, and the misses run as one
+kernel call.
+
 Verdicts are three-valued.  "certified" never asserts the mathematical
 truth of a universally quantified statement; it records that no sampled
 violation beat the margin, together with the sample count and the worst
@@ -695,7 +701,11 @@ def _inputs_at_norm(plan: SamplingPlan, input_dim: int, s: float, seed_extra: in
 
 
 class ProbeSet:
-    """Deterministic probe expansion plus a per-probe simulation cache."""
+    """Deterministic probe expansion plus a per-probe simulation cache.
+
+    ``data_many`` looks probes up and simulates the misses as one kernel
+    call; ``shells`` is the one request for the probes of (r, s) balls.
+    """
 
     def __init__(self, sys: SystemModel, plan: SamplingPlan):
         self.sys = sys
@@ -763,26 +773,33 @@ class ProbeSet:
     def all_data(self) -> list[ProbeData]:
         return self.data_many(self.probes)
 
-    def shell(self, r: float, s: float, extra_seed: int = 0) -> list[ProbeData]:
-        """Probes at exactly state-norm r and input-norm s (cached)."""
-        dirs = _directions(self.sys.state_dim, self.plan.directions, self.plan.seed + extra_seed)
-        inputs = _inputs_at_norm(self.plan, self.sys.input_dim, s, extra_seed)
+    def shells(self, cells, by_output: bool = False) -> list[list[ProbeData]]:
+        """The one shell request: data of the probes of each (r, s) cell, as
+        one list per cell aligned with ``cells`` (duplicates kept).  A cell
+        holds the probes at state norm exactly r, or with ``by_output`` at
+        initial output norm up to r, and at input norm s.  The misses of
+        all cells run as one kernel call."""
+        build = self._output_shell if by_output else self._state_shell
+        groups = [build(r, s) for r, s in cells]
+        datas = iter(self.data_many([p for g in groups for p in g]))
+        return [[next(datas) for _ in g] for g in groups]
+
+    def _state_shell(self, r: float, s: float) -> list[Probe]:
+        dirs = _directions(self.sys.state_dim, self.plan.directions, self.plan.seed)
+        inputs = _inputs_at_norm(self.plan, self.sys.input_dim, s)
         probes = []
         for d in dirs:
             x0 = np.asarray(self.sys.embed(r, d), dtype=float)
             for tag, u in inputs:
                 probes.append(Probe(-1000 - len(probes), tuple(x0), u, r, u.norm(),
                                     f"shell:{tag}", tuple(d)))
-        return self.data_many(probes)
+        return probes
 
-    def initial_output_shell(self, r_y: float, s: float) -> list[ProbeData]:
-        """Probes whose initial output norm lies at or below r_y.
-
-        Sampling the level set of the output map is heuristic: a ladder of
-        state radii is screened by rejection, keeping candidates whose
-        initial output lands inside the target ball (preferring the top of
-        the shell).
-        """
+    def _output_shell(self, r_y: float, s: float) -> list[Probe]:
+        """Probes whose initial output norm lies at or below r_y: a ladder
+        of state radii is screened by rejection, keeping the candidates
+        inside the ball (preferring the top of the shell).  Sampling the
+        level set of the output map this way is heuristic."""
         dirs = _directions(self.sys.state_dim, max(self.plan.directions, 3), self.plan.seed + 7)
         inputs = _inputs_at_norm(self.plan, self.sys.input_dim, s, 7)
         ladder = [r_y * f for f in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
@@ -795,11 +812,10 @@ class ProbeSet:
                     if y0 <= r_y + 1e-12:
                         kept.append((float(y0), radius, x0, u, tag, tuple(d)))
         kept.sort(key=lambda item: (-item[0], item[1], tuple(item[2])))
-        probes = [Probe(-2000 - i, tuple(x0), u, float(self.sys.state_norm(x0)), u.norm(),
-                        f"yshell:{tag}", d)
-                  for i, (y0, radius, x0, u, tag, d) in
-                  enumerate(kept[: 3 * max(self.plan.directions, 3)])]
-        return self.data_many(probes)
+        return [Probe(-2000 - i, tuple(x0), u, float(self.sys.state_norm(x0)), u.norm(),
+                      f"yshell:{tag}", d)
+                for i, (y0, radius, x0, u, tag, d) in
+                enumerate(kept[: 3 * max(self.plan.directions, 3)])]
 
 
 def replace_probe(data: ProbeData, probe: Probe) -> ProbeData:
@@ -945,6 +961,12 @@ def _initial(prop: PropertyId, data: ProbeData) -> float:
     return data.y0 if prop in _BY_OUTPUT else data.probe.r
 
 
+def _observed(prop: PropertyId, data: ProbeData) -> np.ndarray:
+    """The norm series ``prop`` bounds: |x| for the notions in
+    ``_OF_STATE``, |y| for every other."""
+    return data.xnorm if prop in _OF_STATE else data.ynorm
+
+
 def _in_ball(r: float, s: float, radius: float) -> bool:
     return r <= radius + 1e-12 and s <= radius + 1e-12
 
@@ -1026,7 +1048,7 @@ def _sweep(cert: Certificate, datas, levels, sample, out: _Outcome) -> list:
 def _check_pointwise(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     def sample(data, _level):
         bound = _pointwise_bound(cert, data)
-        observed = data.xnorm if cert.property in _OF_STATE else data.ynorm
+        observed = _observed(cert.property, data)
         k = int(np.argmin(bound - observed))
         return data.times[k], observed[k], bound[k]
 
@@ -1130,32 +1152,30 @@ def _plan_probes(cert: Certificate, ps: ProbeSet, plan: SamplingPlan, out: _Outc
 def _initial_output_shells(cert: Certificate, ps: ProbeSet, plan: SamplingPlan,
                            out: _Outcome):
     """Probes from the initial-output balls the visit table is indexed by."""
-    datas = []
-    for r_y in cert["tau_table"].r_grid:
-        for s in (0.0,) + tuple(plan.input_norms):
-            datas.extend(ps.initial_output_shell(r_y, s))
-    return datas
+    cells = [(r_y, s) for r_y in cert["tau_table"].r_grid for s in (0.0,) + plan.input_norms]
+    return [data for shell in ps.shells(cells, by_output=True) for data in shell]
 
 
 def _delta_row_shells(cert: Certificate, ps: ProbeSet, plan: SamplingPlan, out: _Outcome):
     """(eps, horizon, probe) for each continuity row, from the shells at
     delta and delta / 2; a row without horizon runs to the plan's."""
-    rows = []
+    rows, cells = [], []
     for eps, tau, delta in cert["delta_table"].rows():
         if delta <= 0.0:
             out.notes.append(f"empty delta at eps={eps:g}; row skipped")
             continue
-        horizon = tau if tau is not None else plan.horizon
-        rows.extend((eps, horizon, data) for data in _delta_shells(ps, delta))
-    return rows
+        rows.append((eps, tau if tau is not None else plan.horizon))
+        cells.extend(_delta_cells(ps, delta))
+    shells = ps.shells(cells)
+    return [(eps, horizon, data) for (eps, horizon), a, b in zip(rows, shells[::2], shells[1::2])
+            for data in a + b]
 
 
-def _delta_shells(ps: ProbeSet, delta: float):
-    """Probes of the shells at delta and then delta / 2, with input norm up
-    to the shell radius (and the plan's s_max); the second shell is only
-    simulated once the first has been consumed."""
-    for r in (delta, delta * 0.5):
-        yield from ps.shell(r, min(r, ps.plan.s_max) if ps.sys.input_dim else 0.0)
+def _delta_cells(ps: ProbeSet, delta: float) -> list[tuple]:
+    """The (r, s) cells of the shells at delta and delta / 2, with input
+    norm up to the shell radius (and the plan's s_max)."""
+    return [(r, min(r, ps.plan.s_max) if ps.sys.input_dim else 0.0)
+            for r in (delta, delta * 0.5)]
 
 
 # property -> (probe source, checker): the one place that decides which
@@ -1395,7 +1415,7 @@ def estimate_tau(sys: SystemModel, eps: float, r: float, s: float, mode: str,
     trajectory never satisfies the bound within the horizon.
     """
     ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
-    return _shell_tau(ps.shell(r, s), eps, mode, gamma_ref)
+    return _shell_tau(ps.shells([(r, s)])[0], eps, mode, gamma_ref)
 
 
 def build_tau_table(sys: SystemModel, plan: SamplingPlan, mode: str,
@@ -1406,26 +1426,13 @@ def build_tau_table(sys: SystemModel, plan: SamplingPlan, mode: str,
     ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
     eps_grid = tuple(eps_grid if eps_grid is not None else plan.eps_grid)
     r_grid = tuple(r_grid if r_grid is not None else plan.radii)
+    s_levels = tuple(s_grid) if s_grid is not None else (0.0,) + tuple(plan.input_norms)
+    shells = ps.shells([(r, s) for r in r_grid for s in s_levels], by_output=over_initial_output)
+    taus = [_shell_tau(shell, eps, mode, gamma_ref)[0] for eps in eps_grid for shell in shells]
+    vals = np.array([math.inf if tau is None else tau for tau in taus]).reshape(
+        len(eps_grid), len(r_grid), len(s_levels))
     if s_grid is None:
-        s_levels = (0.0,) + tuple(plan.input_norms)
-        collapse_s = True
-    else:
-        s_levels = tuple(s_grid)
-        collapse_s = False
-
-    def cell(eps, r, s):
-        shell = ps.initial_output_shell(r, s) if over_initial_output else ps.shell(r, s)
-        tau, _ = _shell_tau(shell, eps, mode, gamma_ref)
-        return math.inf if tau is None else tau
-
-    if collapse_s:
-        vals = np.array(
-            [[max(cell(e, r, s) for s in s_levels) for r in r_grid] for e in eps_grid]
-        )
-        return ConvergenceTimeTable(eps_grid, r_grid, None, vals, mode=mode)
-    vals = np.array(
-        [[[cell(e, r, s) for s in s_levels] for r in r_grid] for e in eps_grid]
-    )
+        return ConvergenceTimeTable(eps_grid, r_grid, None, vals.max(axis=2), mode=mode)
     return ConvergenceTimeTable(eps_grid, r_grid, s_levels, vals, mode=mode)
 
 
@@ -1493,10 +1500,11 @@ def _gain_envelope(pairs) -> ScalarFn:
     return cf.fit_monotone_envelope(sorted(samples.items()), force_zero_at_zero=True)
 
 
-def _residual_gain(datas, bound_fn) -> ScalarFn:
-    """Envelope of positive output residuals against the input norm."""
+def _residual_gain(prop: PropertyId, datas, bound_fn) -> ScalarFn:
+    """Envelope against the input norm of the positive residuals of the
+    series ``prop`` observes."""
     return _gain_envelope(
-        (data.probe.s, float(np.max(np.maximum(data.ynorm - bound_fn(data), 0.0))))
+        (data.probe.s, float(np.max(np.maximum(_observed(prop, data) - bound_fn(data), 0.0))))
         for data in datas)
 
 
@@ -1527,7 +1535,7 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
         )
 
     if prop == PropertyId.OULS and table_form:
-        table = _fit_delta_table(sys, plan, ps, with_tau=False)
+        table = _fit_delta_table(plan, ps, with_tau=False)
         return Certificate(prop, {"delta_table": table})
 
     if prop in (PropertyId.OUGS, PropertyId.OULS, PropertyId.OUGB,
@@ -1542,7 +1550,7 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
             force_zero_at_zero=True,
         )
         gamma = _residual_gain(
-            pool, lambda d: np.full_like(d.ynorm, float(sigma(_initial(prop, d)))))
+            prop, pool, lambda d: np.full_like(d.ynorm, float(sigma(_initial(prop, d)))))
         params = {"sigma": sigma, "gamma": gamma}
         if local:
             params["radius"] = radius
@@ -1566,8 +1574,7 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
 
     if prop in (PropertyId.IOS, PropertyId.ISS, PropertyId.OCAG, PropertyId.IOPS,
                 PropertyId.IOSS):
-        series = (lambda d: d.xnorm) if prop in _OF_STATE else (lambda d: d.ynorm)
-        beta, sigma, a = _fit_separable_kl(zero_in, series, plan)
+        beta, sigma, a = _fit_separable_kl(zero_in, lambda d: _observed(prop, d), plan)
         if prop == PropertyId.IOSS:
             gamma2 = cf.identity()
             gamma1 = _gain_envelope(
@@ -1578,13 +1585,13 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
             params = {"beta": beta, "gamma1": gamma1, "gamma2": gamma2}
         else:
             params = {"beta": beta,
-                      "gamma": _residual_gain(live, lambda d: beta(d.probe.r, d.times))}
+                      "gamma": _residual_gain(prop, live, lambda d: beta(d.probe.r, d.times))}
             if prop in (PropertyId.OCAG, PropertyId.IOPS):
                 params["c"] = 0.0
         return Certificate(prop, params)
 
     if prop == PropertyId.OCEP:
-        table = _fit_delta_table(sys, plan, ps, with_tau=True)
+        table = _fit_delta_table(plan, ps, with_tau=True)
         return Certificate(prop, {"delta_table": table})
 
     if prop in (PropertyId.OUAG, PropertyId.OGUAG, PropertyId.OULIM,
@@ -1621,31 +1628,28 @@ def _fit_asymptotic_gain(datas, plan: SamplingPlan) -> ScalarFn:
     return _gain_envelope((s, float(np.max(tail))) for s, tail in tails if tail.size)
 
 
-def _fit_delta_table(sys: SystemModel, plan: SamplingPlan, ps: ProbeSet,
-                     with_tau: bool) -> DeltaTable:
-    tau_grid = plan.tau_grid() if with_tau else None
-    eps_grid = plan.eps_grid
-
-    def largest_delta(eps: float, horizon: float) -> float:
-        def ok(delta: float) -> bool:
-            return delta <= 0 or not any(
-                data.blown or data.ynorm[_sup_until(data, horizon)] > eps * 0.98
-                for data in _delta_shells(ps, delta))
-
-        hi = min(eps, max(plan.radii))
-        for _ in range(30):
-            if ok(hi):
-                break
-            hi *= 0.5
-            if hi < 1e-9:
-                return 0.0
-        return hi
-
-    if with_tau:
-        vals = np.array([[largest_delta(e, t) for t in tau_grid] for e in eps_grid])
-        return DeltaTable(eps_grid, tau_grid, vals)
-    vals = np.array([largest_delta(e, plan.horizon) for e in eps_grid])
-    return DeltaTable(eps_grid, None, vals)
+def _fit_delta_table(plan: SamplingPlan, ps: ProbeSet, with_tau: bool) -> DeltaTable:
+    """Largest delta per (eps, horizon) row: halve from min(eps, largest
+    radius) until no probe of the delta and delta / 2 shells blows up or
+    exceeds 0.98 eps up to the horizon.  The rows still halving are
+    requested together, one call per halving."""
+    horizons = plan.tau_grid() if with_tau else (plan.horizon,)
+    rows = [(eps, horizon) for eps in plan.eps_grid for horizon in horizons]
+    deltas = [min(eps, max(plan.radii)) for eps, _ in rows]
+    halving = [i for i, delta in enumerate(deltas) if delta > 0]
+    for _ in range(30):
+        if not halving:
+            break
+        shells = ps.shells([cell for i in halving for cell in _delta_cells(ps, deltas[i])])
+        failed = [i for i, a, b in zip(halving, shells[::2], shells[1::2]) if any(
+            data.blown or data.ynorm[_sup_until(data, rows[i][1])] > rows[i][0] * 0.98
+            for data in a + b)]
+        for i in failed:
+            deltas[i] = 0.0 if deltas[i] * 0.5 < 1e-9 else deltas[i] * 0.5
+        halving = [i for i in failed if deltas[i] > 0]
+    vals = np.array(deltas).reshape(len(plan.eps_grid), len(horizons))
+    return DeltaTable(plan.eps_grid, horizons if with_tau else None,
+                      vals if with_tau else vals[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -1660,19 +1664,15 @@ def build_reachability_bound(sys: SystemModel, plan: SamplingPlan,
     r_grid = tuple(plan.radii)
     s_grid = (0.0,) + tuple(plan.input_norms)
     t_grid = tuple(np.linspace(0.0, plan.horizon, 9)[1:])
-    values = np.zeros((len(r_grid), len(s_grid), len(t_grid)))
-    for i, r in enumerate(r_grid):
-        for j, s in enumerate(s_grid):
-            datas = (ps.initial_output_shell(r, s) if over_initial_output
-                     else ps.shell(r, s))
-            for k, t_cap in enumerate(t_grid):
-                worst = 0.0
-                for data in datas:
-                    if data.blown and data.traj.blow_up <= t_cap:
-                        worst = math.inf
-                        break
-                    worst = max(worst, float(data.ynorm[_sup_until(data, t_cap)]))
-                values[i, j, k] = worst
+
+    def worst(datas, t_cap):
+        sups = [math.inf if data.blown and data.traj.blow_up <= t_cap
+                else float(data.ynorm[_sup_until(data, t_cap)]) for data in datas]
+        return max(sups, default=0.0)
+
+    shells = ps.shells([(r, s) for r in r_grid for s in s_grid], by_output=over_initial_output)
+    values = np.array([[worst(datas, t_cap) for t_cap in t_grid] for datas in shells]).reshape(
+        len(r_grid), len(s_grid), len(t_grid))
     return ReachabilityBound(r_grid, s_grid, t_grid, values, over_initial_output)
 
 

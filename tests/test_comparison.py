@@ -391,3 +391,28 @@ def test_kl_roundtrip_bit_exact():
     back = cf.fn_from_dict(json.loads(text))
     assert back == beta
     assert back(2.0, 1.7) == beta(2.0, 1.7)
+
+
+@pytest.mark.parametrize(
+    "d,error",
+    [
+        ({"node": "scalar", "kind": "scale", "class": "Kinf", "param": -1.0}, DomainError),
+        ({"node": "scalar", "kind": "constant", "class": "Kinf", "param": 1.0}, ClassError),
+        ({"node": "scalar", "kind": "pwl", "class": "K", "knots": [0.0, 1.0],
+          "values": [0.0, -1.0]}, DomainError),
+        ({"node": "scalar", "kind": "cube", "class": "Kinf"}, DomainError),
+        ({"node": "scalar", "kind": "identity", "class": "strong"}, DomainError),
+        ({"node": "matrix", "kind": "identity", "class": "Kinf"}, DomainError),
+        ({"node": "kl", "kind": "kl_pw_exp", "knots": [0.0, 0.0], "param": math.e,
+          "fns": [{"node": "scalar", "kind": "identity", "class": "Kinf"}]}, DomainError),
+    ],
+)
+def test_from_dict_rejects_invalid_nodes(d, error):
+    with pytest.raises(error):
+        cf.fn_from_dict(d)
+
+
+def test_from_dict_keeps_a_weaker_stored_class():
+    d = cf.fn_to_dict(cf.scale(2.0)) | {"class": "K"}
+    back = cf.fn_from_dict(d)
+    assert back.fn_class == "K" and back(3.0) == 6.0

@@ -684,3 +684,56 @@ def test_falsify_refinement_scales_the_swept_input(lin_sys, lin_plan, monkeypatc
     # 18 rounds of at most x1.25 each from the largest swept norm
     assert verdict.witness and InputSignal.from_dict(verdict.witness.u).norm() <= \
         max(lin_plan.input_norms) * 1.25 ** 18
+
+
+def test_iss_estimate_fits_the_state_norm(lin_plan):
+    """ISS bounds |x|; with y = x / 10 a gain fitted on |y| is too small."""
+    sys = compile_system(parse_system("dim_x = 1\ndim_u = 1\ndx0 = -x0 + u0\ny0 = 0.1 * x0"))
+    ps = ProbeSet(sys, lin_plan)
+    cert = estimate_gain(sys, PropertyId.ISS, lin_plan, probe_set=ps)
+    assert verify(sys, cert, lin_plan, probe_set=ps).certified
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Row counts of the kernel calls the probe sets make."""
+    import ioslab.properties as props
+
+    calls = []
+    real = props.simulate_batch
+
+    def counting(sys, x0s, us, plan):
+        calls.append(len(us))
+        return real(sys, x0s, us, plan)
+
+    monkeypatch.setattr(props, "simulate_batch", counting)
+    return calls
+
+
+@pytest.mark.parametrize("by_output", [False, True])
+def test_reachability_bound_is_one_kernel_call(lin_sys, lin_plan, kernel_calls, by_output):
+    build_reachability_bound(lin_sys, lin_plan, over_initial_output=by_output,
+                             probe_set=ProbeSet(lin_sys, lin_plan))
+    assert len(kernel_calls) == 1
+
+
+@pytest.mark.parametrize("prop", [PropertyId.OCEP, PropertyId.OOULIM])
+def test_shell_sourced_verify_is_one_kernel_call(lin_sys, lin_plan, kernel_calls, prop):
+    """OCEP reads every row's delta and delta / 2 shells, OOULIM every
+    initial-output shell; each verify asks for them in one request."""
+    cert = estimate_gain(lin_sys, prop, lin_plan)
+    kernel_calls.clear()
+    verify(lin_sys, cert, lin_plan, probe_set=ProbeSet(lin_sys, lin_plan))
+    assert len(kernel_calls) == 1
+
+
+def test_shells_align_with_cells_and_keep_duplicates(lin_sys, lin_plan):
+    ps = ProbeSet(lin_sys, lin_plan)
+    cells = [(1.0, 0.5), (0.25, 0.0), (1.0, 0.5)]
+    shells = ps.shells(cells)
+    assert [len(s) for s in shells] == [6, 2, 6]
+    for (r, s), shell in zip(cells, shells):
+        assert all(d.probe.r == r and d.probe.s == pytest.approx(s) for d in shell)
+    assert [d.traj for d in shells[0]] == [d.traj for d in shells[2]]
+    for shell in ps.shells([(0.5, 2.0)], by_output=True):
+        assert shell and all(d.y0 <= 0.5 + 1e-12 for d in shell)
