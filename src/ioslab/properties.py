@@ -601,6 +601,9 @@ class SamplingPlan:
             raise DomainError("plan needs at least one radius shell")
         if not self.eps_grid:
             raise DomainError("plan needs a nonempty eps grid")
+        if not all(math.isfinite(x) for x in self.radii + self.eps_grid):
+            # the delta fit halves from min(eps, largest radius) to its floor
+            raise DomainError("plan radii and eps levels must be finite")
         if self.sim is None:
             object.__setattr__(self, "sim", SimPlan(self.horizon))
         elif abs(self.sim.horizon - self.horizon) > 1e-12:
@@ -1631,22 +1634,34 @@ def _fit_asymptotic_gain(datas, plan: SamplingPlan) -> ScalarFn:
 def _fit_delta_table(plan: SamplingPlan, ps: ProbeSet, with_tau: bool) -> DeltaTable:
     """Largest delta per (eps, horizon) row: halve from min(eps, largest
     radius) until no probe of the delta and delta / 2 shells blows up or
-    exceeds 0.98 eps up to the horizon.  The rows still halving are
-    requested together, one call per halving."""
+    exceeds 0.98 eps up to the horizon.  A row whose next halving would
+    drop below 1e-9 gets delta = 0 (an empty row), so every returned
+    delta was checked.
+
+    The rows still halving are requested together, with their shells at
+    delta, delta / 2 and delta / 4, so one kernel call decides two
+    halvings: a failed delta's delta / 2 shell is the next candidate's
+    delta shell."""
     horizons = plan.tau_grid() if with_tau else (plan.horizon,)
     rows = [(eps, horizon) for eps in plan.eps_grid for horizon in horizons]
     deltas = [min(eps, max(plan.radii)) for eps, _ in rows]
+
+    def fails(i, datas) -> bool:
+        eps, horizon = rows[i]
+        return any(data.blown or data.ynorm[_sup_until(data, horizon)] > eps * 0.98
+                   for data in datas)
+
+    def halve(i) -> bool:
+        deltas[i] = 0.0 if deltas[i] * 0.5 < 1e-9 else deltas[i] * 0.5
+        return deltas[i] > 0
+
     halving = [i for i, delta in enumerate(deltas) if delta > 0]
-    for _ in range(30):
-        if not halving:
-            break
-        shells = ps.shells([cell for i in halving for cell in _delta_cells(ps, deltas[i])])
-        failed = [i for i, a, b in zip(halving, shells[::2], shells[1::2]) if any(
-            data.blown or data.ynorm[_sup_until(data, rows[i][1])] > rows[i][0] * 0.98
-            for data in a + b)]
-        for i in failed:
-            deltas[i] = 0.0 if deltas[i] * 0.5 < 1e-9 else deltas[i] * 0.5
-        halving = [i for i in failed if deltas[i] > 0]
+    while halving:
+        shells = ps.shells([cell for i in halving for cell in
+                            _delta_cells(ps, deltas[i]) + _delta_cells(ps, deltas[i] * 0.5)[1:]])
+        # fail at delta, halve, fail at delta / 2, halve: still halving
+        halving = [i for i, a, b, c in zip(halving, shells[::3], shells[1::3], shells[2::3])
+                   if fails(i, a + b) and halve(i) and fails(i, b + c) and halve(i)]
     vals = np.array(deltas).reshape(len(plan.eps_grid), len(horizons))
     return DeltaTable(plan.eps_grid, horizons if with_tau else None,
                       vals if with_tau else vals[:, 0])

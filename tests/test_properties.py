@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ioslab import comparison as cf
-from ioslab.errors import BlowUpError, CertificateError, EstimationError
+from ioslab.errors import BlowUpError, CertificateError, DomainError, EstimationError
 from ioslab.properties import (
     Certificate,
     ConvergenceTimeTable,
@@ -737,3 +737,74 @@ def test_shells_align_with_cells_and_keep_duplicates(lin_sys, lin_plan):
     assert [d.traj for d in shells[0]] == [d.traj for d in shells[2]]
     for shell in ps.shells([(0.5, 2.0)], by_output=True):
         assert shell and all(d.y0 <= 0.5 + 1e-12 for d in shell)
+
+
+# ---------------------------------------------------------------------------
+# the delta fit
+# ---------------------------------------------------------------------------
+
+def _one_halving_per_call(plan, ps, with_tau):
+    """Reference delta fit: every still-failing row checks its delta and
+    delta / 2 shells, one kernel call per halving, down to the 1e-9 floor."""
+    import ioslab.properties as props
+
+    horizons = plan.tau_grid() if with_tau else (plan.horizon,)
+    rows = [(eps, horizon) for eps in plan.eps_grid for horizon in horizons]
+    deltas = [min(eps, max(plan.radii)) for eps, _ in rows]
+    halving = [i for i, delta in enumerate(deltas) if delta > 0]
+    while halving:
+        shells = ps.shells([cell for i in halving for cell in props._delta_cells(ps, deltas[i])])
+        failed = [i for i, a, b in zip(halving, shells[::2], shells[1::2]) if any(
+            data.blown or data.ynorm[props._sup_until(data, rows[i][1])] > rows[i][0] * 0.98
+            for data in a + b)]
+        for i in failed:
+            deltas[i] = 0.0 if deltas[i] * 0.5 < 1e-9 else deltas[i] * 0.5
+        halving = [i for i in failed if deltas[i] > 0]
+    vals = np.array(deltas).reshape(len(plan.eps_grid), len(horizons))
+    return DeltaTable(plan.eps_grid, horizons if with_tau else None,
+                      vals if with_tau else vals[:, 0])
+
+
+_UNSTABLE = "dim_x = 1\ndim_u = 0\ndx0 = x0\ny0 = x0"
+
+
+@pytest.mark.parametrize("zid", ["l2_blowup", "l2_timewarp", "lin_scalar", "rotation",
+                                 "sat_polar", "sin_output", "unstable"])
+def test_delta_fit_matches_one_halving_per_call(zid):
+    """Two halvings per kernel call keep every delta of the one-level loop;
+    on the unstable system the rows halve about twenty times before passing."""
+    from ioslab.properties import _fit_delta_table
+
+    if zid == "unstable":
+        sys, plan = compile_system(parse_system(_UNSTABLE)), get_entry("lin_scalar").default_plan()
+    else:
+        sys, plan = make_example(zid), get_entry(zid).default_plan()
+    ps = ProbeSet(sys, plan)
+    for with_tau in (False, True):
+        assert _fit_delta_table(plan, ps, with_tau) == _one_halving_per_call(plan, ps, with_tau)
+
+
+def test_ocep_estimate_is_one_kernel_call_on_cached_plan(lin_sys, lin_plan, kernel_calls):
+    ps = ProbeSet(lin_sys, lin_plan)
+    ps.all_data()
+    kernel_calls.clear()
+    estimate_gain(lin_sys, PropertyId.OCEP, lin_plan, probe_set=ps)
+    assert len(kernel_calls) == 1
+
+
+@pytest.mark.parametrize("prop, table_form", [(PropertyId.OCEP, False), (PropertyId.OULS, True)])
+def test_delta_estimates_are_checked_down_to_the_floor(prop, table_form):
+    """Under a constant drift every delta ball leaves eps = 2 within the
+    horizon, so the fit halves from delta = 2 to the 1e-9 floor: the row
+    comes back empty instead of holding a delta no shell was checked at."""
+    sys = compile_system(parse_system("dim_x = 1\ndim_u = 0\ndx0 = 1\ny0 = x0"))
+    plan = SamplingPlan(radii=(1.0, 4.0), input_norms=(), eps_grid=(2.0,), horizon=3.0)
+    cert = estimate_gain(sys, prop, plan, table_form=table_form)
+    verdict = verify(sys, cert, plan)
+    assert not verdict.falsified, verdict.min_slack
+
+
+@pytest.mark.parametrize("field", ["radii", "eps_grid"])
+def test_plan_rejects_non_finite_levels(field):
+    with pytest.raises(DomainError):
+        SamplingPlan(**{"radii": (1.0,), field: (math.inf,)})
