@@ -214,7 +214,10 @@ def _l2_rhs(n_coords: int):
         d = np.empty_like(x)
         d[..., 0] = -x[..., 0]
         xn = x[..., 1:]
-        d[..., 1:] = -xn + xn * xn * x[..., :1] - xn * np.abs(xn) - inv_n2 * xn ** 3
+        # xn ** 3 is NumPy's power (libm pow, about 80 ns per element); the
+        # square is formed once and serves both the x_0 x_n^2 and x_n^3 terms
+        xn2 = xn * xn
+        d[..., 1:] = -xn + xn2 * x[..., :1] - xn * np.abs(xn) - inv_n2 * (xn2 * xn)
         return d
 
     return rhs
