@@ -499,6 +499,11 @@ def fit_monotone_envelope(
     if len(rs) == 1:
         rs = [rs[0], rs[0] + 1.0]
         env = [env[0], env[0]]
+    elif not math.isfinite((env[-1] - env[-2]) / (rs[-1] - rs[-2])):
+        # a subnormal last gap overflows the slope the table extends with;
+        # a flat last segment keeps it finite (EPS_SLOPE keeps it increasing)
+        rs.append(rs[-1] + 1.0)
+        env.append(env[-1])
     table = ScalarFn("pwl", "increasing", knots=tuple(rs), values=tuple(env))
     out = add(table, scale(EPS_SLOPE))
     cls = "Kinf" if (force_zero_at_zero and rs[0] == 0.0 and env[0] == 0.0) else "increasing"

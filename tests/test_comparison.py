@@ -358,6 +358,18 @@ def test_envelope_domination_property(samples):
     assert np.all(np.diff(vals) > 0.0)
 
 
+def test_envelope_stays_finite_past_a_subnormal_last_gap():
+    """The last knots 5e-324 apart give an overflowing last-segment slope;
+    the envelope must stay finite and strictly increasing beyond them."""
+    samples = [(0.0, 0.0), (5e-324, 1.0)]
+    env = cf.fit_monotone_envelope(samples)
+    for r, v in samples:
+        assert env(r) >= v
+    vals = env(np.linspace(0, 60, 50))
+    assert np.all(np.isfinite(vals))
+    assert np.all(np.diff(vals) > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # serialisation
 # ---------------------------------------------------------------------------
