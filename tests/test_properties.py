@@ -765,9 +765,6 @@ def _one_halving_per_call(plan, ps, with_tau):
                       vals if with_tau else vals[:, 0])
 
 
-_UNSTABLE = "dim_x = 1\ndim_u = 0\ndx0 = x0\ny0 = x0"
-
-
 @pytest.mark.parametrize("zid", ["l2_blowup", "l2_timewarp", "lin_scalar", "rotation",
                                  "sat_polar", "sin_output", "unstable"])
 def test_delta_fit_matches_one_halving_per_call(zid):
@@ -776,7 +773,8 @@ def test_delta_fit_matches_one_halving_per_call(zid):
     from ioslab.properties import _fit_delta_table
 
     if zid == "unstable":
-        sys, plan = compile_system(parse_system(_UNSTABLE)), get_entry("lin_scalar").default_plan()
+        sys = compile_system(parse_system("dim_x = 1\ndim_u = 0\ndx0 = x0\ny0 = x0"))
+        plan = get_entry("lin_scalar").default_plan()
     else:
         sys, plan = make_example(zid), get_entry(zid).default_plan()
     ps = ProbeSet(sys, plan)
