@@ -89,7 +89,6 @@ _UNBOUNDED_PROBE = 1e18
 _UNBOUNDED_FLOOR = 1e6
 _LIMIT_PROBE_FACTOR = 40.0
 
-_K_FAMILY = ("K", "Kinf")
 _ZERO_AT_ZERO = ("K", "Kinf", "zero")
 _INCREASING_LIKE = ("K", "Kinf", "zero", "increasing")
 _DECREASING_LIKE = ("L", "decreasing", "zero", "constant")

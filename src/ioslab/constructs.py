@@ -157,7 +157,7 @@ def tau_bar(table: ConvergenceTimeTable, eps: float, r: float, s: float | None =
     if r <= 0:
         raise DomainError("radius must be positive")
     qs = np.linspace(r, 2.0 * r, points)
-    vals = [table.eval(eps, q) if s is None else table.eval(eps, q, s) for q in qs]
+    vals = [table.eval(eps, q, s) for q in qs]
     return float(np.trapezoid(vals, qs) / r)
 
 
@@ -240,13 +240,12 @@ def _level_knot_rows(table: ConvergenceTimeTable, eps0: ScalarFn) -> tuple[list,
     for r in table.r_grid:
         if r <= 0:
             continue
-        s = None if table.s_grid is None else r
         knots = [0.0]
         for n in range(1, 61):
             eps_n = math.exp(-n) * float(eps0(r))
             if eps_n < eps_min:
                 break
-            knots.append(max(table.eval(eps_n, r, s), knots[-1] + 1.0))
+            knots.append(max(table.eval(eps_n, r, r), knots[-1] + 1.0))
         if len(knots) < 2:
             knots.append(1.0)
         rows.append(knots)
@@ -421,8 +420,6 @@ def ocag_from_oguag(oguag: Certificate, ougb: Certificate):
     _expect(oguag, PropertyId.OGUAG, "first input")
     _expect(ougb, PropertyId.OUGB, "second input")
     table: ConvergenceTimeTable = oguag["tau_table"]
-    if table.s_grid is not None:
-        raise CertificateError("input-global table must be indexed by (eps, r)")
     sigma = ougb["sigma"]
     c = ougb["c"]
     gamma = _merge_gains(oguag["gamma"], ougb["gamma"])
@@ -563,7 +560,7 @@ def ouls_from_ouag_ocep(ouag: Certificate, ocep: Certificate):
     delta_table: DeltaTable = ocep["delta_table"]
     eps_grid, deltas = [], []
     for eps in delta_table.eps_grid:
-        big_t = table.eval(eps / 2.0, 1.0, 1.0 if table.s_grid is not None else None)
+        big_t = table.eval(eps / 2.0, 1.0, 1.0)
         delta = delta_table.eval(eps, big_t)
         eps_grid.append(eps)
         deltas.append(min(delta, 1.0, cf.invert(gamma, eps / 2.0)))

@@ -63,6 +63,7 @@ import numpy as np
 from . import comparison as cf
 from .comparison import KLFn, ScalarFn
 from .errors import (
+    BlowUpError,
     CertificateError,
     DomainError,
     EstimationError,
@@ -130,38 +131,73 @@ _OF_STATE = frozenset({PropertyId.ISS, PropertyId.IOSS})
 # tables
 # ---------------------------------------------------------------------------
 
-def _snap_up(grid, x, name: str) -> int:
-    """Index of the smallest grid point at or above x; the tabulated claim
-    at that point covers the whole ball below it."""
-    grid = np.asarray(grid)
-    idx = int(np.searchsorted(grid, x - 1e-12, side="left"))
-    if idx >= len(grid):
-        raise TableGapError(f"{name} query {x:g} beyond table axis end {grid[-1]:g}")
-    return idx
-
-
-def _snap_down(grid, x, name: str) -> int:
-    """Index of the largest grid point at or below x; used for level axes
-    where the claim at a tighter level implies the queried one."""
-    grid = np.asarray(grid)
-    idx = int(np.searchsorted(grid, x + 1e-12, side="right")) - 1
-    if idx < 0:
-        raise TableGapError(f"{name} query {x:g} below table axis start {grid[0]:g}")
-    return idx
-
-
-def _cell_value(values, idx) -> float:
-    v = float(values[idx])
-    if not np.isfinite(v):
-        raise TableGapError(f"table cell {idx} is unavailable (inconclusive fit)")
-    return v
+_BALL, _LEVEL = "ball", "level"
 
 
 class _GridTable:
-    """Equality, hash and dict round trip of a frozen grid table, read off
-    its dataclass fields: arrays compare with ``np.array_equal`` and hash by
-    their bytes, grids serialise as lists (or None), and a field missing
-    from a dict takes its default."""
+    """A frozen table of monotone data over ball and level axes, with one
+    lookup rule.  A ball axis (r, s, a horizon) snaps a query up to the next
+    grid point, whose entry covers the whole ball below it; a level axis
+    (eps) snaps down to the next tighter level, whose claim implies the
+    queried one.  Raw values are rectified on construction so that each
+    cell holds the worse (``_worse``) of itself and every cell it answers
+    for.  Queries beyond the grids and non-finite cells raise
+    ``TableGapError``: constructions built from a table are only valid
+    inside the certified region.
+
+    A subclass declares ``_axes``, its (grid field, ``_BALL`` or ``_LEVEL``)
+    pairs in value order, and ``_worse``.  A grid may be None: a lookup
+    then ignores that axis's coordinate.  Equality, hash and dict round
+    trip are read off the dataclass fields: arrays compare with
+    ``np.array_equal`` and hash by their bytes, grids serialise as lists
+    (or None), and a field missing from a dict takes its default.
+    """
+
+    def __post_init__(self):
+        present = [(k, field, kind) for k, (field, kind) in enumerate(self._axes)
+                   if getattr(self, field) is not None]
+        vals = np.array(self.values, dtype=float)
+        expected = tuple(len(getattr(self, field)) for _, field, _ in present)
+        if vals.shape != expected:
+            raise DomainError(f"table shape {vals.shape} does not match grids {expected}")
+        lookup = []
+        for axis, (k, field, kind) in enumerate(present):
+            # rectify toward the worse neighbour: from small grid values to
+            # large on a ball axis, from large to small on a level axis
+            if kind == _BALL:
+                vals = self._worse.accumulate(vals, axis=axis)
+            else:
+                vals = np.flip(self._worse.accumulate(np.flip(vals, axis), axis=axis), axis)
+            grid = tuple(float(x) for x in getattr(self, field))
+            object.__setattr__(self, field, grid)
+            lookup.append((k, kind == _BALL, np.array(grid), field.removesuffix("_grid")))
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+        # kept outside the dataclass fields: equality, hash and dicts skip it
+        object.__setattr__(self, "_lookup_axes", tuple(lookup))
+
+    def _lookup(self, *coords) -> float:
+        """The rectified cell a query reads: one coordinate per declared axis."""
+        idx = []
+        for k, ball, grid, name in self._lookup_axes:
+            x = coords[k]
+            if x is None:
+                names = ", ".join(axis[3] for axis in self._lookup_axes)
+                raise DomainError(f"this table is indexed by ({names})")
+            if ball:
+                i = int(grid.searchsorted(x - 1e-12, side="left"))
+            else:
+                i = int(grid.searchsorted(x + 1e-12, side="right")) - 1
+            if not 0 <= i < len(grid):
+                raise TableGapError(f"{name} query {x:g} " + (
+                    f"beyond table axis end {grid[-1]:g}" if ball
+                    else f"below table axis start {grid[0]:g}"))
+            idx.append(i)
+        idx = tuple(idx)
+        v = float(self.values[idx])
+        if not math.isfinite(v):
+            raise TableGapError(f"table cell {idx} is unavailable (inconclusive fit)")
+        return v
 
     def _items(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
@@ -193,17 +229,10 @@ class _GridTable:
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceTimeTable(_GridTable):
-    """Tabulated convergence/visit times over (eps, r[, s]) grids.
-
-    Raw empirical tables are rectified before use: nonincreasing in eps,
-    nondecreasing in r and s.  Lookups honour the ball quantifiers of the
-    definitions: the radius axes snap up to the next tabulated shell (whose
-    entry covers the whole ball below it) and the level axis snaps down to
-    the next tighter tabulated level.  Queries beyond the grids raise
-    ``TableGapError`` because the constructions built from these tables are
-    only valid inside the certified region.  ``mode`` tags whether the time
-    bounds hold for all later times ("uag") or promise a visit no later than
-    the entry ("lim").
+    """Tabulated convergence/visit times over (eps, r[, s]) grids: eps is a
+    level axis, r and s are ball axes, and the worse time is the larger.
+    ``mode`` tags whether the time bounds hold for all later times ("uag")
+    or promise a visit no later than the entry ("lim").
     """
 
     eps_grid: tuple
@@ -212,88 +241,52 @@ class ConvergenceTimeTable(_GridTable):
     values: np.ndarray
     mode: str = "uag"
 
+    _axes = (("eps_grid", _LEVEL), ("r_grid", _BALL), ("s_grid", _BALL))
+    _worse = np.maximum
+
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        expected = (len(self.eps_grid), len(self.r_grid)) + (
-            (len(self.s_grid),) if self.s_grid is not None else ()
-        )
-        if vals.shape != expected:
-            raise DomainError(f"table shape {vals.shape} does not match grids {expected}")
-        # rectify: worst-case (max) over all looser cells
-        vals = np.maximum.accumulate(vals[::-1], axis=0)[::-1]  # nonincreasing in eps
-        vals = np.maximum.accumulate(vals, axis=1)  # nondecreasing in r
-        if self.s_grid is not None:
-            vals = np.maximum.accumulate(vals, axis=2)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "eps_grid", tuple(float(x) for x in self.eps_grid))
-        object.__setattr__(self, "r_grid", tuple(float(x) for x in self.r_grid))
-        if self.s_grid is not None:
-            object.__setattr__(self, "s_grid", tuple(float(x) for x in self.s_grid))
+        super().__post_init__()
         if self.mode not in ("uag", "lim"):
             raise DomainError("table mode must be 'uag' or 'lim'")
 
     def eval(self, eps: float, r: float, s: float | None = None) -> float:
-        idx = (_snap_down(self.eps_grid, eps, "eps"), _snap_up(self.r_grid, r, "r"))
-        if self.s_grid is not None:
-            if s is None:
-                raise DomainError("this table is indexed by (eps, r, s)")
-            idx = idx + (_snap_up(self.s_grid, s, "s"),)
-        return _cell_value(self.values, idx)
+        return self._lookup(eps, r, s)
 
 
 @dataclass(frozen=True, eq=False)
 class DeltaTable(_GridTable):
-    """Continuity table: delta levels per (eps[, tau]) row.
-
-    Rectified so that delta is nondecreasing in eps and nonincreasing in
-    tau.  Used for the continuity-at-equilibrium property (with a tau axis)
-    and for the table flavour of uniform local stability (without one).
+    """Continuity table: delta levels per (eps[, tau]) row.  eps is a level
+    axis, the horizon tau a ball axis, and the worse delta is the smaller.
+    Used for the continuity-at-equilibrium property (with a tau axis) and
+    for the table flavour of uniform local stability (without one).
     """
 
     eps_grid: tuple
     tau_grid: Optional[tuple]
     values: np.ndarray
 
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        expected = (len(self.eps_grid),) + ((len(self.tau_grid),) if self.tau_grid is not None else ())
-        if vals.shape != expected:
-            raise DomainError(f"delta table shape {vals.shape} does not match grids {expected}")
-        vals = np.minimum.accumulate(vals[::-1], axis=0)[::-1]  # nondecreasing in eps
-        if self.tau_grid is not None:
-            vals = np.minimum.accumulate(vals, axis=1)  # nonincreasing in tau
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "eps_grid", tuple(float(x) for x in self.eps_grid))
-        if self.tau_grid is not None:
-            object.__setattr__(self, "tau_grid", tuple(float(x) for x in self.tau_grid))
+    _axes = (("eps_grid", _LEVEL), ("tau_grid", _BALL))
+    _worse = np.minimum
 
     def rows(self):
-        if self.tau_grid is None:
-            for i, eps in enumerate(self.eps_grid):
-                yield eps, None, float(self.values[i])
-        else:
-            for i, eps in enumerate(self.eps_grid):
-                for j, tau in enumerate(self.tau_grid):
-                    yield eps, tau, float(self.values[i, j])
+        taus = self.tau_grid if self.tau_grid is not None else (None,)
+        vals = self.values.reshape(len(self.eps_grid), len(taus))
+        for i, eps in enumerate(self.eps_grid):
+            for j, tau in enumerate(taus):
+                yield eps, tau, float(vals[i, j])
 
     def eval(self, eps: float, tau: float | None = None) -> float:
-        idx = (_snap_down(self.eps_grid, eps, "eps"),)
-        if self.tau_grid is not None:
-            if tau is None:
-                raise DomainError("this table is indexed by (eps, tau)")
-            idx = idx + (_snap_up(self.tau_grid, tau, "tau"),)
-        return _cell_value(self.values, idx)
+        return self._lookup(eps, tau)
 
 
 @dataclass(frozen=True, eq=False)
 class ReachabilityBound(_GridTable):
-    """Empirical sup-output table over (r, s, t), rectified monotone.
+    """Empirical sup-output table over (r, s, t): three ball axes, and the
+    worse bound is the larger.
 
     ``over_initial_output`` switches the first axis from initial-state norm
     shells to initial-output norm shells.  Unbounded cells (blow-ups) are
-    +inf and poison any interpolation touching them.
+    +inf and poison any lookup touching them.
     """
 
     r_grid: tuple
@@ -302,27 +295,12 @@ class ReachabilityBound(_GridTable):
     values: np.ndarray
     over_initial_output: bool = False
 
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        expected = (len(self.r_grid), len(self.s_grid), len(self.t_grid))
-        if vals.shape != expected:
-            raise DomainError(f"bound table shape {vals.shape} does not match grids {expected}")
-        for axis in range(3):
-            vals = np.maximum.accumulate(vals, axis=axis)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "r_grid", tuple(float(x) for x in self.r_grid))
-        object.__setattr__(self, "s_grid", tuple(float(x) for x in self.s_grid))
-        object.__setattr__(self, "t_grid", tuple(float(x) for x in self.t_grid))
+    _axes = (("r_grid", _BALL), ("s_grid", _BALL), ("t_grid", _BALL))
+    _worse = np.maximum
 
     def eval(self, r: float, s: float, t: float) -> float:
         try:
-            idx = (
-                _snap_up(self.r_grid, r, "r"),
-                _snap_up(self.s_grid, s, "s"),
-                _snap_up(self.t_grid, t, "t"),
-            )
-            return _cell_value(self.values, idx)
+            return self._lookup(r, s, t)
         except TableGapError as exc:
             raise TableGapError(f"bound table cell ({r:g}, {s:g}, {t:g}): {exc}") from None
 
@@ -361,10 +339,19 @@ _PARAM_CHECKS = {
     "const": (lambda v: isinstance(v, (int, float)) and v >= 0, "a nonnegative number"),
     "pos": (lambda v: isinstance(v, (int, float)) and v > 0, "a positive number"),
     "tau_table": (lambda v: isinstance(v, ConvergenceTimeTable), "a convergence-time table"),
+    "tau_table_r": (lambda v: isinstance(v, ConvergenceTimeTable) and v.s_grid is None,
+                    "a convergence-time table over (eps, r)"),
     "delta_table": (lambda v: isinstance(v, DeltaTable), "a delta table"),
 }
 
-_SCHEMAS: dict[PropertyId, dict] = {
+# the tables a certificate can hold, by their kind tag in a certificate dict
+_TABLE_KINDS = {"tau": ConvergenceTimeTable, "delta": DeltaTable}
+
+# property -> its parameter types; a type ending in "?" marks an optional
+# parameter.  OULS has a function form and a table form: a certificate takes
+# the first form whose required parameters it gives (else the first form),
+# so a parameter of the other form is unexpected.
+_SCHEMAS: dict[PropertyId, dict | tuple] = {
     PropertyId.IOS: {"beta": "kl", "gamma": "gain"},
     PropertyId.ISS: {"beta": "kl", "gamma": "gain"},
     PropertyId.IOPS: {"beta": "kl", "gamma": "gain", "c": "const"},
@@ -378,21 +365,17 @@ _SCHEMAS: dict[PropertyId, dict] = {
     PropertyId.H_K_BOUNDED: {"sigma1": "k", "gamma1": "k"},
     PropertyId.BORS: {"radius": "pos", "horizon": "pos", "bound": "const"},
     PropertyId.OBORS: {"radius": "pos", "horizon": "pos", "bound": "const"},
+    PropertyId.OULS: ({"sigma": "gain", "gamma": "gain", "radius": "pos"},
+                      {"delta_table": "delta_table"}),
     PropertyId.OUAG: {"gamma": "gain", "tau_table": "tau_table"},
-    PropertyId.OGUAG: {"gamma": "gain", "tau_table": "tau_table"},
+    PropertyId.OGUAG: {"gamma": "gain", "tau_table": "tau_table_r", "s_max": "pos?"},
     PropertyId.OLIM: {"gamma": "gain"},
     PropertyId.OAG: {"gamma": "gain"},
     PropertyId.OULIM: {"gamma": "gain", "tau_table": "tau_table"},
-    PropertyId.OGULIM: {"gamma": "gain", "tau_table": "tau_table"},
+    PropertyId.OGULIM: {"gamma": "gain", "tau_table": "tau_table_r"},
     PropertyId.OOULIM: {"gamma": "gain", "tau_table": "tau_table"},
     PropertyId.IOSS: {"beta": "kl", "gamma1": "k", "gamma2": "k"},
     PropertyId.OCEP: {"delta_table": "delta_table"},
-}
-
-_OPTIONAL = {
-    PropertyId.OULS: {"sigma": "gain", "gamma": "gain", "radius": "pos",
-                      "delta_table": "delta_table"},
-    PropertyId.OGUAG: {"s_max": "pos"},
 }
 
 
@@ -458,23 +441,24 @@ class Certificate:
     def __post_init__(self):
         if self.property == PropertyId.FC:
             raise CertificateError("forward completeness has no bound-form certificate")
-        schema = dict(_SCHEMAS.get(self.property, {}))
-        optional = _OPTIONAL.get(self.property, {})
-        unknown = set(self.params) - set(schema) - set(optional)
+        forms = _SCHEMAS[self.property]
+        forms = forms if isinstance(forms, tuple) else (forms,)
+        schema = next((form for form in forms
+                       if all(name in self.params for name, typ in form.items()
+                              if not typ.endswith("?"))), forms[0])
+        unknown = set(self.params) - set(schema)
         if unknown:
             raise CertificateError(
                 f"{self.property.value}: unexpected parameters {sorted(unknown)}"
             )
-        if self.property == PropertyId.OULS:
-            self._validate_ouls()
-        else:
-            for name, typ in schema.items():
-                if name not in self.params:
-                    raise CertificateError(f"{self.property.value}: missing parameter {name!r}")
-                self._check(name, typ)
-            for name, typ in optional.items():
-                if name in self.params:
-                    self._check(name, typ)
+        for name, typ in schema.items():
+            if name in self.params:
+                pred, desc = _PARAM_CHECKS[typ.rstrip("?")]
+                if not pred(self.params[name]):
+                    raise CertificateError(
+                        f"{self.property.value}: parameter {name!r} must be {desc}")
+            elif not typ.endswith("?"):
+                raise CertificateError(f"{self.property.value}: missing parameter {name!r}")
         for name, value in self.params.items():
             if isinstance(value, KLFn):
                 r_grid, t_grid = _kl_check_grids(value)
@@ -485,23 +469,6 @@ class Certificate:
                         + "; ".join(problems)
                     )
 
-    def _validate_ouls(self):
-        if "delta_table" in self.params:
-            self._check("delta_table", "delta_table")
-        else:
-            for name, typ in (("sigma", "gain"), ("gamma", "gain"), ("radius", "pos")):
-                if name not in self.params:
-                    raise CertificateError(f"OULS: missing parameter {name!r}")
-                self._check(name, typ)
-
-    def _check(self, name: str, typ: str):
-        pred, desc = _PARAM_CHECKS[typ]
-        value = self.params[name]
-        if not pred(value):
-            raise CertificateError(
-                f"{self.property.value}: parameter {name!r} must be {desc}"
-            )
-
     def __getitem__(self, name: str):
         return self.params[name]
 
@@ -511,14 +478,11 @@ class Certificate:
     def to_dict(self) -> dict:
         out = {"schema": 1, "property": self.property.value, "params": {}}
         for name, value in self.params.items():
+            kind = next((k for k, cls in _TABLE_KINDS.items() if isinstance(value, cls)), None)
             if isinstance(value, (ScalarFn, KLFn)):
                 out["params"][name] = cf.fn_to_dict(value)
-            elif isinstance(value, ConvergenceTimeTable):
-                out["params"][name] = {"table": "tau", **value.to_dict()}
-            elif isinstance(value, DeltaTable):
-                out["params"][name] = {"table": "delta", **value.to_dict()}
-            elif isinstance(value, ReachabilityBound):
-                out["params"][name] = {"table": "mu", **value.to_dict()}
+            elif kind is not None:
+                out["params"][name] = {"table": kind, **value.to_dict()}
             else:
                 out["params"][name] = value
         return out
@@ -529,13 +493,9 @@ class Certificate:
         params = {}
         for name, value in d["params"].items():
             if isinstance(value, dict) and "table" in value:
-                kind = value["table"]
-                if kind == "tau":
-                    params[name] = ConvergenceTimeTable.from_dict(value)
-                elif kind == "delta":
-                    params[name] = DeltaTable.from_dict(value)
-                else:
-                    params[name] = ReachabilityBound.from_dict(value)
+                if value["table"] not in _TABLE_KINDS:
+                    raise DomainError(f"unknown table kind {value['table']!r}")
+                params[name] = _TABLE_KINDS[value["table"]].from_dict(value)
             elif isinstance(value, dict) and "kind" in value:
                 params[name] = cf.fn_from_dict(value)
             else:
@@ -1081,13 +1041,13 @@ def _check_sup_bound(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome
 def _check_uag(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     table: ConvergenceTimeTable = cert["tau_table"]
     gamma = cert["gamma"]
-    global_form = cert.property == PropertyId.OGUAG
+    late = []  # (eps, r, tau) per cell skipped because tau exceeds the horizon
 
     def sample(data, eps):
         r, s = _initial(cert.property, data), data.probe.s
-        tau = table.eval(eps, r) if global_form else table.eval(eps, r, s)
+        tau = table.eval(eps, r, s)
         if tau > plan.horizon + 1e-12:
-            out.notes.append(f"tau({eps:g}, {r:g}) exceeds the horizon; cell skipped")
+            late.append((eps, r, tau))
             return None
         mask = data.times >= tau - 1e-12
         if not np.any(mask):
@@ -1096,6 +1056,10 @@ def _check_uag(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
         return data.times[k], data.ynorm[k], eps + _gain_at(gamma, s)
 
     _sweep(cert, datas, table.eps_grid, sample, out)
+    if late:
+        eps, r, tau = late[0]
+        out.notes.append(f"{len(late)} cell(s) skipped where tau exceeds the horizon "
+                         f"(first tau({eps:g}, {r:g}) = {tau:g})")
 
 
 def _check_lim(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
@@ -1106,8 +1070,7 @@ def _check_lim(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
         if table is None:
             tau = plan.horizon
         else:
-            r = _initial(cert.property, data)
-            tau = table.eval(eps, r) if table.s_grid is None else table.eval(eps, r, data.probe.s)
+            tau = table.eval(eps, _initial(cert.property, data), data.probe.s)
         mask = data.times <= tau + 1e-12
         if not np.any(mask):
             return None
@@ -1431,6 +1394,13 @@ def build_tau_table(sys: SystemModel, plan: SamplingPlan, mode: str,
     r_grid = tuple(r_grid if r_grid is not None else plan.radii)
     s_levels = tuple(s_grid) if s_grid is not None else (0.0,) + tuple(plan.input_norms)
     shells = ps.shells([(r, s) for r in r_grid for s in s_levels], by_output=over_initial_output)
+    if over_initial_output:
+        # fit row r_y on every drawn probe, whichever shell drew it, whose own
+        # |y(0)| snaps up to r_y or below: the rows the check reads for it
+        n_s = len(s_levels)
+        drawn = [[data for shell in shells[k::n_s] for data in shell] for k in range(n_s)]
+        shells = [[data for data in drawn[k] if data.y0 - 1e-12 <= r]
+                  for r in r_grid for k in range(n_s)]
     taus = [_shell_tau(shell, eps, mode, gamma_ref)[0] for eps in eps_grid for shell in shells]
     vals = np.array([math.inf if tau is None else tau for tau in taus]).reshape(
         len(eps_grid), len(r_grid), len(s_levels))
@@ -1518,11 +1488,9 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
 
     The envelopes dominate every sample they were fitted to, so the result
     verifies on the same plan wherever the check reads the samples the fit
-    read.  OOULIM is the exception: its table is fitted on initial-output
-    shells, while the check looks each probe up by its own |y(0)|, so the
-    estimate can come back falsified.  Properties whose quantifiers cannot
-    be exhausted from bounded-horizon data (the per-trajectory visit
-    property over unbounded inputs) are rejected with ``EstimationError``.
+    read.  Properties whose quantifiers cannot be exhausted from
+    bounded-horizon data (the per-trajectory visit property over unbounded
+    inputs) are rejected with ``EstimationError``.
     """
     ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
     datas = ps.all_data()
@@ -1700,8 +1668,6 @@ def first_crossing_time(sys: SystemModel, x0, u: InputSignal, target_radius: flo
     """
     if target_radius <= 0:
         raise DomainError("target radius must be positive")
-    from .errors import BlowUpError
-
     traj = simulate(sys, np.asarray(x0, dtype=float), u, plan)
     ynorm = traj.output_norms()
     inside = ynorm < target_radius

@@ -101,10 +101,6 @@ class SimPlan:
         if self.method not in ("rk4", "euler"):
             raise DomainError("method must be 'rk4' or 'euler'")
 
-    def refined(self, levels: int = 1) -> "SimPlan":
-        return SimPlan(self.horizon, self.step / (2.0 ** levels), self.method,
-                       self.blow_up_threshold)
-
 
 @dataclass
 class Trajectory:

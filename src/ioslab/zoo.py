@@ -45,7 +45,7 @@ import numpy as np
 
 from . import comparison as cf
 from .errors import DomainError
-from .properties import Certificate, PropertyId, SamplingPlan
+from .properties import Certificate, ConvergenceTimeTable, PropertyId, SamplingPlan
 from .signals import InputSignal
 from .systems import SimPlan, SystemModel, full_state_wrap
 
@@ -290,8 +290,6 @@ def _lin_scalar() -> SystemModel:
 # ---------------------------------------------------------------------------
 
 def _tau_table_from_formula(eps_grid, r_grid, fn, s_grid=None):
-    from .properties import ConvergenceTimeTable
-
     eps_grid = tuple(eps_grid)
     r_grid = tuple(r_grid)
     if s_grid is None:

@@ -806,3 +806,29 @@ def test_delta_estimates_are_checked_down_to_the_floor(prop, table_form):
 def test_plan_rejects_non_finite_levels(field):
     with pytest.raises(DomainError):
         SamplingPlan(**{"radii": (1.0,), field: (math.inf,)})
+
+
+def test_ooulim_estimate_is_not_falsified_on_sat_polar():
+    """Each row of the OOULIM table is fitted on the probes whose own |y(0)|
+    the check looks up in that row, whichever shell drew them."""
+    sys, plan = make_example("sat_polar"), get_entry("sat_polar").default_plan()
+    ps = ProbeSet(sys, plan)
+    cert = estimate_gain(sys, PropertyId.OOULIM, plan, probe_set=ps)
+    assert not verify(sys, cert, plan, probe_set=ps).falsified
+
+
+def test_tau_beyond_the_horizon_is_one_counted_note(lin_sys, lin_plan):
+    """Every probe at the largest radius reads a tau past the horizon at
+    every level: one note counts the skipped cells and names the first."""
+    taus = [0.0] * (len(lin_plan.radii) - 1) + [2.0 * lin_plan.horizon]
+    table = ConvergenceTimeTable(lin_plan.eps_grid, lin_plan.radii, None,
+                                 np.array([taus] * len(lin_plan.eps_grid)))
+    cert = Certificate(PropertyId.OUAG, {"gamma": cf.identity(), "tau_table": table})
+    verdict = verify(lin_sys, cert, lin_plan)
+    top = max(lin_plan.radii)
+    skipped = len(lin_plan.eps_grid) * sum(
+        p.r == top for p in ProbeSet(lin_sys, lin_plan).probes)
+    assert skipped > 1
+    assert [note for note in verdict.notes if "horizon" in note] == [
+        f"{skipped} cell(s) skipped where tau exceeds the horizon "
+        f"(first tau({lin_plan.eps_grid[0]:g}, {top:g}) = {2.0 * lin_plan.horizon:g})"]
