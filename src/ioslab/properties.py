@@ -1395,8 +1395,8 @@ def build_tau_table(sys: SystemModel, plan: SamplingPlan, mode: str,
     s_levels = tuple(s_grid) if s_grid is not None else (0.0,) + tuple(plan.input_norms)
     shells = ps.shells([(r, s) for r in r_grid for s in s_levels], by_output=over_initial_output)
     if over_initial_output:
-        # fit row r_y on every drawn probe, whichever shell drew it, whose own
-        # |y(0)| snaps up to r_y or below: the rows the check reads for it
+        # the check reads a probe in the row its own |y(0)| snaps up to, so row
+        # r_y is fitted on every drawn probe, from any shell, that snaps to r_y or below
         n_s = len(s_levels)
         drawn = [[data for shell in shells[k::n_s] for data in shell] for k in range(n_s)]
         shells = [[data for data in drawn[k] if data.y0 - 1e-12 <= r]
