@@ -17,14 +17,23 @@ leading batch axes (index a coordinate as ``x[..., i]``, reduce over
 ``axis=-1``) and act on each row alone.  The kernel re-evaluates them on
 single rows once per call and raises ``DomainError`` where a batched row
 differs, since a scalar-style ``np.array([-x[0] + u[0]])`` would otherwise
-give every row the first row's derivative.
+give every row the first row's derivative.  ``rhs`` and ``state_norm`` may be
+called on non-finite or huge rows and must not raise on them.
 
-Blow-up handling: when the state norm crosses ``blow_up_threshold`` (or the
-state stops being finite while already large) the trajectory is truncated
-and stamped with the crossing time.  This is the finite-horizon stand-in for
-a finite maximal existence time, and property checkers treat it as evidence
-against forward completeness at that sample.  A NaN/Inf right-hand side at
-moderate state norms is a genuine integration error instead.
+Blow-up handling: the kernel steps in chunks of ``_CHUNK`` lockstep steps,
+each ending no later than the earliest active row's grid end, and reads the
+guard once per chunk on the states it stored.  For each row, the first step
+in the chunk whose state is non-finite or has norm above
+``blow_up_threshold`` decides: the trajectory is truncated there and stamped
+with that step's grid time, and a non-finite step stores the previous state.
+This is the finite-horizon stand-in for a finite maximal existence time, and
+property checkers treat it as evidence against forward completeness at that
+sample.  A non-finite step taken from a state of norm below 1e3 is a genuine
+integration error instead: ``IntegrationError`` names the start time of the
+earliest such step (the lowest row first).  A row that stops mid-chunk runs
+on until the chunk ends, under ``np.errstate(all="ignore")``, and those
+states are discarded; so a row's trajectory is the same whichever rows share
+its block.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ from .signals import InputSignal
 
 __all__ = ["SystemModel", "SimPlan", "Trajectory", "AxiomReport", "simulate", "simulate_batch",
            "check_axioms", "full_state_wrap"]
+
+_CHUNK = 32  # lockstep steps between two reads of the blow-up guard
 
 
 def _euclidean(x: np.ndarray) -> np.ndarray:
@@ -206,61 +217,35 @@ def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[Trajectory]
     _batched(sys, "rhs", sys.rhs, (x0s, u_vals[:, 0]), x0s.shape)
     _batched(sys, "state_norm", sys.state_norm, (x0s,), (len(us),))
 
-    # time-major copies, so that a step reads one contiguous (P, .) slice
+    # time-major copies, so that a chunk reads contiguous (steps, P, .) slices;
+    # the RK4 step constants 0.5 * h and h / 6 are formed once per call
     u_steps = np.ascontiguousarray(u_vals.transpose(1, 0, 2))
-    h_steps = np.ascontiguousarray(np.diff(times, axis=1).T)[..., None]
+    h = np.ascontiguousarray(np.diff(times, axis=1).T)[..., None]
+    h_consts = (0.5 * h, h, h / 6.0)
     states = np.empty((len(us), width, sys.state_dim))
     states[:, 0] = x0s
     ends = lengths.copy()
     blow_up = [None] * len(us)
-    threshold = plan.blow_up_threshold
-    rhs = sys.rhs
-    discrete = sys.time_set == "discrete"
-    rk4 = plan.method == "rk4"
     rows = np.flatnonzero(lengths > 1)  # the active rows
-    sel = slice(None) if rows.size == len(us) else rows
-    next_end = lengths[rows].min(initial=width)
     x = x0s[rows]
-    for k in range(width - 1):
-        uv = u_steps[k, sel]
-        if discrete:
-            x_new = np.broadcast_to(np.asarray(rhs(x, uv), dtype=float), x.shape)
-        else:
-            h = h_steps[k, sel]
-            k1 = rhs(x, uv)
-            if rk4:
-                k2 = rhs(x + (0.5 * h) * k1, uv)
-                k3 = rhs(x + (0.5 * h) * k2, uv)
-                k4 = rhs(x + h * k3, uv)
-                x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            else:
-                x_new = x + h * k1
-        finite = None
-        if not np.isfinite(x_new).all():
-            finite = np.isfinite(x_new).all(axis=-1)
-            moderate = np.flatnonzero(~finite)[sys.state_norm(x[~finite]) < 1e3]
-            if moderate.size:
-                raise IntegrationError(
-                    f"{sys.name}: non-finite right-hand side at t = "
-                    f"{times[rows[moderate[0]], k]:g} with moderate state"
-                )
-            x_new = np.where(finite[:, None], x_new, x)
-        states[sel, k + 1] = x_new
-        stop = sys.state_norm(x_new) > threshold
-        if finite is not None:
-            stop |= ~finite
-        if k + 2 < next_end and not stop.any():
-            x = x_new
-            continue
-        for i in rows[stop]:
-            blow_up[i] = float(times[i, k + 1])
-        ends[rows[stop]] = k + 2
-        keep = ~stop & (lengths[rows] > k + 2)
-        rows = sel = rows[keep]
-        if rows.size == 0:
-            break
-        x = x_new[keep]
-        next_end = lengths[rows].min()
+    k = 0
+    # a row that stops mid-chunk runs on, on possibly non-finite states, until
+    # the chunk ends; those states are discarded
+    with np.errstate(all="ignore"):
+        while rows.size:
+            # steps k .. end - 1, the chunk ending no later than an active row's grid
+            end = min(k + _CHUNK, int(lengths[rows].min()) - 1)
+            sel = slice(None) if rows.size == len(us) else rows
+            block = _steps(sys, plan.method, x, u_steps[k:end, sel],
+                           *(c[k:end, sel] for c in h_consts))
+            live = lengths[rows] > end + 1
+            for r, j in _guard(sys, plan.blow_up_threshold, x, block, times, rows, k):
+                i = rows[r]
+                blow_up[i] = float(times[i, k + j + 1])
+                ends[i] = k + j + 2
+                live[r] = False
+            states[sel, k + 1:end + 1] = block.swapaxes(0, 1)
+            rows, x, k = rows[live], block[-1, live], end
 
     out = []
     for i in range(len(us)):
@@ -271,6 +256,53 @@ def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[Trajectory]
         out.append(Trajectory(times[i, :n_pts], x_i, y_i, u_i, blow_up[i], plan.step,
                               plan.method))
     return out
+
+
+def _steps(sys: SystemModel, method: str, x, u_chunk, half_h, h, sixth_h) -> np.ndarray:
+    """The states after each step of a chunk from the states x, shape (steps, P, n)."""
+    block = np.empty((len(u_chunk),) + x.shape)
+    rhs = sys.rhs
+    if sys.time_set == "discrete":
+        for j, uv in enumerate(u_chunk):
+            block[j] = rhs(x, uv)
+            x = block[j]
+    elif method == "rk4":
+        for j, (uv, a, b, c) in enumerate(zip(u_chunk, half_h, h, sixth_h)):
+            k1 = rhs(x, uv)
+            k2 = rhs(x + a * k1, uv)
+            k3 = rhs(x + a * k2, uv)
+            k4 = rhs(x + b * k3, uv)
+            x = block[j] = x + c * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    else:
+        for j, (uv, b) in enumerate(zip(u_chunk, h)):
+            x = block[j] = x + b * rhs(x, uv)
+    return block
+
+
+def _guard(sys: SystemModel, threshold: float, x, block, times, rows, k) -> list:
+    """(r, j) for each row r of the chunk that stops, j its first step (k + j
+    overall) to a non-finite state or a norm above the threshold.
+
+    block[j] holds the states after step k + j from the states x.  A
+    non-finite state is replaced in block by the state before it.
+    """
+    finite = np.isfinite(block).all(axis=-1)
+    stop = ~finite | (sys.state_norm(block) > threshold)
+    if not stop.any():
+        return []
+    hits, errors = [], []
+    for r in np.flatnonzero(stop.any(axis=0)):
+        j = int(stop[:, r].argmax())
+        if not finite[j, r]:
+            block[j, r] = block[j - 1, r] if j else x[r]
+            if sys.state_norm(block[j, r]) < 1e3:
+                errors.append((j, r))  # the earliest step raises, the lowest row first
+        hits.append((r, j))
+    if errors:
+        j, r = min(errors)
+        raise IntegrationError(f"{sys.name}: non-finite right-hand side at t = "
+                               f"{times[rows[r], k + j]:g} with moderate state")
+    return hits
 
 
 def _batched(sys: SystemModel, name: str, fn, args, shape, check: bool = True) -> np.ndarray:

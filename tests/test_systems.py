@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ioslab.errors import DomainError
+from ioslab.errors import DomainError, IntegrationError
 from ioslab.signals import InputSignal
-from ioslab.systems import (SimPlan, SystemModel, _time_grid, check_axioms, full_state_wrap,
-                            simulate, simulate_batch)
+from ioslab.systems import (_CHUNK, SimPlan, SystemModel, _time_grid, check_axioms,
+                            full_state_wrap, simulate, simulate_batch)
 from ioslab.zoo import blowup_seed_state, make_example, zoo_ids
 
 
@@ -309,3 +310,119 @@ def test_batch_rejects_scalar_style_rhs():
     with pytest.raises(DomainError, match="rows alone"):
         simulate_batch(sys, np.array([[1.0], [2.0]]), [InputSignal.zero(1)] * 2,
                        SimPlan(1.0, 1e-2))
+
+
+# ---------------------------------------------------------------------------
+# the blow-up guard, read once per chunk of lockstep steps
+# ---------------------------------------------------------------------------
+
+def _growth(time_set="continuous", rate=1.0):
+    """dx = rate * x, or the step map x -> rate * x: the norm grows every step."""
+    return SystemModel(name="growth", time_set=time_set, state_dim=1, input_dim=1,
+                       rhs=lambda x, u: rate * x, output=lambda x, u: x)
+
+
+def _crossing_threshold(sys, x0, u, plan, j):
+    """A threshold that x0's trajectory first crosses at grid index j."""
+    norms = np.abs(_reference_simulate(sys, x0, u, plan)[1][:, 0])
+    return 0.5 * (norms[j - 1] + norms[j])
+
+
+@pytest.mark.parametrize("edge", ["first step", "chunk end", "next chunk", "last step"])
+def test_guard_stamps_the_crossing_at_chunk_edges(edge):
+    sys, u, plan = _growth(), InputSignal.zero(1), SimPlan(3.0, 1e-2, blow_up_threshold=np.inf)
+    last = len(_time_grid(plan.horizon, plan.step, u.breakpoints)) - 1
+    j = {"first step": 1, "chunk end": _CHUNK, "next chunk": _CHUNK + 1, "last step": last}[edge]
+    threshold = _crossing_threshold(sys, [1.0], u, plan, j)
+    plan = SimPlan(3.0, 1e-2, blow_up_threshold=threshold)
+    # the second row never crosses
+    batch = _assert_batch_equals_rows(sys, np.array([[1.0], [1e-3]]), [u, u], plan)
+    assert batch[0].blow_up == batch[0].times[j] and len(batch[0].times) == j + 1
+    assert batch[1].blow_up is None and len(batch[1].times) == last + 1
+
+
+def test_guard_with_a_row_ending_mid_chunk():
+    sys = _growth()
+    plain = InputSignal.zero(1)
+    # five off-grid breakpoints: a grid five points longer than the plain one
+    cut = InputSignal.steps([0.0, 0.105, 0.215, 0.335, 0.455, 0.505], np.zeros((6, 1)))
+    plan = SimPlan(1.0, 1e-2, blow_up_threshold=np.inf)
+    plain_end = len(_time_grid(plan.horizon, plan.step, plain.breakpoints)) - 1
+    cut_end = len(_time_grid(plan.horizon, plan.step, cut.breakpoints)) - 1
+    assert plain_end % _CHUNK and cut_end == plain_end + 5
+    plan = SimPlan(1.0, 1e-2, blow_up_threshold=_crossing_threshold(sys, [1.0], cut, plan,
+                                                                     plain_end + 2))
+    # row 0 ends its grid mid-chunk; row 1 crosses before that end, row 2 after it
+    batch = _assert_batch_equals_rows(sys, np.array([[1e-3], [1.1], [1.0]]),
+                                      [plain, cut, cut], plan)
+    assert batch[0].blow_up is None and len(batch[0].times) == plain_end + 1
+    assert batch[1].blow_up is not None and len(batch[1].times) < plain_end + 1
+    assert batch[2].blow_up == batch[2].times[plain_end + 2]
+
+
+def test_guard_on_a_discrete_doubling_map():
+    sys, u = _growth("discrete", 2.0), InputSignal.zero(1)
+    plan = SimPlan(3 * _CHUNK, blow_up_threshold=1.5 * 2.0 ** (_CHUNK + 8))
+    batch = _assert_batch_equals_rows(sys, np.array([[1e-40], [1.0]]), [u, u], plan)
+    assert batch[0].blow_up is None
+    assert batch[1].blow_up == float(_CHUNK + 9)
+
+
+def _nan_from(level):
+    """dx = 1 while x < level, a NaN derivative from there on (no warnings)."""
+    return SystemModel(name="nan_from", time_set="continuous", state_dim=1, input_dim=1,
+                       rhs=lambda x, u: np.where(x < level, 1.0, np.nan),
+                       output=lambda x, u: x)
+
+
+def _reference_error_time(sys, x0, u, plan):
+    """Start time of the first reference RK4 step whose state is not finite."""
+    times = _time_grid(plan.horizon, plan.step, u.breakpoints)
+    x = np.asarray(x0, dtype=float)
+    for t0, t1 in zip(times[:-1], times[1:]):
+        h, uv = t1 - t0, u(t0)
+        k1 = sys.rhs(x, uv)
+        k2 = sys.rhs(x + (0.5 * h) * k1, uv)
+        k3 = sys.rhs(x + (0.5 * h) * k2, uv)
+        k4 = sys.rhs(x + h * k3, uv)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(x).all():
+            return t0
+    raise AssertionError("the reference stays finite")
+
+
+def _raises_at(t):
+    return pytest.raises(IntegrationError, match=re.escape(f"at t = {t:g} with moderate"))
+
+
+def test_nonfinite_step_from_a_moderate_state_raises():
+    sys, u, plan = _nan_from(1.0), InputSignal.zero(1), SimPlan(2.0, 1e-2)
+    t_first = _reference_error_time(sys, [0.0], u, plan)
+    t_later = _reference_error_time(sys, [-0.02], u, plan)
+    # both rows go non-finite in one chunk, the lower row later
+    assert t_first < t_later
+    assert round(t_first / plan.step) // _CHUNK == round(t_later / plan.step) // _CHUNK
+    with _raises_at(t_first):
+        simulate(sys, [0.0], u, plan)
+    with _raises_at(t_first):
+        simulate_batch(sys, np.array([[-50.0], [0.0]]), [u, u], plan)
+    with _raises_at(t_first):
+        simulate_batch(sys, np.array([[-0.02], [0.0]]), [u, u], plan)
+
+
+def test_nonfinite_step_from_a_large_state_freezes_and_stamps():
+    sys, u, plan = _nan_from(2e3), InputSignal.zero(1), SimPlan(2.0, 1e-2)
+    batch = _assert_batch_equals_rows(sys, np.array([[-50.0], [1999.95]]), [u, u], plan)
+    assert batch[0].blow_up is None
+    frozen = batch[1]
+    assert frozen.blow_up == frozen.times[-1] and len(frozen.times) < len(batch[0].times)
+    assert np.array_equal(frozen.states[-1], frozen.states[-2])
+
+
+@pytest.mark.parametrize("step", [0, _CHUNK])
+def test_nonfinite_first_step_of_a_chunk_raises(step):
+    sys, u, plan = _nan_from((step + 0.5) * 1e-2), InputSignal.zero(1), SimPlan(1.0, 1e-2)
+    t = _reference_error_time(sys, [0.0], u, plan)
+    assert t == _time_grid(plan.horizon, plan.step, u.breakpoints)[step]
+    with _raises_at(t):
+        simulate(sys, [0.0], u, plan)
