@@ -91,7 +91,6 @@ _LIMIT_PROBE_FACTOR = 40.0
 
 _ZERO_AT_ZERO = ("K", "Kinf", "zero")
 _INCREASING_LIKE = ("K", "Kinf", "zero", "increasing")
-_DECREASING_LIKE = ("L", "decreasing", "zero", "constant")
 
 
 def _as_nonneg(r):
@@ -296,16 +295,21 @@ def pwl(knots, values, fn_class: str | None = None) -> ScalarFn:
 # combination
 # ---------------------------------------------------------------------------
 
-def _merge_zero_at_zero(a: str, b: str) -> str:
-    if a in _ZERO_AT_ZERO and b in _ZERO_AT_ZERO:
-        return "Kinf" if "Kinf" in (a, b) else ("K" if "K" in (a, b) else "zero")
-    if a in _INCREASING_LIKE and b in _INCREASING_LIKE:
+def _merged_class(f: ScalarFn, g: ScalarFn, what: str) -> str:
+    """The class of ``what`` ("add", "take max of" or "take min of") on two
+    nonzero operands.  Two K operands stay K, and Kinf when one operand is
+    (both, for a min); increasing operands and constants stay increasing;
+    nonincreasing ones stay decreasing, L when both are L."""
+    a, b = f.fn_class, g.fn_class
+    pair = {a, b}
+    if pair <= {"K", "Kinf"}:
+        unbounded = pair == {"Kinf"} if what == "take min of" else "Kinf" in pair
+        return "Kinf" if unbounded else "K"
+    if pair <= {"K", "Kinf", "increasing", "constant"} and pair != {"constant"}:
         return "increasing"
-    if a in ("constant", "zero") and b in _INCREASING_LIKE:
-        return "increasing"
-    if b in ("constant", "zero") and a in _INCREASING_LIKE:
-        return "increasing"
-    return None
+    if pair <= {"L", "decreasing", "constant"}:
+        return "L" if pair == {"L"} else "decreasing"
+    raise ClassError(f"cannot {what} classes {a} and {b}")
 
 
 def add(f: ScalarFn, g: ScalarFn) -> ScalarFn:
@@ -313,13 +317,7 @@ def add(f: ScalarFn, g: ScalarFn) -> ScalarFn:
         return g
     if g.is_zero:
         return f
-    cls = _merge_zero_at_zero(f.fn_class, g.fn_class)
-    if cls is None:
-        if f.fn_class in _DECREASING_LIKE and g.fn_class in _DECREASING_LIKE:
-            cls = "L" if (f.fn_class, g.fn_class) == ("L", "L") else "decreasing"
-        else:
-            raise ClassError(f"cannot add classes {f.fn_class} and {g.fn_class}")
-    return ScalarFn("add", cls, children=(f, g))
+    return ScalarFn("add", _merged_class(f, g, "add"), children=(f, g))
 
 
 def fmax(f: ScalarFn, g: ScalarFn) -> ScalarFn:
@@ -327,27 +325,13 @@ def fmax(f: ScalarFn, g: ScalarFn) -> ScalarFn:
         return g
     if g.is_zero:
         return f
-    cls = _merge_zero_at_zero(f.fn_class, g.fn_class)
-    if cls is None:
-        if f.fn_class in _DECREASING_LIKE and g.fn_class in _DECREASING_LIKE:
-            cls = "L" if (f.fn_class, g.fn_class) == ("L", "L") else "decreasing"
-        else:
-            raise ClassError(f"cannot take max of classes {f.fn_class} and {g.fn_class}")
-    return ScalarFn("max", cls, children=(f, g))
+    return ScalarFn("max", _merged_class(f, g, "take max of"), children=(f, g))
 
 
 def fmin(f: ScalarFn, g: ScalarFn) -> ScalarFn:
     if f.is_zero or g.is_zero:
         return zero()
-    cls = _merge_zero_at_zero(f.fn_class, g.fn_class)
-    if cls == "Kinf" and not (f.fn_class == g.fn_class == "Kinf"):
-        cls = "K"  # min against a bounded operand loses unboundedness
-    if cls is None:
-        if f.fn_class in _DECREASING_LIKE and g.fn_class in _DECREASING_LIKE:
-            cls = "L" if (f.fn_class, g.fn_class) == ("L", "L") else "decreasing"
-        else:
-            raise ClassError(f"cannot take min of classes {f.fn_class} and {g.fn_class}")
-    return ScalarFn("min", cls, children=(f, g))
+    return ScalarFn("min", _merged_class(f, g, "take min of"), children=(f, g))
 
 
 def compose(f: ScalarFn, g: ScalarFn) -> ScalarFn:

@@ -147,8 +147,7 @@ def kl_at_zero(beta: KLFn) -> ScalarFn:
     raise DomainError(f"no zero-slice rule for KL node {k!r}")
 
 
-def tau_bar(table: ConvergenceTimeTable, eps: float, r: float, s: float | None = None,
-            points: int = 33) -> float:
+def tau_bar(table: ConvergenceTimeTable, eps: float, r: float, s: float | None = None) -> float:
     """Integral mean (1/r) int_r^2r tau(q) dq: a continuous majorant of tau.
 
     For any nondecreasing tau the mean over [r, 2r] dominates tau(r).
@@ -156,7 +155,7 @@ def tau_bar(table: ConvergenceTimeTable, eps: float, r: float, s: float | None =
     """
     if r <= 0:
         raise DomainError("radius must be positive")
-    qs = np.linspace(r, 2.0 * r, points)
+    qs = np.linspace(r, 2.0 * r, 33)
     vals = [table.eval(eps, q, s) for q in qs]
     return float(np.trapezoid(vals, qs) / r)
 
@@ -354,7 +353,7 @@ def ogulim_from_oulim(oulim: Certificate, hbound: Certificate):
         for j, r in enumerate(table.r_grid):
             big_r = cf.invert(gamma, float(sigma1(r)) + c)
             vals[i, j] = table.eval(eps, r, big_r)
-    gamma_tilde = cf.declare(cf.add(gamma, gamma1), "Kinf") if not gamma1.is_zero else gamma
+    gamma_tilde = cf.declare(cf.add(gamma, gamma1), "Kinf")
     out_table = ConvergenceTimeTable(table.eps_grid, table.r_grid, None, vals, mode="lim")
     cert = Certificate(PropertyId.OGULIM, {"gamma": gamma_tilde, "tau_table": out_table})
     record = ConstructionRecord(
@@ -525,15 +524,11 @@ def ios_from_oulim_ol(oulim: Certificate, ol: Certificate, hbound: Certificate):
     parts = cf.compose(sigma, cf.compose(two, sigma1))
     if not gamma1.is_zero:
         parts = cf.add(parts, cf.compose(sigma, cf.compose(two, gamma1)))
-    eps0 = cf.declare(cf.add(parts, gamma) if not gamma.is_zero else parts, "Kinf")
+    eps0 = cf.declare(cf.add(parts, gamma), "Kinf")
     sigma_tilde = cf.scale_arg(sigma, 2.0)
-    gamma_inner = cf.add(gamma, eps0) if not gamma.is_zero else eps0
-    gamma_tilde = cf.declare(
-        cf.add(cf.compose(sigma, cf.compose(two, gamma_inner)), gamma)
-        if not gamma.is_zero
-        else cf.compose(sigma, cf.compose(two, gamma_inner)),
-        "Kinf",
-    )
+    gamma_inner = cf.add(gamma, eps0)
+    gamma_tilde = cf.declare(cf.add(cf.compose(sigma, cf.compose(two, gamma_inner)), gamma),
+                             "Kinf")
     r_grid, rows = _level_knot_rows(table, eps0)
     if not rows:
         raise DomainError("visit table has no usable radius rows")
@@ -639,8 +634,7 @@ def ios_from_iss_kbounded(iss: Certificate, hbound: Certificate):
     beta = cf.kl_outer(cf.compose(sigma1, two), iss["beta"])
     gamma = iss["gamma"]
     g = cf.compose(sigma1, cf.compose(two, gamma)) if not gamma.is_zero else cf.zero()
-    if not gamma1.is_zero:
-        g = cf.add(g, gamma1) if not g.is_zero else gamma1
+    g = cf.add(g, gamma1)
     g = g if g.is_zero else cf.declare(g, "Kinf")
     cert = Certificate(PropertyId.IOS, {"beta": beta, "gamma": g})
     record = ConstructionRecord(

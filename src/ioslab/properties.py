@@ -24,6 +24,9 @@ time).  The quantifier patterns are:
   continuity tables   outputs from the tabulated ball must stay below the
                       row's level over the row's horizon (OCEP, table OULS)
 
+The window notions and the continuity tables share one rule: a trajectory
+that blows up inside the window is an unbounded sample there.
+
 Across quantifiers the notions differ on two axes, each decided by one set:
 ``_BY_OUTPUT`` holds the notions whose bound or table radius reads the
 initial output |y(0)| instead of |x0| (OL, local OL, OOUGB, OOULIM), and
@@ -503,10 +506,6 @@ class Certificate:
         return Certificate(prop, params)
 
 
-def _gain_at(gamma: ScalarFn, s: float) -> float:
-    return 0.0 if gamma.is_zero else float(gamma(s))
-
-
 # ---------------------------------------------------------------------------
 # sampling plans and probes
 # ---------------------------------------------------------------------------
@@ -535,7 +534,10 @@ class SamplingPlan:
 
     ``radii`` are the initial-state norm shells, ``input_norms`` the input
     sup-norm ladder (the zero input is always probed first), ``eps_grid``
-    the levels used by convergence/visit/continuity checks.  A fixed seed
+    the levels used by convergence/visit/continuity checks.  Each input
+    norm s is probed by one fixed family: the constant s, a step of height
+    s switched off at half the horizon, and a 4-piece piecewise-constant
+    input of sup norm s drawn from the seed.  A fixed seed
     makes the expansion fully deterministic; checks reduce their probe
     results order-independently (worst margin, ties broken by probe index),
     so concurrent evaluation cannot change a verdict.
@@ -547,8 +549,6 @@ class SamplingPlan:
     horizon: float = 15.0
     sim: SimPlan = None
     directions: int = 3
-    input_kinds: tuple = ("const", "step", "pw")
-    pw_pieces: int = 4
     seed: int = 2024
     delta_margin: float = 1e-4
 
@@ -584,11 +584,13 @@ class SamplingPlan:
             "eps_grid": list(self.eps_grid),
             "horizon": self.horizon,
             "step": self.sim.step,
-            "method": self.sim.method,
+            # the integrator and the input family are fixed; their keys keep
+            # plan_hash, and the plan_hash of every stored verdict, valid
+            "method": "rk4",
             "blow_up_threshold": self.sim.blow_up_threshold,
             "directions": self.directions,
-            "input_kinds": list(self.input_kinds),
-            "pw_pieces": self.pw_pieces,
+            "input_kinds": ["const", "step", "pw"],
+            "pw_pieces": _PW_PIECES,
             "seed": self.seed,
             "delta_margin": self.delta_margin,
         }
@@ -633,34 +635,28 @@ class ProbeData:
         return float(self.ynorm[0])
 
 
+_PW_PIECES = 4  # pieces of the seeded piecewise-constant probe input
+
+
 def _inputs_at_norm(plan: SamplingPlan, input_dim: int, s: float, seed_extra: int = 0):
-    """Input family at exactly sup norm s; constants first by construction."""
+    """Input family at exactly sup norm s: a constant, a step switched off at
+    half the horizon and a seeded piecewise-constant input, in that order."""
     if input_dim == 0 or s == 0.0:
         return [("zero", InputSignal.zero(input_dim))]
     e0 = np.zeros(input_dim)
     e0[0] = 1.0
-    out = []
-    if "const" in plan.input_kinds:
-        out.append((f"const[{s:g}]", InputSignal.constant(s * e0)))
-    if "step" in plan.input_kinds:
-        out.append(
-            (
-                f"step[{s:g}]",
-                InputSignal.steps(
-                    [0.0, 0.5 * plan.horizon], np.stack([s * e0, 0.0 * e0])
-                ),
-            )
-        )
-    if "pw" in plan.input_kinds:
-        rng = np.random.default_rng((plan.seed, int(s * 1e6), seed_extra))
-        k = min(plan.pw_pieces, 8)
-        breaks = np.concatenate(([0.0], np.sort(rng.uniform(0, plan.horizon, k - 1))))
-        vals = rng.uniform(-1.0, 1.0, size=(k, input_dim))
-        peak = np.max(np.linalg.norm(vals, axis=1))
-        if peak > 0:
-            vals = vals * (s / peak)
-        out.append((f"pw[{s:g}]", InputSignal.steps(breaks, vals)))
-    return out
+    rng = np.random.default_rng((plan.seed, int(s * 1e6), seed_extra))
+    breaks = np.concatenate(([0.0], np.sort(rng.uniform(0, plan.horizon, _PW_PIECES - 1))))
+    vals = rng.uniform(-1.0, 1.0, size=(_PW_PIECES, input_dim))
+    peak = np.max(np.linalg.norm(vals, axis=1))
+    if peak > 0:
+        vals = vals * (s / peak)
+    return [
+        (f"const[{s:g}]", InputSignal.constant(s * e0)),
+        (f"step[{s:g}]",
+         InputSignal.steps([0.0, 0.5 * plan.horizon], np.stack([s * e0, 0.0 * e0]))),
+        (f"pw[{s:g}]", InputSignal.steps(breaks, vals)),
+    ]
 
 
 class ProbeSet:
@@ -715,7 +711,9 @@ class ProbeSet:
                 data = self._cache[key] = self._probe_data(probe, traj)
                 for i in where:
                     datas[i] = data
-        return [d if d.probe.index == p.index else replace_probe(d, p)
+        # the constructor, not dataclasses.replace: this runs once per shell probe
+        return [d if d.probe.index == p.index else
+                ProbeData(p, d.traj, d.ynorm, d.ysup, d.xnorm, d.urestr, d.uval_norm)
                 for d, p in zip(datas, probes)]
 
     def _probe_data(self, probe: Probe, traj: Trajectory) -> ProbeData:
@@ -779,11 +777,6 @@ class ProbeSet:
                       f"yshell:{tag}", d)
                 for i, (y0, radius, x0, u, tag, d) in
                 enumerate(kept[: 3 * max(self.plan.directions, 3)])]
-
-
-def replace_probe(data: ProbeData, probe: Probe) -> ProbeData:
-    return ProbeData(probe, data.traj, data.ynorm, data.ysup, data.xnorm,
-                     data.urestr, data.uval_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -941,26 +934,17 @@ def _pointwise_bound(cert: Certificate, data: ProbeData) -> np.ndarray:
     s = data.probe.s
     c = cert.get("c", 0.0)
     if p == PropertyId.IOSS:
-        g1 = cert["gamma1"]
-        g2 = cert["gamma2"]
-        return (
-            cert["beta"](data.probe.r, t)
-            + (0.0 if g1.is_zero else g1(data.urestr))
-            + (0.0 if g2.is_zero else g2(data.ysup))
-        )
+        g1, g2 = cert["gamma1"], cert["gamma2"]
+        return cert["beta"](data.probe.r, t) + g1(data.urestr) + g2(data.ysup)
     if p in (PropertyId.H_BOUNDED, PropertyId.H_K_BOUNDED):
         s1, g1 = cert["sigma1"], cert["gamma1"]
-        return (
-            (0.0 if s1.is_zero else s1(data.xnorm))
-            + (0.0 if g1.is_zero else g1(data.uval_norm))
-            + c
-        )
+        return s1(data.xnorm) + g1(data.uval_norm) + c
     if "beta" in cert.params:
         # beta(r, t) + gamma(s): IOpS adds c, OCAG shifts r by c
         shift, offset = (c, 0.0) if p == PropertyId.OCAG else (0.0, c)
-        return cert["beta"](data.probe.r + shift, t) + _gain_at(cert["gamma"], s) + offset
+        return cert["beta"](data.probe.r + shift, t) + cert["gamma"](s) + offset
     # sigma(initial condition) + gamma(s) + c: the OL and OUGS families
-    const = _gain_at(cert["sigma"], _initial(p, data)) + _gain_at(cert["gamma"], s) + c
+    const = cert["sigma"](_initial(p, data)) + cert["gamma"](s) + c
     return np.full_like(t, const)
 
 
@@ -1023,19 +1007,28 @@ def _check_pointwise(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome
                          f"(first at r = {probe.r:g}: {reason})")
 
 
+def _window_sup(data: ProbeData, horizon: float) -> tuple[float, float]:
+    """(t, |y(t)|) at the largest |y| up to ``horizon``.  A blow-up at or
+    before the horizon is an unbounded excursion inside the window, the
+    worst possible sample: (blow-up time, inf)."""
+    if data.blown and data.traj.blow_up <= horizon:
+        return data.traj.blow_up, math.inf
+    k = _sup_until(data, horizon)
+    return data.times[k], data.ynorm[k]
+
+
+def _check_window_rows(cert: Certificate, rows, plan: SamplingPlan, out: _Outcome):
+    """Window rows: for each (bound, horizon, probe) the sup of |y| up to the
+    horizon must stay below the bound.  The continuity rows (OCEP, table
+    OULS) are (eps, horizon, probe) for each probe from a delta ball."""
+    for bound, horizon, data in rows:
+        out.add(data.probe, *_window_sup(data, horizon), bound)
+
+
 def _check_sup_bound(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     """Reachability bounds: sup over t < horizon of |y| against a constant."""
-    horizon = cert["horizon"]
-    bound = cert["bound"]
-    for data in datas:
-        if not _probe_filter(cert, data):
-            continue
-        if data.blown and data.traj.blow_up <= horizon:
-            # unbounded excursion inside the window: worst possible sample
-            out.add(data.probe, data.traj.blow_up, math.inf, bound)
-            continue
-        k = _sup_until(data, horizon)
-        out.add(data.probe, data.times[k], data.ynorm[k], bound)
+    _check_window_rows(cert, ((cert["bound"], cert["horizon"], data) for data in datas
+                              if _probe_filter(cert, data)), plan, out)
 
 
 def _check_uag(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
@@ -1053,7 +1046,7 @@ def _check_uag(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
         if not np.any(mask):
             return None
         k = int(np.argmax(np.where(mask, data.ynorm, -math.inf)))
-        return data.times[k], data.ynorm[k], eps + _gain_at(gamma, s)
+        return data.times[k], data.ynorm[k], eps + gamma(s)
 
     _sweep(cert, datas, table.eps_grid, sample, out)
     if late:
@@ -1076,7 +1069,7 @@ def _check_lim(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
             return None
         # existence check: best time must dip below the bound
         k = int(np.argmin(np.where(mask, data.ynorm, math.inf)))
-        return data.times[k], data.ynorm[k], eps + _gain_at(gamma, data.probe.s)
+        return data.times[k], data.ynorm[k], eps + gamma(data.probe.s)
 
     _sweep(cert, datas, plan.eps_grid if table is None else table.eps_grid, sample, out)
     if table is None:
@@ -1094,17 +1087,6 @@ def _input_global(check):
         out.notes.append(f"input-global claim certified up to s_max = "
                          f"{cert.get('s_max', plan.s_max):g}")
     return run
-
-
-def _check_delta_rows(cert: Certificate, rows, plan: SamplingPlan, out: _Outcome):
-    """Continuity rows: each (eps, horizon, probe) from a delta ball must
-    stay below eps up to the row's horizon."""
-    for eps, horizon, data in rows:
-        if data.blown:
-            out.add_blown(data.probe)
-            continue
-        k = _sup_until(data, horizon)
-        out.add(data.probe, data.times[k], data.ynorm[k], eps)
 
 
 # ---------------------------------------------------------------------------
@@ -1169,7 +1151,7 @@ _CHECKERS = {
     PropertyId.OULIM: (_plan_probes, _check_lim),
     PropertyId.OGULIM: (_plan_probes, _input_global(_check_lim)),
     PropertyId.OOULIM: (_initial_output_shells, _check_lim),
-    PropertyId.OCEP: (_delta_row_shells, _check_delta_rows),
+    PropertyId.OCEP: (_delta_row_shells, _check_window_rows),
 }
 
 
@@ -1213,7 +1195,7 @@ def falsify(sys: SystemModel, cert: Certificate, budget: int,
     needs the row each probe was drawn for.
     """
     _, check = _checker(cert)
-    if check is _check_delta_rows:
+    if check is _check_window_rows:
         raise CertificateError(f"falsification unsupported for {cert.property.value}")
     phash = plan_hash(plan)
     ps = ProbeSet(sys, plan)
@@ -1357,7 +1339,7 @@ def _shell_tau(datas, eps: float, mode: str, gamma_ref: ScalarFn):
     for data in datas:
         if data.blown:
             return None, data
-        ok = data.ynorm <= eps + _gain_at(gamma_ref, data.probe.s) + 1e-12
+        ok = data.ynorm <= eps + gamma_ref(data.probe.s) + 1e-12
         if mode == "uag":
             if not ok[-1]:
                 return None, data
@@ -1649,9 +1631,7 @@ def build_reachability_bound(sys: SystemModel, plan: SamplingPlan,
     t_grid = tuple(np.linspace(0.0, plan.horizon, 9)[1:])
 
     def worst(datas, t_cap):
-        sups = [math.inf if data.blown and data.traj.blow_up <= t_cap
-                else float(data.ynorm[_sup_until(data, t_cap)]) for data in datas]
-        return max(sups, default=0.0)
+        return max((float(_window_sup(data, t_cap)[1]) for data in datas), default=0.0)
 
     shells = ps.shells([(r, s) for r in r_grid for s in s_grid], by_output=over_initial_output)
     values = np.array([[worst(datas, t_cap) for t_cap in t_grid] for datas in shells]).reshape(
@@ -1687,8 +1667,8 @@ def first_crossing_time(sys: SystemModel, x0, u: InputSignal, target_radius: flo
     def norm_at(dt: float) -> float:
         if dt <= 0.0:
             return float(ynorm[k - 1])
-        sub = simulate(sys, x_lo, u.shift(t0), SimPlan(dt, min(plan.step, dt), plan.method,
-                                                       plan.blow_up_threshold))
+        sub = simulate(sys, x_lo, u.shift(t0),
+                       replace(plan, horizon=dt, step=min(plan.step, dt)))
         return float(np.linalg.norm(sub.outputs[-1]))
 
     a, b = 0.0, hi - lo

@@ -1,11 +1,11 @@
 """Abstract control systems with outputs, simulation, and axiom probes.
 
 A system is a time set (continuous or discrete), a state evaluator and an
-output map; continuous-time systems are integrated with fixed-step RK4 (or
-explicit Euler), discrete-time systems iterate their step map exactly.  Each
-trajectory's integration grid is aligned with its own input signal's
-breakpoints so that each step sees a constant input value, which preserves
-RK4's order for piecewise-constant inputs.
+output map; continuous-time systems are integrated with fixed-step RK4,
+discrete-time systems iterate their step map exactly.  Each trajectory's
+integration grid is aligned with its own input signal's breakpoints so that
+each step sees a constant input value, which preserves RK4's order for
+piecewise-constant inputs.
 
 One kernel integrates everything: ``simulate_batch`` advances P trajectories
 in lockstep as one (P, n) state block, and ``simulate`` is its P = 1 call.
@@ -38,7 +38,7 @@ its block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -93,24 +93,18 @@ class SystemModel:
         if self.time_set not in ("continuous", "discrete"):
             raise DomainError("time_set must be 'continuous' or 'discrete'")
 
-    def output_norms(self, outputs: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(np.atleast_2d(outputs), axis=1)
-
 
 @dataclass(frozen=True)
 class SimPlan:
-    """Integration controls: horizon, base step, method, blow-up threshold."""
+    """Integration controls: horizon, base RK4 step, blow-up threshold."""
 
     horizon: float
     step: float = 1e-2
-    method: str = "rk4"  # "rk4" | "euler"
     blow_up_threshold: float = 1e9
 
     def __post_init__(self):
         if self.horizon < 0 or self.step <= 0:
             raise DomainError("horizon must be >= 0 and step > 0")
-        if self.method not in ("rk4", "euler"):
-            raise DomainError("method must be 'rk4' or 'euler'")
 
 
 @dataclass
@@ -127,8 +121,6 @@ class Trajectory:
     outputs: np.ndarray
     input_values: np.ndarray
     blow_up: Optional[float]
-    step: float
-    method: str
     oracle_states: Optional[np.ndarray] = None
 
     def output_norms(self) -> np.ndarray:
@@ -236,8 +228,7 @@ def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[Trajectory]
             # steps k .. end - 1, the chunk ending no later than an active row's grid
             end = min(k + _CHUNK, int(lengths[rows].min()) - 1)
             sel = slice(None) if rows.size == len(us) else rows
-            block = _steps(sys, plan.method, x, u_steps[k:end, sel],
-                           *(c[k:end, sel] for c in h_consts))
+            block = _steps(sys, x, u_steps[k:end, sel], *(c[k:end, sel] for c in h_consts))
             live = lengths[rows] > end + 1
             for r, j in _guard(sys, plan.blow_up_threshold, x, block, times, rows, k):
                 i = rows[r]
@@ -253,12 +244,11 @@ def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[Trajectory]
         x_i, u_i = states[i, :n_pts], u_vals[i, :n_pts]
         y_i = _batched(sys, "output", sys.output, (x_i, u_i), (n_pts, sys.output_dim),
                        check=i == 0)
-        out.append(Trajectory(times[i, :n_pts], x_i, y_i, u_i, blow_up[i], plan.step,
-                              plan.method))
+        out.append(Trajectory(times[i, :n_pts], x_i, y_i, u_i, blow_up[i]))
     return out
 
 
-def _steps(sys: SystemModel, method: str, x, u_chunk, half_h, h, sixth_h) -> np.ndarray:
+def _steps(sys: SystemModel, x, u_chunk, half_h, h, sixth_h) -> np.ndarray:
     """The states after each step of a chunk from the states x, shape (steps, P, n)."""
     block = np.empty((len(u_chunk),) + x.shape)
     rhs = sys.rhs
@@ -266,16 +256,13 @@ def _steps(sys: SystemModel, method: str, x, u_chunk, half_h, h, sixth_h) -> np.
         for j, uv in enumerate(u_chunk):
             block[j] = rhs(x, uv)
             x = block[j]
-    elif method == "rk4":
+    else:
         for j, (uv, a, b, c) in enumerate(zip(u_chunk, half_h, h, sixth_h)):
             k1 = rhs(x, uv)
             k2 = rhs(x + a * k1, uv)
             k3 = rhs(x + a * k2, uv)
             k4 = rhs(x + b * k3, uv)
             x = block[j] = x + c * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        for j, (uv, b) in enumerate(zip(u_chunk, h)):
-            x = block[j] = x + b * rhs(x, uv)
     return block
 
 
@@ -361,24 +348,19 @@ def check_axioms(sys: SystemModel, samples, plan: SimPlan) -> AxiomReport:
     for i, (x0, u, t, s) in enumerate(samples):
         x0 = np.asarray(x0, dtype=float)
         try:
-            traj_id = simulate(sys, x0, u, SimPlan(0.0, plan.step, plan.method, plan.blow_up_threshold))
+            traj_id = simulate(sys, x0, u, replace(plan, horizon=0.0))
             id_res = max(id_res, float(np.linalg.norm(traj_id.states[-1] - x0)))
 
-            full = simulate(sys, x0, u, SimPlan(t + s, plan.step, plan.method, plan.blow_up_threshold))
+            full = simulate(sys, x0, u, replace(plan, horizon=t + s))
             if full.blow_up is not None:
                 flagged.append((i, "blow-up"))
                 continue
-            restricted = simulate(
-                sys, x0, u.restrict(0.0, t), SimPlan(t, plan.step, plan.method, plan.blow_up_threshold)
-            )
-            head = simulate(sys, x0, u, SimPlan(t, plan.step, plan.method, plan.blow_up_threshold))
+            restricted = simulate(sys, x0, u.restrict(0.0, t), replace(plan, horizon=t))
+            head = simulate(sys, x0, u, replace(plan, horizon=t))
             caus_res = max(
                 caus_res, float(np.linalg.norm(head.states[-1] - restricted.states[-1]))
             )
-            tail = simulate(
-                sys, head.states[-1], u.shift(t),
-                SimPlan(s, plan.step, plan.method, plan.blow_up_threshold),
-            )
+            tail = simulate(sys, head.states[-1], u.shift(t), replace(plan, horizon=s))
             k_ts = full.at_time(t + s)
             coc_res = max(
                 coc_res, float(np.linalg.norm(full.states[k_ts] - tail.states[-1]))

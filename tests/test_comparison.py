@@ -122,6 +122,16 @@ def test_combine_rejects_incompatible_classes():
         cf.add(cf.identity(), cf.exp_decay())
 
 
+def test_class_closure_of_uncovered_pairs():
+    """Two constants add to a nonincreasing function, an L and an increasing
+    function do not combine, and a min against a bounded K loses Kinf."""
+    assert cf.add(cf.constant(1.0), cf.constant(2.0)).fn_class == "decreasing"
+    with pytest.raises(ClassError, match="cannot add classes L and increasing"):
+        cf.add(cf.exp_decay(), cf.sat())
+    k_bounded = cf.pwl([0.0, 1.0], [0.0, 1.0], fn_class="K")
+    assert cf.fmin(cf.identity(), k_bounded).fn_class == "K"
+
+
 def test_max_monotone_on_grid():
     """Grid-sweep oracle: max of two increasing functions stays increasing."""
     f = cf.fmax(cf.identity(), cf.pwl([0.0, 1.0, 3.0], [0.0, 2.0, 2.5], fn_class="increasing"))

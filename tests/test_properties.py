@@ -832,3 +832,35 @@ def test_tau_beyond_the_horizon_is_one_counted_note(lin_sys, lin_plan):
     assert [note for note in verdict.notes if "horizon" in note] == [
         f"{skipped} cell(s) skipped where tau exceeds the horizon "
         f"(first tau({lin_plan.eps_grid[0]:g}, {top:g}) = {2.0 * lin_plan.horizon:g})"]
+
+
+@pytest.mark.parametrize("prop, c, slack", [(PropertyId.H_K_BOUNDED, None, -10.0),
+                                            (PropertyId.H_BOUNDED, 1.0, -9.0)])
+def test_zero_gain_output_map_bound_is_checked(lin_sys, lin_plan, prop, c, slack):
+    """Zero sigma1 and gamma1 bound |y| by c alone: y = x on lin_scalar leaves
+    it at the largest radius, 10, and the bound is a curve, not a scalar."""
+    params = {"sigma1": cf.zero(), "gamma1": cf.zero()}
+    if c is not None:
+        params["c"] = c
+    cert = Certificate(prop, params)
+    verdict = verify(lin_sys, cert, lin_plan)
+    assert verdict.status == "falsified" and verdict.min_slack == slack
+    found = falsify(lin_sys, cert, 10, lin_plan)
+    assert found.status == "falsified" and found.min_slack < 0.0
+    assert found.witness.observed > found.witness.bound
+
+
+@pytest.mark.parametrize("prop", [PropertyId.OCEP, PropertyId.OULS])
+def test_blow_up_inside_a_continuity_window_is_a_violation(prop):
+    """Of the four probes in the delta = 0.5 and 0.25 shells of dx = x^2 (x -
+    0.4), three blow up well inside the horizon: the continuity row is
+    violated with an unbounded sample, as a reachability window would be."""
+    sys = compile_system(parse_system("dim_x = 1\ndim_u = 0\ndx0 = x0 * x0 * (x0 - 0.4)\n"
+                                      "y0 = x0"))
+    plan = SamplingPlan(radii=(0.1,), input_norms=(), eps_grid=(0.6,), horizon=200.0,
+                        sim=SimPlan(200.0, 1e-2, blow_up_threshold=1e6), directions=2)
+    cert = Certificate(prop, {"delta_table": DeltaTable((0.6,), None, [0.5])})
+    verdict = verify(sys, cert, plan)
+    assert verdict.status == "falsified" and verdict.min_slack == -math.inf
+    assert verdict.samples == 4
+    assert verdict.witness.observed == math.inf and verdict.witness.t <= plan.horizon
