@@ -23,11 +23,12 @@ __all__ = ["InputSignal"]
 class InputSignal:
     """Immutable piecewise-constant signal; values are row vectors."""
 
-    __slots__ = ("breakpoints", "values", "_norm", "_hash")
+    __slots__ = ("breakpoints", "values", "_norm", "_key", "_hash")
 
     def __init__(self, breakpoints, values):
-        bp = np.asarray(breakpoints, dtype=float)
-        vals = np.asarray(values, dtype=float)
+        # + 0.0 maps -0.0 to 0.0, so that equal signals have equal bytes
+        bp = np.asarray(breakpoints, dtype=float) + 0.0
+        vals = np.asarray(values, dtype=float) + 0.0
         if vals.ndim == 1:
             vals = vals[:, None]
         if bp.ndim != 1 or bp.size == 0 or bp[0] != 0.0:
@@ -45,8 +46,11 @@ class InputSignal:
         else:
             norm = float(np.max(np.linalg.norm(vals, axis=1)))
         object.__setattr__(self, "_norm", norm)
-        # immutable, so hash once: probe caches look signals up by key
-        object.__setattr__(self, "_hash", hash((bp.tobytes(), vals.tobytes())))
+        # immutable, so hash once: probe caches look signals up by key.  The
+        # breakpoint count fixes the value rows, so the bytes fix both arrays
+        key = (bp.tobytes(), vals.tobytes())
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, *a):
         raise AttributeError("InputSignal is immutable")
@@ -83,11 +87,7 @@ class InputSignal:
         return self.values[idx]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, InputSignal)
-            and np.array_equal(self.breakpoints, other.breakpoints)
-            and np.array_equal(self.values, other.values)
-        )
+        return isinstance(other, InputSignal) and self._key == other._key
 
     def __hash__(self):
         return self._hash

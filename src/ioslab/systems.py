@@ -18,7 +18,13 @@ leading batch axes (index a coordinate as ``x[..., i]``, reduce over
 single rows once per call and raises ``DomainError`` where a batched row
 differs, since a scalar-style ``np.array([-x[0] + u[0]])`` would otherwise
 give every row the first row's derivative.  ``rhs`` and ``state_norm`` may be
-called on non-finite or huge rows and must not raise on them.
+called on non-finite or huge rows and must not raise on them.  Evaluators
+should compute on whole contiguous rows: at the lockstep sizes (P up to about
+40 rows of up to 64 coordinates) a ufunc on a strided column view such as
+``x[..., 1:]``, or with a (P, 1) or (n,) broadcast operand, costs about twice
+as much as on two contiguous (P, n) blocks.  The kernel hands ``rhs``
+contiguous states, and multiplies them by RK4 step constants repeated to the
+state's width.
 
 Blow-up handling: the kernel steps in chunks of ``_CHUNK`` lockstep steps,
 each ending no later than the earliest active row's grid end, and reads the
@@ -210,10 +216,15 @@ def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[Trajectory]
     _batched(sys, "state_norm", sys.state_norm, (x0s,), (len(us),))
 
     # time-major copies, so that a chunk reads contiguous (steps, P, .) slices;
-    # the RK4 step constants 0.5 * h and h / 6 are formed once per call
+    # the RK4 step constants 0.5 * h, h and h / 6 are formed once per call
     u_steps = np.ascontiguousarray(u_vals.transpose(1, 0, 2))
     h = np.ascontiguousarray(np.diff(times, axis=1).T)[..., None]
     h_consts = (0.5 * h, h, h / 6.0)
+    # and, for n > 1, repeated per chunk into buffers at the state's width, so
+    # that each stage multiplies two contiguous (P, n) blocks.  The buffers are
+    # made once per call: new arrays per chunk fragmented the heap (a zoo_sweep
+    # benchmark run peaked at 124 MB RSS against 105 MB)
+    wide = [np.empty((_CHUNK, len(us), sys.state_dim)) for _ in h_consts]
     states = np.empty((len(us), width, sys.state_dim))
     states[:, 0] = x0s
     ends = lengths.copy()
@@ -228,7 +239,12 @@ def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[Trajectory]
             # steps k .. end - 1, the chunk ending no later than an active row's grid
             end = min(k + _CHUNK, int(lengths[rows].min()) - 1)
             sel = slice(None) if rows.size == len(us) else rows
-            block = _steps(sys, x, u_steps[k:end, sel], *(c[k:end, sel] for c in h_consts))
+            consts = [c[k:end, sel] for c in h_consts]
+            if sys.state_dim > 1:
+                for buf, c in zip(wide, consts):
+                    buf[:end - k, :rows.size] = c
+                consts = [buf[:end - k, :rows.size] for buf in wide]
+            block = _steps(sys, x, u_steps[k:end, sel], *consts)
             live = lengths[rows] > end + 1
             for r, j in _guard(sys, plan.blow_up_threshold, x, block, times, rows, k):
                 i = rows[r]

@@ -207,18 +207,25 @@ def _sat_polar() -> SystemModel:
 
 
 def _l2_rhs(n_coords: int):
-    idx = np.arange(1, n_coords)
-    inv_n2 = 1.0 / idx.astype(float) ** 2
+    inv_n2 = np.zeros(n_coords)  # its column 0 meets the zeroed x_0 below
+    inv_n2[1:] = 1.0 / np.arange(1, n_coords).astype(float) ** 2
+    tiles = {}  # inv_n2 repeated to each batch shape seen: a same-shape operand
 
     def rhs(x, u):
-        d = np.empty_like(x)
-        d[..., 0] = -x[..., 0]
-        xn = x[..., 1:]
+        # every term is computed on whole contiguous rows, about twice as fast
+        # per ufunc as on the strided view x[..., 1:].  Column 0 is zeroed in
+        # xn, so its terms other than -x_0 are zeros, which cannot overflow
+        # where x_0 is huge and the rest small, and leave -x_0 exact (x_0 = +0.0
+        # gives +0.0, not -0.0: a sign RK4 never stores, as +0.0 + -0.0 = +0.0)
+        xn = x.copy()
+        xn[..., 0] = 0.0
+        w = tiles.get(x.shape)
+        if w is None:
+            w = tiles[x.shape] = np.broadcast_to(inv_n2, x.shape).copy()
         # xn ** 3 is NumPy's power (libm pow, about 80 ns per element); the
         # square is formed once and serves both the x_0 x_n^2 and x_n^3 terms
         xn2 = xn * xn
-        d[..., 1:] = -xn + xn2 * x[..., :1] - xn * np.abs(xn) - inv_n2 * (xn2 * xn)
-        return d
+        return -x + xn2 * x[..., :1] - xn * np.abs(xn) - w * (xn2 * xn)
 
     return rhs
 

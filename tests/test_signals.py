@@ -104,3 +104,27 @@ def test_roundtrip_dict():
     v = InputSignal.from_dict(u.to_dict())
     assert u == v
     assert _norm_oracle(v, np.linspace(0, 4, 100)) == v.norm()
+
+
+def test_equal_signals_hash_equal_and_share_a_cache_key():
+    # -0.0 == 0.0, so the signals are equal and must hash equal: a probe
+    # cache keyed by signal would otherwise simulate one input twice
+    pairs = [
+        (InputSignal.constant([0.0]), InputSignal.constant([-0.0])),
+        (InputSignal.steps([0.0, 1.0], [[1.0, 0.0], [0.0, 2.0]]),
+         InputSignal.steps([-0.0, 1.0], [[1.0, -0.0], [-0.0, 2.0]])),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}.get(b) == 1
+    # same bytes in another shape is another signal
+    assert InputSignal.steps([0.0], [[1.0, 2.0]]) != InputSignal.steps([0.0, 1.0], [1.0, 2.0])
+    assert InputSignal.constant([1.0]) != InputSignal.constant([-1.0])
+
+
+def test_signal_copies_the_arrays_it_is_given():
+    bp, vals = np.array([0.0, 1.0]), np.array([[1.0], [2.0]])
+    u = InputSignal(bp, vals)
+    vals[0, 0] = 5.0  # the caller's arrays stay writable and the signal keeps its values
+    bp[1] = 3.0
+    assert u.values[0, 0] == 1.0 and u.breakpoints[1] == 1.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -267,10 +268,17 @@ def _assert_batch_equals_rows(sys, x0s, us, plan):
     return batch
 
 
+# the l2 systems also at the truncation widths the zoo's plans use
+_BATCH_CASES = [pytest.param(zoo_id, 8, id=zoo_id) for zoo_id in zoo_ids()] + [
+    pytest.param(zoo_id, n, id=f"{zoo_id}-{n}")
+    for zoo_id in zoo_ids() if zoo_id.startswith("l2_") for n in (16, 64)
+]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing l2 row
-@pytest.mark.parametrize("zoo_id", zoo_ids())
-def test_batch_equals_one_at_a_time(zoo_id):
-    sys = make_example(zoo_id, n=8) if zoo_id.startswith("l2_") else make_example(zoo_id)
+@pytest.mark.parametrize("zoo_id, n", _BATCH_CASES)
+def test_batch_equals_one_at_a_time(zoo_id, n):
+    sys = make_example(zoo_id, n=n) if zoo_id.startswith("l2_") else make_example(zoo_id)
     rng = np.random.default_rng(3)
     x0s, us = [], []
     for radius in (0.3, 2.0):
@@ -282,7 +290,7 @@ def test_batch_equals_one_at_a_time(zoo_id):
     if zoo_id == "l2_blowup":
         # the j = 6 seed crosses the threshold, the last row overflows on its
         # first step and is frozen; the others run to the horizon
-        for x0 in (blowup_seed_state(8, 3), blowup_seed_state(8, 6), np.full(8, 1e160)):
+        for x0 in (blowup_seed_state(n, 3), blowup_seed_state(n, 6), np.full(n, 1e160)):
             x0s.append(x0)
             us.append(_mixed_inputs(0)[3])
     batch = _assert_batch_equals_rows(sys, np.array(x0s), us, plan)
@@ -290,6 +298,15 @@ def test_batch_equals_one_at_a_time(zoo_id):
     if zoo_id == "l2_blowup":
         assert [t.blow_up is None for t in batch[-3:]] == [True, False, False]
         assert len(batch[-1].times) == 2 and np.array_equal(*batch[-1].states)
+    if zoo_id.startswith("l2_"):
+        # a huge x_0 with small other coordinates has a finite derivative: the
+        # column-0 terms besides -x_0 (x_0^3 = 1e330 if formed) must not overflow
+        row = np.full((1, n), 0.1)
+        row[0, 0] = 1e110
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d = sys.rhs(row, np.full((1, sys.input_dim), 0.5))
+        assert np.isfinite(d).all() and d[0, 0] < 0
 
 
 def test_batch_equals_one_at_a_time_discrete():
