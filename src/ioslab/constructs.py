@@ -34,6 +34,14 @@ steps used to prove the corresponding implications:
   iss_from_ios_ioss      detectability closes the loop: the half-time split
                          beta~(s,t) = beta(2 sigma(s), t/2) + gamma2(2 beta(s, t/2))
 
+``IMPLICATIONS`` is the one place that decides each recipe's inputs: the
+notion each argument must witness, in argument order, and the conclusion.
+Any other argument is refused with ``CertificateError``.  A reachability
+table witnesses BORS, or OBORS when built over initial-output shells; an
+output-map bound witnesses H_BOUNDED, and H_K_BOUNDED too when its offset c
+is 0; a BORS or OBORS certificate (one ball, not a table) witnesses nothing;
+any other certificate witnesses its own property.
+
 Inputs are never mutated; every output certificate re-runs its class checks
 at construction and is meant to be re-verified empirically.  Table-backed
 inputs refuse to extrapolate: a query outside the certified region raises
@@ -48,6 +56,8 @@ across radii (``_monotone_knot_rows``), so the decay profile increases in r.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -82,7 +92,50 @@ __all__ = [
     "kl_at_zero",
     "tau_bar",
     "CONSTRUCTIONS",
+    "IMPLICATIONS",
 ]
+
+
+_P = PropertyId
+IMPLICATIONS = {
+    "decompose_bound": ((_P.BORS,), _P.H_BOUNDED),
+    "ogulim_from_oulim": ((_P.OULIM, _P.H_BOUNDED), _P.OGULIM),
+    "ougb_from_ouag_bors": ((_P.OUAG, _P.BORS), _P.OUGB),
+    "ocag_from_oguag": ((_P.OGUAG, _P.OUGB), _P.OCAG),
+    "iops_from_ocag": ((_P.OCAG,), _P.IOPS),
+    "ougs_from_ougb_ouls": ((_P.OUGB, _P.OULS), _P.OUGS),
+    "ios_from_ocag_ougs": ((_P.OCAG, _P.OUGS), _P.IOS),
+    "ios_from_oulim_ol": ((_P.OULIM, _P.OL, _P.H_K_BOUNDED), _P.IOS),
+    "ouls_from_ouag_ocep": ((_P.OUAG, _P.OCEP), _P.OULS),
+    "ol_from_ooulim_localol_obors": ((_P.OOULIM, _P.LOCAL_OL, _P.OBORS), _P.OL),
+    "ios_from_iss_kbounded": ((_P.ISS, _P.H_K_BOUNDED), _P.IOS),
+    "iss_from_ios_ioss": ((_P.IOS, _P.IOSS), _P.ISS),
+}
+
+
+def _witnessed(arg) -> set:
+    """The notions a recipe argument witnesses (see the module docstring)."""
+    if isinstance(arg, ReachabilityBound):
+        return {_P.OBORS if arg.over_initial_output else _P.BORS}
+    if not isinstance(arg, Certificate) or arg.property in (_P.BORS, _P.OBORS):
+        return set()
+    if arg.property in (_P.H_BOUNDED, _P.H_K_BOUNDED) and arg.get("c", 0.0) == 0.0:
+        return {_P.H_BOUNDED, _P.H_K_BOUNDED}
+    return {arg.property}
+
+
+def _implication(recipe):
+    """Check ``recipe``'s arguments against its ``IMPLICATIONS`` row first."""
+    needs = IMPLICATIONS[recipe.__name__][0]
+    signature = inspect.signature(recipe)
+
+    @functools.wraps(recipe)
+    def checked(*args, **kwargs):
+        for (role, arg), need in zip(signature.bind(*args, **kwargs).arguments.items(), needs):
+            if need not in _witnessed(arg):
+                raise CertificateError(f"{recipe.__name__}: {role} must witness {need.value}")
+        return recipe(*args, **kwargs)
+    return checked
 
 
 @dataclass(frozen=True)
@@ -103,12 +156,6 @@ class ConstructionRecord:
             "output": self.output.to_dict(),
             "trace": self.trace,
         }
-
-
-def _expect(cert: Certificate, prop: PropertyId, role: str):
-    if cert.property != prop:
-        raise CertificateError(f"{role} must be a {prop.value} certificate, "
-                               f"got {cert.property.value}")
 
 
 def _merge_gains(a: ScalarFn, b: ScalarFn) -> ScalarFn:
@@ -272,6 +319,7 @@ def _staircase(radii, level) -> ScalarFn:
 # operations
 # ---------------------------------------------------------------------------
 
+@_implication
 def decompose_bound(mu):
     """Two-argument bound -> (sigma1, gamma1, c) with sigma1 = gamma1.
 
@@ -281,8 +329,6 @@ def decompose_bound(mu):
     cell of the first positive radius r0 at the largest tabulated input norm
     s <= min(r0, s_max).
     """
-    if not isinstance(mu, ReachabilityBound):
-        raise CertificateError("decompose_bound needs a reachability table")
     t = float(mu.t_grid[-1])
     c = mu.eval(*_origin_cell(mu), t)
     sigma1 = _staircase(mu.r_grid, lambda r: mu.eval(r, min(r, mu.s_grid[-1]), t) - c)
@@ -329,6 +375,7 @@ def uniformize_gain(gamma: ScalarFn, shell_taus: dict, eps: float, r: float, s: 
     return cert, record
 
 
+@_implication
 def ogulim_from_oulim(oulim: Certificate, hbound: Certificate):
     """Input-ball-uniform visit times -> input-independent visit times.
 
@@ -336,9 +383,6 @@ def ogulim_from_oulim(oulim: Certificate, hbound: Certificate):
     the output-map bound, inputs below by the tabulated cell at s = R(r).
     gamma~ = gamma + gamma1, tau~(eps, r) = tau(eps, r, R(r)).
     """
-    _expect(oulim, PropertyId.OULIM, "first input")
-    if hbound.property not in (PropertyId.H_BOUNDED, PropertyId.H_K_BOUNDED):
-        raise CertificateError("second input must bound the output map")
     gamma = oulim["gamma"]
     if gamma.fn_class != "Kinf":
         raise CertificateError("visit gain must be invertible (class Kinf)")
@@ -364,6 +408,7 @@ def ogulim_from_oulim(oulim: Certificate, hbound: Certificate):
     return cert, record
 
 
+@_implication
 def ougb_from_ouag_bors(ouag: Certificate, mu: ReachabilityBound):
     """Convergence times + reachability table -> global output bound.
 
@@ -373,7 +418,6 @@ def ougb_from_ouag_bors(ouag: Certificate, mu: ReachabilityBound):
     for mu(0, 0): the first positive radius r0 at the largest tabulated input
     norm s <= min(r0, s_max), at time tau(r0).
     """
-    _expect(ouag, PropertyId.OUAG, "first input")
     table: ConvergenceTimeTable = ouag["tau_table"]
     gamma = ouag["gamma"]
 
@@ -405,6 +449,7 @@ def ougb_from_ouag_bors(ouag: Certificate, mu: ReachabilityBound):
     return cert, record
 
 
+@_implication
 def ocag_from_oguag(oguag: Certificate, ougb: Certificate):
     """Input-global convergence + global bound -> complete decay certificate.
 
@@ -416,8 +461,6 @@ def ocag_from_oguag(oguag: Certificate, ougb: Certificate):
     radius, so beta increases in r.  The offset folds into the radius
     argument: the claim is |y| <= beta(|x| + c, t) + gamma(|u|).
     """
-    _expect(oguag, PropertyId.OGUAG, "first input")
-    _expect(ougb, PropertyId.OUGB, "second input")
     table: ConvergenceTimeTable = oguag["tau_table"]
     sigma = ougb["sigma"]
     c = ougb["c"]
@@ -437,10 +480,10 @@ def ocag_from_oguag(oguag: Certificate, ougb: Certificate):
     return cert, record
 
 
+@_implication
 def iops_from_ocag(ocag: Certificate):
     """Split the offset out of the decay argument: beta(r + c, t) <=
     beta(2r, t) + beta(2c, 0)."""
-    _expect(ocag, PropertyId.OCAG, "input")
     beta = ocag["beta"]
     c = ocag["c"]
     beta_prime = cf.kl_inner(beta, cf.scale(2.0))
@@ -455,11 +498,10 @@ def iops_from_ocag(ocag: Certificate):
     return cert, record
 
 
+@_implication
 def ougs_from_ougb_ouls(ougb: Certificate, ouls: Certificate):
     """Case-split merge: the local bound rules inside its ball, the global
     bound plus its offset rules outside; the envelope stays continuous."""
-    _expect(ougb, PropertyId.OUGB, "first input")
-    _expect(ouls, PropertyId.OULS, "second input")
     if "delta_table" in ouls.params:
         raise CertificateError("merge needs the function form of the local bound")
     radius = ouls["radius"]
@@ -476,10 +518,9 @@ def ougs_from_ougb_ouls(ougb: Certificate, ouls: Certificate):
     return cert, record
 
 
+@_implication
 def ios_from_ocag_ougs(ocag: Certificate, ougs: Certificate):
     """beta~(r, t) = min{(1 + e^-t) sigma(r), beta(r + c, t)}."""
-    _expect(ocag, PropertyId.OCAG, "first input")
-    _expect(ougs, PropertyId.OUGS, "second input")
     gamma = _merge_gains(ocag["gamma"], ougs["gamma"])
     c = ocag["c"]
     shifted = ocag["beta"] if c == 0.0 else cf.kl_inner(
@@ -497,6 +538,7 @@ def ios_from_ocag_ougs(ocag: Certificate, ougs: Certificate):
     return cert, record
 
 
+@_implication
 def ios_from_oulim_ol(oulim: Certificate, ol: Certificate, hbound: Certificate):
     """Visit times + initial-output bound + output-map bound -> decay.
 
@@ -507,12 +549,6 @@ def ios_from_oulim_ol(oulim: Certificate, ol: Certificate, hbound: Certificate):
     The knots are the visit times at (eps_n(r), r, r) with tau_0 = 0, and the
     knot rows are made monotone across radii as in ``ocag_from_oguag``.
     """
-    _expect(oulim, PropertyId.OULIM, "first input")
-    _expect(ol, PropertyId.OL, "second input")
-    if hbound.property not in (PropertyId.H_BOUNDED, PropertyId.H_K_BOUNDED):
-        raise CertificateError("third input must bound the output map")
-    if hbound.get("c", 0.0) != 0.0:
-        raise CertificateError("the output-map bound must be offset-free here")
     table: ConvergenceTimeTable = oulim["tau_table"]
     if table.s_grid is None:
         raise CertificateError("visit table must be indexed by (eps, r, s)")
@@ -543,11 +579,10 @@ def ios_from_oulim_ol(oulim: Certificate, ol: Certificate, hbound: Certificate):
     return cert, record
 
 
+@_implication
 def ouls_from_ouag_ocep(ouag: Certificate, ocep: Certificate):
     """delta~(eps) = min{delta(eps, T), 1, gamma^-1(eps/2)} with
     T = tau(eps/2, 1, 1)."""
-    _expect(ouag, PropertyId.OUAG, "first input")
-    _expect(ocep, PropertyId.OCEP, "second input")
     gamma = ouag["gamma"]
     if gamma.fn_class != "Kinf":
         raise CertificateError("convergence gain must be invertible")
@@ -568,6 +603,7 @@ def ouls_from_ouag_ocep(ouag: Certificate, ocep: Certificate):
     return cert, record
 
 
+@_implication
 def ol_from_ooulim_localol_obors(ooulim: Certificate, local_ol: Certificate,
                                  mu: ReachabilityBound):
     """Initial-output visit times + local bound + output reachability -> OL.
@@ -579,10 +615,6 @@ def ol_from_ooulim_localol_obors(ooulim: Certificate, local_ol: Certificate,
     |y| <= sigma(|y(0)|) + (sigma o gamma~)(|u|) + sigma~(0).
     Step 2 merges it with the local bound by the initial-output case split.
     """
-    _expect(ooulim, PropertyId.OOULIM, "first input")
-    _expect(local_ol, PropertyId.LOCAL_OL, "second input")
-    if not mu.over_initial_output:
-        raise CertificateError("reachability table must be over initial-output shells")
     table: ConvergenceTimeTable = ooulim["tau_table"]
     gamma = ooulim["gamma"]
     gamma_tilde = cf.declare(cf.fmax(cf.identity(), cf.scale_val(gamma, 2.0)), "Kinf") \
@@ -621,13 +653,9 @@ def ol_from_ooulim_localol_obors(ooulim: Certificate, local_ol: Certificate,
     return cert, record
 
 
+@_implication
 def ios_from_iss_kbounded(iss: Certificate, hbound: Certificate):
     """beta~ = sigma1 o (2 beta); gamma~ = sigma1 o (2 gamma) + gamma1."""
-    _expect(iss, PropertyId.ISS, "first input")
-    if hbound.property not in (PropertyId.H_BOUNDED, PropertyId.H_K_BOUNDED):
-        raise CertificateError("second input must bound the output map")
-    if hbound.get("c", 0.0) != 0.0:
-        raise CertificateError("the output-map bound must be offset-free here")
     sigma1 = hbound["sigma1"]
     gamma1 = hbound["gamma1"]
     two = cf.scale(2.0)
@@ -644,6 +672,7 @@ def ios_from_iss_kbounded(iss: Certificate, hbound: Certificate):
     return cert, record
 
 
+@_implication
 def iss_from_ios_ioss(ios: Certificate, ioss: Certificate):
     """Close the loop through detectability with the half-time split.
 
@@ -651,8 +680,6 @@ def iss_from_ios_ioss(ios: Certificate, ioss: Certificate):
     (2 gamma); beta~(s, t) = beta(2 sigma(s), t/2) + gamma2(2 beta(s, t/2));
     gamma~ = beta(2 gamma^, 0) + gamma1 + gamma2 o (2 gamma).
     """
-    _expect(ios, PropertyId.IOS, "first input")
-    _expect(ioss, PropertyId.IOSS, "second input")
     beta = cf.kl_max(ios["beta"], ioss["beta"])  # w.l.o.g. a shared profile
     gamma = ios["gamma"]
     gamma1 = ioss["gamma1"]
@@ -683,18 +710,4 @@ def iss_from_ios_ioss(ios: Certificate, ioss: Certificate):
     return cert, record
 
 
-CONSTRUCTIONS = {
-    "decompose_bound": decompose_bound,
-    "uniformize_gain": uniformize_gain,
-    "ogulim_from_oulim": ogulim_from_oulim,
-    "ougb_from_ouag_bors": ougb_from_ouag_bors,
-    "ocag_from_oguag": ocag_from_oguag,
-    "iops_from_ocag": iops_from_ocag,
-    "ougs_from_ougb_ouls": ougs_from_ougb_ouls,
-    "ios_from_ocag_ougs": ios_from_ocag_ougs,
-    "ios_from_oulim_ol": ios_from_oulim_ol,
-    "ouls_from_ouag_ocep": ouls_from_ouag_ocep,
-    "ol_from_ooulim_localol_obors": ol_from_ooulim_localol_obors,
-    "ios_from_iss_kbounded": ios_from_iss_kbounded,
-    "iss_from_ios_ioss": iss_from_ios_ioss,
-}
+CONSTRUCTIONS = {name: globals()[name] for name in ("uniformize_gain", *IMPLICATIONS)}

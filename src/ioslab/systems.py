@@ -343,9 +343,6 @@ class AxiomReport:
     flagged: list
     samples: int
 
-    def passes(self, tol: float) -> bool:
-        return max(self.identity_residual, self.causality_residual, self.cocycle_residual) <= tol
-
 
 def check_axioms(sys: SystemModel, samples, plan: SimPlan) -> AxiomReport:
     """Probe the semigroup axioms on a list of (x0, u, t, s) samples.

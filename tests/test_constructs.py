@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -549,6 +550,128 @@ def test_constructions_deterministic(lin, lin_plan, lin_probes):
 
 def test_registry_covers_all_thirteen():
     assert len(cx.CONSTRUCTIONS) == 13
+    assert set(cx.CONSTRUCTIONS) == set(cx.IMPLICATIONS) | {"uniformize_gain"}
+    assert all(fn.__name__ == name for name, fn in cx.CONSTRUCTIONS.items())
+
+
+# ---------------------------------------------------------------------------
+# input refusals: every argument is checked against its IMPLICATIONS row
+# ---------------------------------------------------------------------------
+
+P = PropertyId
+
+
+def _samples():
+    """(argument, the notions it witnesses) for every kind of recipe input."""
+    ident = cf.identity()
+    lim = _tau_table(lambda e, r, s: 1.0, (0.5,), (1.0,), (1.0,), mode="lim")
+    ball = {"radius": 1.0, "horizon": 1.0, "bound": 2.0}
+    return [
+        (_mu_table(lambda r, s, t: r + s), {P.BORS}),
+        (_mu_table(lambda r, s, t: r + s, over_initial_output=True), {P.OBORS}),
+        (Certificate(P.BORS, ball), set()),
+        (Certificate(P.OBORS, ball), set()),
+        (Certificate(P.H_K_BOUNDED, {"sigma1": ident, "gamma1": ident}),
+         {P.H_BOUNDED, P.H_K_BOUNDED}),
+        (Certificate(P.H_BOUNDED, {"sigma1": ident, "gamma1": ident, "c": 0.0}),
+         {P.H_BOUNDED, P.H_K_BOUNDED}),
+        (Certificate(P.H_BOUNDED, {"sigma1": ident, "gamma1": ident, "c": 0.5}),
+         {P.H_BOUNDED}),
+        (Certificate(P.OULIM, {"gamma": ident, "tau_table": lim}), {P.OULIM}),
+        (Certificate(P.OOULIM, {"gamma": ident, "tau_table": _tau_table(
+            lambda e, r: 1.0, (0.5,), (1.0,), mode="lim")}), {P.OOULIM}),
+        (Certificate(P.OUAG, {"gamma": ident, "tau_table": _tau_table(
+            lambda e, r, s: 1.0, (0.5,), (1.0,), (1.0,))}), {P.OUAG}),
+        (_lin_oguag(), {P.OGUAG}),
+        (_lin_ougb(), {P.OUGB}),
+        (Certificate(P.OCAG, {"beta": cf.kl_exp(), "gamma": ident, "c": 0.0}), {P.OCAG}),
+        (Certificate(P.OULS, {"sigma": ident, "gamma": ident, "radius": 1.0}), {P.OULS}),
+        (Certificate(P.OUGS, {"sigma": ident, "gamma": ident}), {P.OUGS}),
+        (Certificate(P.OCEP, {"delta_table": DeltaTable((1.0,), (1.0,), np.array([[0.5]]))}),
+         {P.OCEP}),
+        (Certificate(P.OL, {"sigma": ident, "gamma": ident}), {P.OL}),
+        (Certificate(P.LOCAL_OL, {"sigma": ident, "gamma": ident, "radius": 1.0}),
+         {P.LOCAL_OL}),
+        (Certificate(P.ISS, {"beta": cf.kl_exp(), "gamma": ident}), {P.ISS}),
+        (Certificate(P.IOS, {"beta": cf.kl_exp(), "gamma": ident}), {P.IOS}),
+        (Certificate(P.IOSS, {"beta": cf.kl_exp(), "gamma1": ident, "gamma2": ident}),
+         {P.IOSS}),
+        ("mu over 3 radii", set()),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(cx.IMPLICATIONS))
+def test_recipe_refuses_every_argument_outside_its_row(name):
+    needs, _ = cx.IMPLICATIONS[name]
+    recipe = cx.CONSTRUCTIONS[name]
+    roles = list(inspect.signature(recipe).parameters)
+    samples = _samples()
+    valid = [next(arg for arg, notions in samples if need in notions) for need in needs]
+    for i, need in enumerate(needs):
+        wrong = [arg for arg, notions in samples if need not in notions]
+        assert len(wrong) >= 10
+        for arg in wrong:
+            args = valid[:i] + [arg] + valid[i + 1:]
+            with pytest.raises(CertificateError, match=f"{roles[i]} must witness"):
+                recipe(*args)
+            with pytest.raises(CertificateError, match=f"{roles[i]} must witness"):
+                recipe(**dict(zip(roles, args)))
+
+
+def _sample(notion):
+    return next(arg for arg, notions in _samples() if notions == {notion})
+
+
+def test_a_bors_certificate_is_not_a_reachability_table():
+    ball = {"radius": 10.0, "horizon": 15.0, "bound": 20.0}
+    with pytest.raises(CertificateError):
+        cx.decompose_bound(Certificate(P.BORS, ball))
+    with pytest.raises(CertificateError):
+        cx.ougb_from_ouag_bors(_sample(P.OUAG), mu=Certificate(P.BORS, ball))
+    with pytest.raises(CertificateError):
+        cx.ol_from_ooulim_localol_obors(_sample(P.OOULIM), _sample(P.LOCAL_OL),
+                                        Certificate(P.OBORS, ball))
+
+
+def test_a_non_certificate_is_refused():
+    with pytest.raises(CertificateError):
+        cx.ocag_from_oguag({"gamma": cf.identity()}, _lin_ougb())
+    with pytest.raises(CertificateError):
+        cx.iops_from_ocag(ocag="OCAG")
+
+
+def test_offset_output_map_bound_refused_where_offset_free_is_read():
+    ident = cf.identity()
+    hb = Certificate(P.H_BOUNDED, {"sigma1": ident, "gamma1": cf.zero(), "c": 0.5})
+    table = _tau_table(lambda e, r, s: _lin_tau(e, r) + s, LIN_EPS, LIN_R,
+                       (0.5, 1.0, 2.0, 4.0, 8.0, 16.0), mode="lim")
+    oulim = Certificate(P.OULIM, {"gamma": ident, "tau_table": table})
+    with pytest.raises(CertificateError, match="hbound must witness H_K_BOUNDED"):
+        cx.ios_from_oulim_ol(oulim, _sample(P.OL), hb)
+    with pytest.raises(CertificateError, match="hbound must witness H_K_BOUNDED"):
+        cx.ios_from_iss_kbounded(_sample(P.ISS), hbound=hb)
+    cert, _ = cx.ogulim_from_oulim(oulim, hb)
+    assert cert.property == P.OGULIM
+    # R(1) = gamma^-1(sigma1(1) + c) = 1.5, read on the ball cell s = 2
+    assert cert["tau_table"].eval(0.1, 1.0) == pytest.approx(table.eval(0.1, 1.0, 1.5))
+    assert table.eval(0.1, 1.0, 1.5) == pytest.approx(_lin_tau(0.1, 1.0) + 2.0)
+
+
+def test_recipes_indexed_by_state_refuse_a_table_over_initial_output(lin, lin_plan,
+                                                                      lin_probes):
+    # decompose_bound and ougb_from_ouag_bors read mu at |x0| = r
+    mu_y = build_reachability_bound(lin, lin_plan, over_initial_output=True,
+                                    probe_set=lin_probes)
+    table = _tau_table(_lin_tau, LIN_EPS + (1.5,), LIN_R, (0.5, 1.0, 2.0, 4.0, 8.0))
+    ouag = Certificate(P.OUAG, {"gamma": cf.identity(), "tau_table": table})
+    with pytest.raises(CertificateError, match="mu must witness BORS"):
+        cx.decompose_bound(mu_y)
+    with pytest.raises(CertificateError, match="mu must witness BORS"):
+        cx.ougb_from_ouag_bors(ouag, mu_y)
+    # the same table is what the initial-output recipe reads
+    mu_x = build_reachability_bound(lin, lin_plan, probe_set=lin_probes)
+    cx.decompose_bound(mu_x)
+    cx.ougb_from_ouag_bors(ouag, mu_x)
 
 
 def test_record_serialisable():

@@ -35,7 +35,7 @@ import pytest
 
 from ioslab import comparison as cf
 from ioslab import zoo
-from ioslab.constructs import CONSTRUCTIONS
+from ioslab.constructs import CONSTRUCTIONS, IMPLICATIONS
 from ioslab.properties import (
     Certificate,
     ConvergenceTimeTable,
@@ -151,6 +151,16 @@ def _recipe_chains(mu, mu_y) -> dict:
     }
 
 
+def _chain_steps(chain):
+    """(recipe, certificate, record) per step of a recipe chain."""
+    cert = None
+    for recipe, args, kwargs in chain:
+        if cert is not None:
+            args = (cert,) + args
+        cert, record = CONSTRUCTIONS[recipe](*args, **kwargs)
+        yield recipe, cert, record
+
+
 # ---------------------------------------------------------------------------
 # the matrix
 # ---------------------------------------------------------------------------
@@ -207,12 +217,8 @@ def build_matrix() -> tuple[dict, list]:
     mu_y = build_reachability_bound(sys, plan, over_initial_output=True, probe_set=ps)
     for name, chain in _recipe_chains(mu, mu_y).items():
         key = f"recipe:{name}"
-        cert = record = None
         try:
-            for recipe, args, kwargs in chain:
-                if cert is not None:
-                    args = (cert,) + args
-                cert, record = CONSTRUCTIONS[recipe](*args, **kwargs)
+            *_, (_, cert, record) = _chain_steps(chain)
         except Exception as exc:
             records[key] = _failed(exc)
             continue
@@ -249,6 +255,21 @@ def test_golden_zoo_matrix_is_unchanged(matrix):
     golden = json.loads(GOLDEN.read_text())
     moved = _moved(golden, records)
     assert not moved, "golden records moved:\n" + "\n".join(moved)
+
+
+def test_recipe_chains_conclude_their_rows():
+    sys = zoo.make_example("lin_scalar")
+    plan = zoo.get_entry("lin_scalar").default_plan()
+    ps = ProbeSet(sys, plan)
+    mu = build_reachability_bound(sys, plan, probe_set=ps)
+    mu_y = build_reachability_bound(sys, plan, over_initial_output=True, probe_set=ps)
+    concluded = set()
+    for chain in _recipe_chains(mu, mu_y).values():
+        for recipe, cert, _ in _chain_steps(chain):
+            if recipe in IMPLICATIONS:
+                assert cert.property == IMPLICATIONS[recipe][1], recipe
+                concluded.add(recipe)
+    assert concluded == set(IMPLICATIONS)
 
 
 def test_golden_certificates_round_trip(matrix):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ioslab.constructs import IMPLICATIONS
 from ioslab.errors import DomainError
 from ioslab.signals import InputSignal
 from ioslab.systems import SimPlan, simulate
@@ -171,3 +172,71 @@ def test_make_example_rejects_unknown():
 def test_full_state_alias():
     sys = zoo.make_example("full_state", base="lin_scalar")
     assert sys.meta.get("full_state") is True
+
+
+# ---------------------------------------------------------------------------
+# audit: every expected map, closed under the recipes' implications
+# ---------------------------------------------------------------------------
+
+P = PropertyId
+# the recipes' rows plus the definitional weakening H_K_BOUNDED => H_BOUNDED
+RULES = list(IMPLICATIONS.values()) + [((P.H_K_BOUNDED,), P.H_BOUNDED)]
+
+
+def _closure(expected: dict) -> tuple[dict, set]:
+    """(statuses forced beyond ``expected``, clauses "one of these fails").
+
+    Forwards, a rule whose hypotheses all hold makes its conclusion hold; by
+    contrapositive, a failing conclusion makes its one hypothesis not known
+    to hold fail, and leaves a clause when several are open.  A status forced
+    against a stated or already forced one is a contradiction.
+    """
+    status = {p: s for p, s in expected.items() if s in ("holds", "fails")}
+
+    def force(prop, value):
+        assert status.get(prop, value) == value, f"{prop.value} forced to {value}"
+        changed = prop not in status
+        status[prop] = value
+        return changed
+
+    changed = True
+    while changed:
+        changed = False
+        for hyps, concl in RULES:
+            open_ = [h for h in hyps if status.get(h) != "holds"]
+            if not open_:
+                changed |= force(concl, "holds")
+            elif status.get(concl) == "fails" and len(open_) == 1:
+                changed |= force(open_[0], "fails")
+    clauses = set()
+    for hyps, concl in RULES:
+        open_ = frozenset(h for h in hyps if status.get(h) != "holds")
+        if status.get(concl) == "fails" and len(open_) > 1 \
+                and all(h not in status for h in open_):
+            clauses.add(open_)
+    forced = {p: s for p, s in status.items() if p not in expected}
+    return forced, clauses
+
+
+# what the closure forces and the zoo does not state (marking these is the
+# counterexample gate's work, not the audit's)
+FORCED = {
+    "lin_scalar": ({}, set()),
+    "sin_output": ({}, {frozenset({P.OBORS, P.OOULIM})}),
+    "rotation": ({P.OCAG: "fails", P.OGUAG: "fails"},
+                 {frozenset({P.LOCAL_OL, P.OBORS})}),
+    "sat_polar": ({}, set()),
+    "l2_blowup": ({}, {frozenset({P.OCAG, P.OUGS}),
+                       frozenset({P.OULIM, P.OL, P.H_K_BOUNDED})}),
+    "l2_timewarp": ({P.OGULIM: "holds"}, set()),
+}
+
+
+@pytest.mark.parametrize("zoo_id", zoo.zoo_ids())
+def test_expected_map_is_closed_under_the_implications(zoo_id):
+    assert _closure(zoo.get_entry(zoo_id).expected) == FORCED[zoo_id]
+
+
+def test_closure_finds_a_contradiction():
+    with pytest.raises(AssertionError, match="IOS forced to holds"):
+        _closure({P.ISS: "holds", P.H_K_BOUNDED: "holds", P.IOS: "fails"})
