@@ -507,8 +507,7 @@ def ougs_from_ougb_ouls(ougb: Certificate, ouls: Certificate):
     radius = ouls["radius"]
     c = ougb["c"]
     sigma = _case_split_merge(ougb["sigma"], ouls["sigma"], c, radius)
-    gamma = _case_split_merge(ougb["gamma"], ouls["gamma"], c, radius) \
-        if not (ougb["gamma"].is_zero and ouls["gamma"].is_zero) else cf.zero()
+    gamma = _case_split_merge(ougb["gamma"], ouls["gamma"], c, radius)
     cert = Certificate(PropertyId.OUGS, {"sigma": sigma, "gamma": gamma})
     record = ConstructionRecord(
         "ougs_from_ougb_ouls", (ougb, ouls), cert,
@@ -617,8 +616,7 @@ def ol_from_ooulim_localol_obors(ooulim: Certificate, local_ol: Certificate,
     """
     table: ConvergenceTimeTable = ooulim["tau_table"]
     gamma = ooulim["gamma"]
-    gamma_tilde = cf.declare(cf.fmax(cf.identity(), cf.scale_val(gamma, 2.0)), "Kinf") \
-        if not gamma.is_zero else cf.identity()
+    gamma_tilde = cf.declare(cf.fmax(cf.identity(), cf.scale_val(gamma, 2.0)), "Kinf")
 
     def sigma_tilde_at(r: float) -> float:
         big_r = mu.eval(r, min(r, mu.s_grid[-1]), 1.0)
@@ -637,9 +635,7 @@ def ol_from_ooulim_localol_obors(ooulim: Certificate, local_ol: Certificate,
                         {"sigma": sigma, "gamma": gamma_oougb, "c": base})
     radius = local_ol["radius"]
     sigma_final = _case_split_merge(sigma, local_ol["sigma"], base, radius)
-    g2 = local_ol["gamma"]
-    gamma_final = _case_split_merge(gamma_oougb, g2, base, radius) \
-        if not (gamma_oougb.is_zero and g2.is_zero) else gamma_oougb
+    gamma_final = _case_split_merge(gamma_oougb, local_ol["gamma"], base, radius)
     cert = Certificate(PropertyId.OL, {"sigma": sigma_final, "gamma": gamma_final})
     record = ConstructionRecord(
         "ol_from_ooulim_localol_obors", (ooulim, local_ol, "mu over initial output"),

@@ -1326,6 +1326,11 @@ def _scaled_input(u: InputSignal, factor: float) -> InputSignal:
 # estimation
 # ---------------------------------------------------------------------------
 
+def _check_tau_mode(mode: str) -> None:
+    if mode not in ("uag", "lim"):
+        raise DomainError("mode must be 'uag' or 'lim'")
+
+
 def _shell_tau(datas, eps: float, mode: str, gamma_ref: ScalarFn):
     """Worst convergence ("uag": just after the last miss) or visit ("lim":
     the first hit) time of ``eps + gamma_ref(s)`` over a shell of probes.
@@ -1333,8 +1338,6 @@ def _shell_tau(datas, eps: float, mode: str, gamma_ref: ScalarFn):
     Returns (tau, None), or (None, offending ProbeData) when some probe
     blows up or never satisfies the bound within the horizon.
     """
-    if mode not in ("uag", "lim"):
-        raise DomainError("mode must be 'uag' or 'lim'")
     worst = 0.0
     for data in datas:
         if data.blown:
@@ -1362,6 +1365,7 @@ def estimate_tau(sys: SystemModel, eps: float, r: float, s: float, mode: str,
     Returns (tau, None) on success or (None, offending ProbeData) when some
     trajectory never satisfies the bound within the horizon.
     """
+    _check_tau_mode(mode)
     ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
     return _shell_tau(ps.shells([(r, s)])[0], eps, mode, gamma_ref)
 
@@ -1371,6 +1375,7 @@ def build_tau_table(sys: SystemModel, plan: SamplingPlan, mode: str,
                     probe_set: ProbeSet | None = None,
                     over_initial_output: bool = False) -> ConvergenceTimeTable:
     """Tabulate empirical times over plan grids; unreachable cells become inf."""
+    _check_tau_mode(mode)
     ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
     eps_grid = tuple(eps_grid if eps_grid is not None else plan.eps_grid)
     r_grid = tuple(r_grid if r_grid is not None else plan.radii)

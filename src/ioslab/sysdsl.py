@@ -35,7 +35,7 @@ finite-dimensional equivalences this package checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +85,7 @@ class Lit:
 @dataclass(frozen=True)
 class Name:
     ident: str
+    col: int = field(default=1, compare=False)  # for diagnostics only
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,7 @@ class Bin:
 class Call:
     fn: str
     args: tuple
+    col: int = field(default=1, compare=False)  # for diagnostics only
 
 
 @dataclass(frozen=True)
@@ -225,8 +227,8 @@ class _ExprParser:
                     self.next()
                     args.append(self.parse_expr())
                 self.expect_op(")")
-                return Call(tok.text, tuple(args))
-            return Name(tok.text)
+                return Call(tok.text, tuple(args), tok.col)
+            return Name(tok.text, tok.col)
         if tok.kind == "OP" and tok.text == "(":
             node = self.parse_expr()
             self.expect_op(")")
@@ -250,7 +252,7 @@ def _fold(node):
         left, right = _fold(node.left), _fold(node.right)
         return _folded(Bin(node.op, left, right), _APPLY_BIN[node.op], (left, right))
     if isinstance(node, Call):
-        call = Call(node.fn, tuple(_fold(a) for a in node.args))
+        call = Call(node.fn, tuple(_fold(a) for a in node.args), node.col)
         if _FUNCS.get(call.fn, (None,))[0] != len(call.args):
             return call  # unknown function or wrong arity: validation reports it
         return _folded(call, _FUNCS[call.fn][1], call.args)
@@ -273,7 +275,7 @@ _APPLY_BIN = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _DIV}
 def _validate_idents(node, allowed: set, line: int):
     if isinstance(node, Name):
         if node.ident not in allowed:
-            raise ParseError(f"unknown identifier {node.ident!r}", line, 1)
+            raise ParseError(f"unknown identifier {node.ident!r}", line, node.col)
     elif isinstance(node, Un):
         _validate_idents(node.arg, allowed, line)
     elif isinstance(node, Bin):
@@ -281,11 +283,11 @@ def _validate_idents(node, allowed: set, line: int):
         _validate_idents(node.right, allowed, line)
     elif isinstance(node, Call):
         if node.fn not in _FUNCS:
-            raise ParseError(f"unknown function {node.fn!r}", line, 1)
+            raise ParseError(f"unknown function {node.fn!r}", line, node.col)
         arity, _ = _FUNCS[node.fn]
         if len(node.args) != arity:
             raise ParseError(
-                f"{node.fn} takes {arity} argument(s), got {len(node.args)}", line, 1
+                f"{node.fn} takes {arity} argument(s), got {len(node.args)}", line, node.col
             )
         for a in node.args:
             _validate_idents(a, allowed, line)

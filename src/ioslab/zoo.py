@@ -5,6 +5,8 @@ Every entry couples a system factory with
   * witness recipes for each expected failure, replayable through the
     simulator,
   * analytic certificates for the properties known to hold in closed form,
+    given as {notion: parameters} rows, so each notion is named once and a
+    parameter set that several notions share is written once,
   * a default sampling plan sized so the interesting behaviour is visible.
 
 Systems
@@ -38,7 +40,7 @@ import time rather than hard-coded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,6 +83,12 @@ def riccati_seed_for_blowup_at(t_star: float) -> float:
 
 
 BLOWUP_SEED = riccati_seed_for_blowup_at(1.0)  # ~2.31304
+
+
+def blowup_ball_radius() -> float:
+    """d = 2 sqrt(c^2 + (2e)^2): twice the norm of every blow-up seed state."""
+    c = BLOWUP_SEED
+    return 2.0 * math.sqrt(c * c + 4.0 * math.e ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +241,12 @@ def _l2_rhs(n_coords: int):
 def _l2_blowup(n: int = 64) -> SystemModel:
     if n < 2:
         raise DomainError("truncation width must be at least 2")
-    base = _l2_rhs(n)
     return SystemModel(
         name=f"l2_blowup_{n}",
         time_set="continuous",
         state_dim=n,
         input_dim=0,
-        rhs=base,
+        rhs=_l2_rhs(n),
         output=lambda x, u: np.asarray(x, dtype=float),
         output_dim=n,
         meta={"truncation": n},
@@ -247,25 +254,16 @@ def _l2_blowup(n: int = 64) -> SystemModel:
 
 
 def _l2_timewarp(n: int = 16) -> SystemModel:
-    if n < 2:
-        raise DomainError("truncation width must be at least 2")
-    base = _l2_rhs(n)
+    blowup = _l2_blowup(n)
+    base = blowup.rhs
 
     def rhs(x, u):
         # float_power is libm's pow, as Python's float ** is; u ** 2 is u * u,
         # which rounds differently for a few inputs
         return base(x, u) / (1.0 + np.float_power(u[..., :1], 2))
 
-    return SystemModel(
-        name=f"l2_timewarp_{n}",
-        time_set="continuous",
-        state_dim=n,
-        input_dim=1,
-        rhs=rhs,
-        output=lambda x, u: np.asarray(x, dtype=float),
-        output_dim=n,
-        meta={"truncation": n, "timewarp": True},
-    )
+    return replace(blowup, name=f"l2_timewarp_{n}", input_dim=1, rhs=rhs,
+                   meta={**blowup.meta, "timewarp": True})
 
 
 def _lin_scalar() -> SystemModel:
@@ -296,214 +294,111 @@ def _lin_scalar() -> SystemModel:
 # analytic certificates
 # ---------------------------------------------------------------------------
 
-def _tau_table_from_formula(eps_grid, r_grid, fn, s_grid=None):
-    eps_grid = tuple(eps_grid)
-    r_grid = tuple(r_grid)
-    if s_grid is None:
-        vals = np.array([[fn(e, r) for r in r_grid] for e in eps_grid])
-        return ConvergenceTimeTable(eps_grid, r_grid, None, vals, mode="uag")
-    s_grid = tuple(s_grid)
-    vals = np.array(
-        [[[fn(e, r) for _ in s_grid] for r in r_grid] for e in eps_grid]
-    )
+def _certs(rows: dict) -> dict:
+    """Certificates from {notion: parameters} rows, in the rows' order."""
+    return {notion: Certificate(notion, dict(params)) for notion, params in rows.items()}
+
+
+def _ln_decay(eps: float, r: float) -> float:
+    """Time for r e^-t to fall to eps, plus a 0.05 margin."""
+    return max(math.log(max(r, 1e-12) / eps), 0.0) + 0.05
+
+
+def _ln_decay_table(s_grid=None) -> ConvergenceTimeTable:
+    """Unit-rate decay times over (eps, r), the same at every input level in ``s_grid``."""
+    eps_grid, r_grid = (0.05, 0.1, 0.5), (0.1, 1.0, 10.0)
+    vals = np.array([[_ln_decay(e, r) for r in r_grid] for e in eps_grid])
+    if s_grid is not None:
+        vals = np.repeat(vals[..., None], len(s_grid), axis=-1)
     return ConvergenceTimeTable(eps_grid, r_grid, s_grid, vals, mode="uag")
 
 
+# |y| <= |x|, which every read-out here meets: output-map bounds with offset c = 0
+_Y_K_BOUND = {"sigma1": cf.identity(), "gamma1": cf.zero()}
+_Y_BOUND = {**_Y_K_BOUND, "c": 0.0}
+# sigma = id, gamma = 0: the output stays below the initial state norm, whatever the input
+_NO_GAIN = {"sigma": cf.identity(), "gamma": cf.zero()}
+_UNIT_IOSS = {"beta": cf.kl_exp(), "gamma1": cf.identity(), "gamma2": cf.identity()}
+
+
 def _sin_output_certs() -> dict:
-    ln_decay = lambda e, r: max(math.log(max(r, 1e-12) / e), 0.0) + 0.05
-    return {
-        PropertyId.IOS: Certificate(PropertyId.IOS, {"beta": cf.kl_exp(), "gamma": cf.zero()}),
-        PropertyId.ISS: Certificate(PropertyId.ISS, {"beta": cf.kl_exp(), "gamma": cf.zero()}),
-        PropertyId.OUGS: Certificate(
-            PropertyId.OUGS, {"sigma": cf.identity(), "gamma": cf.zero()}
-        ),
-        PropertyId.OULS: Certificate(
-            PropertyId.OULS,
-            {"sigma": cf.identity(), "gamma": cf.zero(), "radius": 1.0},
-        ),
-        PropertyId.LOCAL_OL: Certificate(
-            PropertyId.LOCAL_OL,
-            {"sigma": cf.scale(1.16), "gamma": cf.zero(), "radius": 0.9},
-        ),
-        PropertyId.OUAG: Certificate(
-            PropertyId.OUAG,
-            {
-                "gamma": cf.zero(),
-                "tau_table": _tau_table_from_formula(
-                    (0.05, 0.1, 0.5), (0.1, 1.0, 10.0), ln_decay, s_grid=(0.0, 1.0)
-                ),
-            },
-        ),
-        PropertyId.H_BOUNDED: Certificate(
-            PropertyId.H_BOUNDED,
-            {"sigma1": cf.identity(), "gamma1": cf.zero(), "c": 0.0},
-        ),
-        PropertyId.H_K_BOUNDED: Certificate(
-            PropertyId.H_K_BOUNDED, {"sigma1": cf.identity(), "gamma1": cf.zero()}
-        ),
-        PropertyId.IOSS: Certificate(
-            PropertyId.IOSS,
-            {"beta": cf.kl_exp(), "gamma1": cf.identity(), "gamma2": cf.identity()},
-        ),
-    }
+    decay = {"beta": cf.kl_exp(), "gamma": cf.zero()}
+    return _certs({
+        PropertyId.IOS: decay,
+        PropertyId.ISS: decay,
+        PropertyId.OUGS: _NO_GAIN,
+        PropertyId.OULS: {**_NO_GAIN, "radius": 1.0},
+        PropertyId.LOCAL_OL: {"sigma": cf.scale(1.16), "gamma": cf.zero(), "radius": 0.9},
+        PropertyId.OUAG: {"gamma": cf.zero(), "tau_table": _ln_decay_table(s_grid=(0.0, 1.0))},
+        PropertyId.H_BOUNDED: _Y_BOUND,
+        PropertyId.H_K_BOUNDED: _Y_K_BOUND,
+        PropertyId.IOSS: _UNIT_IOSS,
+    })
 
 
 def _rotation_certs() -> dict:
-    return {
-        PropertyId.OUGS: Certificate(
-            PropertyId.OUGS, {"sigma": cf.identity(), "gamma": cf.zero()}
-        ),
-        PropertyId.OULS: Certificate(
-            PropertyId.OULS,
-            {"sigma": cf.identity(), "gamma": cf.zero(), "radius": 1.0},
-        ),
-        PropertyId.OUGB: Certificate(
-            PropertyId.OUGB, {"sigma": cf.identity(), "gamma": cf.zero(), "c": 1.0}
-        ),
-        PropertyId.H_BOUNDED: Certificate(
-            PropertyId.H_BOUNDED,
-            {"sigma1": cf.identity(), "gamma1": cf.zero(), "c": 0.0},
-        ),
-        PropertyId.H_K_BOUNDED: Certificate(
-            PropertyId.H_K_BOUNDED, {"sigma1": cf.identity(), "gamma1": cf.zero()}
-        ),
-        PropertyId.IOSS: Certificate(
-            PropertyId.IOSS,
-            {
-                "beta": cf.kl_inner(cf.kl_time_scale(cf.kl_exp(), 1.0), cf.scale(2.0)),
-                "gamma1": cf.identity(),
-                "gamma2": cf.scale(2.0),
-            },
-        ),
-    }
+    return _certs({
+        PropertyId.OUGS: _NO_GAIN,
+        PropertyId.OULS: {**_NO_GAIN, "radius": 1.0},
+        PropertyId.OUGB: {**_NO_GAIN, "c": 1.0},
+        PropertyId.H_BOUNDED: _Y_BOUND,
+        PropertyId.H_K_BOUNDED: _Y_K_BOUND,
+        PropertyId.IOSS: {
+            "beta": cf.kl_inner(cf.kl_time_scale(cf.kl_exp(), 1.0), cf.scale(2.0)),
+            "gamma1": cf.identity(),
+            "gamma2": cf.scale(2.0),
+        },
+    })
 
 
 def _sat_polar_certs() -> dict:
     # the output never exceeds the radius: y^2 = rho^2 cos^2 + min(rho^2 sin^2, 1)
-    return {
-        PropertyId.OUGS: Certificate(
-            PropertyId.OUGS, {"sigma": cf.identity(), "gamma": cf.zero()}
-        ),
-        PropertyId.OULS: Certificate(
-            PropertyId.OULS,
-            {"sigma": cf.identity(), "gamma": cf.zero(), "radius": 0.9},
-        ),
-        PropertyId.LOCAL_OL: Certificate(
-            PropertyId.LOCAL_OL,
-            {"sigma": cf.identity(), "gamma": cf.zero(), "radius": 0.9},
-        ),
-        PropertyId.OBORS: Certificate(
-            PropertyId.OBORS, {"radius": 25.0, "horizon": 26.0, "bound": 52.0}
-        ),
-        PropertyId.BORS: Certificate(
-            PropertyId.BORS, {"radius": 25.0, "horizon": 26.0, "bound": 25.0}
-        ),
-        PropertyId.H_BOUNDED: Certificate(
-            PropertyId.H_BOUNDED,
-            {"sigma1": cf.identity(), "gamma1": cf.zero(), "c": 0.0},
-        ),
-    }
+    local = {**_NO_GAIN, "radius": 0.9}
+    return _certs({
+        PropertyId.OUGS: _NO_GAIN,
+        PropertyId.OULS: local,
+        PropertyId.LOCAL_OL: local,
+        PropertyId.OBORS: {"radius": 25.0, "horizon": 26.0, "bound": 52.0},
+        PropertyId.BORS: {"radius": 25.0, "horizon": 26.0, "bound": 25.0},
+        PropertyId.H_BOUNDED: _Y_BOUND,
+    })
 
 
-def _l2_blowup_certs() -> dict:
-    return {
-        PropertyId.OULS: Certificate(
-            PropertyId.OULS,
-            {"sigma": cf.identity(), "gamma": cf.zero(), "radius": 0.5},
-        ),
-        PropertyId.H_BOUNDED: Certificate(
-            PropertyId.H_BOUNDED,
-            {"sigma1": cf.identity(), "gamma1": cf.zero(), "c": 0.0},
-        ),
-    }
-
-
-def _l2_timewarp_certs() -> dict:
-    return {
-        PropertyId.OULS: Certificate(
-            PropertyId.OULS,
-            {"sigma": cf.identity(), "gamma": cf.zero(), "radius": 0.5},
-        ),
-        PropertyId.H_BOUNDED: Certificate(
-            PropertyId.H_BOUNDED,
-            {"sigma1": cf.identity(), "gamma1": cf.zero(), "c": 0.0},
-        ),
-    }
+def _l2_certs() -> dict:
+    return _certs({
+        PropertyId.OULS: {**_NO_GAIN, "radius": 0.5},
+        PropertyId.H_BOUNDED: _Y_BOUND,
+    })
 
 
 def _lin_scalar_certs() -> dict:
-    ln_decay = lambda e, r: max(math.log(max(r, 1e-12) / e), 0.0) + 0.05
-    eps = (0.05, 0.1, 0.5)
-    rads = (0.1, 1.0, 10.0)
-    return {
-        PropertyId.IOS: Certificate(
-            PropertyId.IOS, {"beta": cf.kl_exp(), "gamma": cf.identity()}
-        ),
-        PropertyId.ISS: Certificate(
-            PropertyId.ISS, {"beta": cf.kl_exp(), "gamma": cf.identity()}
-        ),
-        PropertyId.OCAG: Certificate(
-            PropertyId.OCAG, {"beta": cf.kl_exp(), "gamma": cf.identity(), "c": 0.0}
-        ),
-        PropertyId.IOPS: Certificate(
-            PropertyId.IOPS, {"beta": cf.kl_exp(), "gamma": cf.identity(), "c": 0.0}
-        ),
-        PropertyId.OL: Certificate(
-            PropertyId.OL, {"sigma": cf.identity(), "gamma": cf.identity()}
-        ),
-        PropertyId.LOCAL_OL: Certificate(
-            PropertyId.LOCAL_OL,
-            {"sigma": cf.identity(), "gamma": cf.identity(), "radius": 2.0},
-        ),
-        PropertyId.OUGS: Certificate(
-            PropertyId.OUGS, {"sigma": cf.identity(), "gamma": cf.identity()}
-        ),
-        PropertyId.OULS: Certificate(
-            PropertyId.OULS,
-            {"sigma": cf.identity(), "gamma": cf.identity(), "radius": 2.0},
-        ),
-        PropertyId.OUGB: Certificate(
-            PropertyId.OUGB,
-            {"sigma": cf.identity(), "gamma": cf.identity(), "c": 1e-6},
-        ),
-        PropertyId.OOUGB: Certificate(
-            PropertyId.OOUGB,
-            {"sigma": cf.identity(), "gamma": cf.identity(), "c": 1e-6},
-        ),
-        PropertyId.OUAG: Certificate(
-            PropertyId.OUAG,
-            {
-                "gamma": cf.identity(),
-                "tau_table": _tau_table_from_formula(eps, rads, ln_decay, s_grid=(0.0, 1.0, 2.0, 10.0)),
-            },
-        ),
-        PropertyId.OGUAG: Certificate(
-            PropertyId.OGUAG,
-            {
-                "gamma": cf.identity(),
-                "tau_table": _tau_table_from_formula(eps, rads, ln_decay),
-                "s_max": 10.0,
-            },
-        ),
-        PropertyId.H_BOUNDED: Certificate(
-            PropertyId.H_BOUNDED,
-            {"sigma1": cf.identity(), "gamma1": cf.zero(), "c": 0.0},
-        ),
-        PropertyId.H_K_BOUNDED: Certificate(
-            PropertyId.H_K_BOUNDED, {"sigma1": cf.identity(), "gamma1": cf.zero()}
-        ),
-        PropertyId.IOSS: Certificate(
-            PropertyId.IOSS,
-            {"beta": cf.kl_exp(), "gamma1": cf.identity(), "gamma2": cf.identity()},
-        ),
-        PropertyId.BORS: Certificate(
-            PropertyId.BORS, {"radius": 10.0, "horizon": 15.0, "bound": 20.0}
-        ),
-        PropertyId.OBORS: Certificate(
-            PropertyId.OBORS, {"radius": 10.0, "horizon": 15.0, "bound": 20.0}
-        ),
-    }
-
+    decay = {"beta": cf.kl_exp(), "gamma": cf.identity()}
+    offset_free = {**decay, "c": 0.0}
+    unit = {"sigma": cf.identity(), "gamma": cf.identity()}
+    local = {**unit, "radius": 2.0}
+    offset = {**unit, "c": 1e-6}
+    reach = {"radius": 10.0, "horizon": 15.0, "bound": 20.0}
+    return _certs({
+        PropertyId.IOS: decay,
+        PropertyId.ISS: decay,
+        PropertyId.OCAG: offset_free,
+        PropertyId.IOPS: offset_free,
+        PropertyId.OL: unit,
+        PropertyId.LOCAL_OL: local,
+        PropertyId.OUGS: unit,
+        PropertyId.OULS: local,
+        PropertyId.OUGB: offset,
+        PropertyId.OOUGB: offset,
+        PropertyId.OUAG: {"gamma": cf.identity(),
+                          "tau_table": _ln_decay_table(s_grid=(0.0, 1.0, 2.0, 10.0))},
+        PropertyId.OGUAG: {"gamma": cf.identity(), "tau_table": _ln_decay_table(),
+                           "s_max": 10.0},
+        PropertyId.H_BOUNDED: _Y_BOUND,
+        PropertyId.H_K_BOUNDED: _Y_K_BOUND,
+        PropertyId.IOSS: _UNIT_IOSS,
+        PropertyId.BORS: reach,
+        PropertyId.OBORS: reach,
+    })
 
 # ---------------------------------------------------------------------------
 # entries
@@ -695,8 +590,6 @@ def _sat_polar_entry() -> ZooEntry:
 
 
 def _l2_blowup_entry() -> ZooEntry:
-    c = BLOWUP_SEED
-    d = 2.0 * math.sqrt(c * c + 4.0 * math.e ** 2)
     return ZooEntry(
         id="l2_blowup",
         factory=lambda n=64, **kw: _l2_blowup(n),
@@ -732,7 +625,7 @@ def _l2_blowup_entry() -> ZooEntry:
                 note="full-state output, same seed",
             ),
         },
-        certificates=_l2_blowup_certs,
+        certificates=_l2_certs,
         default_plan=lambda: SamplingPlan(
             radii=(0.1, 0.3, 0.5),
             input_norms=(),
@@ -743,7 +636,8 @@ def _l2_blowup_entry() -> ZooEntry:
             seed=104,
         ),
         estimable=(PropertyId.OULS, PropertyId.OCEP, PropertyId.H_BOUNDED),
-        notes=f"ball radius for the unbounded-reachability witness: d = {d:.6f}; "
+        notes=f"ball radius for the unbounded-reachability witness: "
+              f"d = {blowup_ball_radius():.6f}; "
               "the truncation only exhibits growth up to the truncation width, "
               "the untruncated statement is its limit; forward completeness at "
               "witness radii is 'unknown' because the stiff post-excursion "
@@ -780,7 +674,7 @@ def _l2_timewarp_entry() -> ZooEntry:
                 note="zero-input seed as in the undilated system",
             ),
         },
-        certificates=_l2_timewarp_certs,
+        certificates=_l2_certs,
         default_plan=lambda: SamplingPlan(
             radii=(0.25, 0.5),
             input_norms=(1.0, 2.0, 4.0),
@@ -909,11 +803,6 @@ def blowup_seed_state(n: int, j: int) -> np.ndarray:
     x[0] = 2.0 * math.e
     x[j] = BLOWUP_SEED
     return x
-
-
-def blowup_ball_radius() -> float:
-    c = BLOWUP_SEED
-    return 2.0 * math.sqrt(c * c + 4.0 * math.e ** 2)
 
 
 def timewarp_defeat_input(tau_req: float, tau_j: float) -> float:

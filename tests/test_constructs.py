@@ -23,6 +23,7 @@ from ioslab.properties import (
     falsify,
     verify,
 )
+from ioslab.sysdsl import compile_system, parse_system
 from ioslab.systems import SimPlan
 from ioslab.zoo import get_entry, make_example
 
@@ -251,6 +252,22 @@ def test_ougs_merge_zero_offset_degenerates_to_max():
     cert, _ = cx.ougs_from_ougb_ouls(ougb, ouls)
     for s in (0.5, 1.0, 2.0):
         assert float(cert["sigma"](s)) == pytest.approx(max(s, s * s), rel=1e-9)
+
+
+def test_ougs_merge_of_zero_gains_keeps_the_offset():
+    """An input above the local radius meets only the global bound, whose
+    offset c must then show in the merged gain even when both gains are zero:
+    here x0 = 0.1 under u = 4 climbs to the output cap 1 > sigma(0.1)."""
+    sys = compile_system(parse_system(
+        "dim_x = 1\ndim_u = 1\ndx0 = -x0 + max(u0 - 1, 0)\ny0 = min(x0, 1)"))
+    plan = SamplingPlan(radii=(0.1, 1.0, 5.0), input_norms=(0.5, 1.0, 4.0), eps_grid=(0.1,),
+                        horizon=10.0, sim=SimPlan(10.0, 2e-2), directions=2, seed=7)
+    ps = ProbeSet(sys, plan)
+    ougb = Certificate(PropertyId.OUGB, {"sigma": cf.identity(), "gamma": cf.zero(), "c": 1.0})
+    ouls = Certificate(PropertyId.OULS,
+                       {"sigma": cf.identity(), "gamma": cf.zero(), "radius": 1.0})
+    for cert in (ougb, ouls, cx.ougs_from_ougb_ouls(ougb, ouls)[0]):
+        _assert_roundtrip(sys, cert, plan, ps)
 
 
 # ---------------------------------------------------------------------------

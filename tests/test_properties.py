@@ -459,6 +459,17 @@ def test_estimate_tau_rotation_uag_inconclusive(rot_sys, rot_plan):
     assert offending is not None
 
 
+@pytest.mark.parametrize("build", [
+    lambda sys, plan: estimate_tau(sys, 0.1, 1.0, 0.0, "bogus", plan, cf.zero()),
+    lambda sys, plan: build_tau_table(sys, plan, "bogus", cf.zero()),
+], ids=["estimate_tau", "build_tau_table"])
+def test_bad_tau_mode_is_refused_before_any_simulation(lin_sys, lin_plan, kernel_calls,
+                                                      build):
+    with pytest.raises(DomainError, match="mode"):
+        build(lin_sys, lin_plan)
+    assert sum(kernel_calls) == 0
+
+
 def test_build_tau_table_rectified(sin_sys, sin_plan):
     table = build_tau_table(sin_sys, sin_plan, "uag", cf.zero())
     v = table.values

@@ -73,6 +73,18 @@ def test_rejects_each_malformed_production(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("expr, fragment", [
+    ("-x0 + z9", "unknown identifier"),
+    ("-x0 + foo(x0)", "unknown function"),
+    ("-x0 + sin(x0, x0)", "takes 1 argument"),
+])
+def test_name_errors_point_at_the_name(expr, fragment):
+    with pytest.raises(ParseError) as err:
+        parse_system(f"dim_x = 1\ndim_u = 0\ndx0 = {expr}\ny0 = x0")
+    assert fragment in str(err.value)
+    assert (err.value.line, err.value.column) == (3, 13)
+
+
 @pytest.mark.parametrize(
     "text",
     [

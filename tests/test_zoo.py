@@ -154,6 +154,18 @@ def test_every_failure_has_witness_recipe():
                 assert prop in entry.witnesses, (zid, prop)
 
 
+@pytest.mark.parametrize("zoo_id", zoo.zoo_ids())
+def test_certificates_and_estimable_notions_are_marked_holds(zoo_id):
+    """The conformance matrix only checks a certificate or an estimate
+    whose notion the entry marks "holds"; any other would go unchecked."""
+    entry = zoo.get_entry(zoo_id)
+    for prop, cert in entry.certificates().items():
+        assert cert.property == prop, (prop, cert.property)
+        assert entry.expected.get(prop) == "holds", prop
+    for prop in entry.estimable:
+        assert entry.expected.get(prop) == "holds", prop
+
+
 def test_describe_is_json_serialisable():
     import json
 
