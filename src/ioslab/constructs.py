@@ -556,9 +556,8 @@ def ios_from_oulim_ol(oulim: Certificate, ol: Certificate, hbound: Certificate):
     sigma1 = hbound["sigma1"]
     gamma1 = hbound["gamma1"]
     two = cf.scale(2.0)
-    parts = cf.compose(sigma, cf.compose(two, sigma1))
-    if not gamma1.is_zero:
-        parts = cf.add(parts, cf.compose(sigma, cf.compose(two, gamma1)))
+    parts = cf.add(cf.compose(sigma, cf.compose(two, sigma1)),
+                   cf.compose(sigma, cf.compose(two, gamma1)))
     eps0 = cf.declare(cf.add(parts, gamma), "Kinf")
     sigma_tilde = cf.scale_arg(sigma, 2.0)
     gamma_inner = cf.add(gamma, eps0)
@@ -656,9 +655,7 @@ def ios_from_iss_kbounded(iss: Certificate, hbound: Certificate):
     gamma1 = hbound["gamma1"]
     two = cf.scale(2.0)
     beta = cf.kl_outer(cf.compose(sigma1, two), iss["beta"])
-    gamma = iss["gamma"]
-    g = cf.compose(sigma1, cf.compose(two, gamma)) if not gamma.is_zero else cf.zero()
-    g = cf.add(g, gamma1)
+    g = cf.add(cf.compose(sigma1, cf.compose(two, iss["gamma"])), gamma1)
     g = g if g.is_zero else cf.declare(g, "Kinf")
     cert = Certificate(PropertyId.IOS, {"beta": beta, "gamma": g})
     record = ConstructionRecord(
@@ -683,15 +680,14 @@ def iss_from_ios_ioss(ios: Certificate, ioss: Certificate):
     two = cf.scale(2.0)
     beta0 = kl_at_zero(beta)
     sigma = cf.add(beta0, cf.compose(gamma2, cf.scale_val(beta0, 2.0)))
-    g2_2g = cf.compose(gamma2, cf.compose(two, gamma)) if not gamma.is_zero else cf.zero()
+    g2_2g = cf.compose(gamma2, cf.compose(two, gamma))
     gamma_hat = cf.add(gamma1, g2_2g)
     half = cf.kl_time_scale(beta, 0.5)
     beta_tilde = cf.kl_sum(
         cf.kl_inner(half, cf.scale_val(sigma, 2.0)),
         cf.kl_outer(cf.compose(gamma2, two), half),
     )
-    head = cf.compose(beta0, cf.scale_val(gamma_hat, 2.0)) if not gamma_hat.is_zero \
-        else cf.zero()
+    head = cf.compose(beta0, cf.scale_val(gamma_hat, 2.0))
     gamma_tilde = cf.add(cf.add(head, gamma1), g2_2g)
     if not gamma_tilde.is_zero:
         gamma_tilde = cf.declare(gamma_tilde, "Kinf")

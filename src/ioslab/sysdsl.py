@@ -1,11 +1,12 @@
 """Parser and evaluator for the system-descriptor language.
 
 A descriptor is UTF-8 text, one statement per line, ``#`` starts a comment.
-Normative keys::
+Every statement has the one form ``statement = KEY [NAME] "=" expr ;``,
+where only ``param`` takes a NAME.  Normative keys::
 
     dim_x = <int>            state dimension (required)
     dim_u = <int>            input dimension (required, may be 0)
-    time = continuous|discrete   optional, default continuous
+    time = continuous|discrete   optional, default continuous (an identifier)
     param <name> = <number>  named scalar constants
     dx<i> = <expr>           state derivative (continuous) / step map (discrete)
     y<j> = <expr>            output coordinates, contiguous from y0
@@ -23,6 +24,11 @@ sin, cos, exp, ln, sqrt, abs, min, max, sat, atan2, pow (``sat`` is
 min{., 1}).  Division, ln and sqrt are guarded at evaluation: out-of-domain
 arguments yield NaN, which the simulator reports.
 
+Diagnostics carry the line of the statement at fault.  A missing
+declaration points at the last statement, a wrong number of ``dx`` lines at
+the ``dim_x`` statement, and non-contiguous outputs at the first output out
+of sequence (else the last statement).
+
 Compiled systems follow the simulator's batch contract: every expression is
 a broadcasting NumPy closure over ``x[..., i]`` and ``u[..., j]``, so one
 call evaluates a whole (P, n) block of states row by row.
@@ -35,6 +41,7 @@ finite-dimensional equivalences this package checks.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,84 +139,65 @@ class _Tok:
     col: int
 
 
+# A number is checked as a whole when it is parsed, so "1.2.3" is one token.
+_TOKEN = re.compile(r"\s*(?:(?P<NUM>\.?\d(?:[\d.]|[eE][+-]?)*)|(?P<IDENT>[^\W\d]\w*)"
+                    r"|(?P<OP>[-+*/(),=])|(?P<EOL>#.*|$))?")
+
+
 def _tokenize_line(text: str, line_no: int) -> list[_Tok]:
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        col = i + 1
-        if ch == "#":
-            break
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or
-                             (text[j] in "+-" and j > i and text[j - 1] in "eE")):
-                j += 1
-            toks.append(_Tok("NUM", text[i:j], line_no, col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("IDENT", text[i:j], line_no, col))
-            i = j
-            continue
-        if ch in "+-*/(),=":
-            toks.append(_Tok("OP", ch, line_no, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line_no, col)
-    toks.append(_Tok("EOL", "", line_no, len(text.rstrip()) + 1))
-    return toks
+    toks, end = [], 0
+    while True:
+        m = _TOKEN.match(text, end)
+        kind = m.lastgroup
+        # \w also admits numerals such as "½", which do not start an identifier
+        if kind is None or kind == "IDENT" and not (m[kind][0].isalpha() or m[kind][0] == "_"):
+            col = m.end() if kind is None else m.start(kind)
+            raise ParseError(f"unexpected character {text[col]!r}", line_no, col + 1)
+        if kind == "EOL":  # its column is just past the code, before any comment
+            return toks + [_Tok("EOL", "", line_no, end + 1)]
+        toks.append(_Tok(kind, m[kind], line_no, m.start(kind) + 1))
+        end = m.end()
 
 
-class _ExprParser:
-    def __init__(self, toks: list[_Tok]):
+_LEVELS = ("+-", "*/")  # binary operators, loosest first; unary minus binds tighter
+
+
+class _Parser:
+    def __init__(self, toks: list[_Tok], pos: int):
         self.toks = toks
-        self.pos = 0
+        self.pos = pos
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def next(self) -> _Tok:
+    def at(self, ops: str) -> bool:
         tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+        return tok.kind == "OP" and tok.text in ops
 
-    def expect_op(self, op: str) -> _Tok:
-        tok = self.peek()
+    def take(self) -> _Tok:
+        self.pos += 1
+        return self.toks[self.pos - 1]
+
+    def expect(self, op: str):
+        tok = self.take()
         if tok.kind != "OP" or tok.text != op:
             raise ParseError(f"expected {op!r}", tok.line, tok.col)
-        return self.next()
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.next().text
-            node = Bin(op, node, self.parse_term())
+    def parse_expr(self, level: int = 0):
+        if level == len(_LEVELS):
+            if self.at("-"):
+                self.pos += 1
+                return Un("-", self.parse_expr(level))
+            return self.parse_primary()
+        node = self.parse_expr(level + 1)
+        while self.at(_LEVELS[level]):
+            node = Bin(self.take().text, node, self.parse_expr(level + 1))
         return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.next().text
-            node = Bin(op, node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
-            self.next()
-            return Un("-", self.parse_unary())
-        return self.parse_primary()
 
     def parse_primary(self):
-        tok = self.next()
+        if self.at("("):
+            self.pos += 1
+            node = self.parse_expr()
+            self.expect(")")
+            return node
+        tok = self.take()
         if tok.kind == "NUM":
             try:
                 value = float(tok.text)
@@ -219,44 +207,44 @@ class _ExprParser:
                 raise ParseError(f"bad number {tok.text!r}", tok.line, tok.col)
             return Lit(value)
         if tok.kind == "IDENT":
-            nxt = self.peek()
-            if nxt.kind == "OP" and nxt.text == "(":
-                self.next()
-                args = [self.parse_expr()]
-                while self.peek().kind == "OP" and self.peek().text == ",":
-                    self.next()
-                    args.append(self.parse_expr())
-                self.expect_op(")")
-                return Call(tok.text, tuple(args), tok.col)
-            return Name(tok.text, tok.col)
-        if tok.kind == "OP" and tok.text == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
+            if not self.at("("):
+                return Name(tok.text, tok.col)
+            args = []
+            while not args or self.at(","):  # skips the "(", then each ","
+                self.pos += 1
+                args.append(self.parse_expr())
+            self.expect(")")
+            return Call(tok.text, tuple(args), tok.col)
         raise ParseError("unexpected end of expression" if tok.kind == "EOL"
                          else f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
-def _fold(node):
+def _fold(node, allowed, line: int):
     """Constant folding: subtrees with only literal leaves become literals,
     as long as their value is finite (a NaN or inf has no number token, so
-    it could not be printed back; such a subtree stays as written)."""
-    if isinstance(node, Lit) or isinstance(node, Name):
+    it could not be printed back; such a subtree stays as written).
+
+    With ``allowed`` (a predicate on names) the same depth-first,
+    left-to-right walk validates: the first unknown name, unknown function
+    or wrong arity raises, at its column on ``line``.  Without it, an
+    unknown function or a wrong arity stays as written."""
+    if isinstance(node, Name) and allowed is not None and not allowed(node.ident):
+        raise ParseError(f"unknown identifier {node.ident!r}", line, node.col)
+    if isinstance(node, (Lit, Name)):
         return node
     if isinstance(node, Un):
-        arg = _fold(node.arg)
-        if isinstance(arg, Lit):
-            return Lit(-arg.value)
-        return Un(node.op, arg)
+        arg = _fold(node.arg, allowed, line)
+        return Lit(-arg.value) if isinstance(arg, Lit) else Un(node.op, arg)
     if isinstance(node, Bin):
-        left, right = _fold(node.left), _fold(node.right)
+        left, right = _fold(node.left, allowed, line), _fold(node.right, allowed, line)
         return _folded(Bin(node.op, left, right), _APPLY_BIN[node.op], (left, right))
-    if isinstance(node, Call):
-        call = Call(node.fn, tuple(_fold(a) for a in node.args), node.col)
-        if _FUNCS.get(call.fn, (None,))[0] != len(call.args):
-            return call  # unknown function or wrong arity: validation reports it
-        return _folded(call, _FUNCS[call.fn][1], call.args)
-    raise TypeError(node)
+    arity, fn = _FUNCS.get(node.fn, (None, None))
+    if allowed is not None and arity != len(node.args):
+        raise ParseError(f"unknown function {node.fn!r}" if arity is None else
+                         f"{node.fn} takes {arity} argument(s), got {len(node.args)}",
+                         line, node.col)
+    call = Call(node.fn, tuple(_fold(a, allowed, line) for a in node.args), node.col)
+    return call if arity != len(call.args) else _folded(call, fn, call.args)
 
 
 def _folded(node, fn, args):
@@ -272,132 +260,93 @@ def _folded(node, fn, args):
 _APPLY_BIN = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _DIV}
 
 
-def _validate_idents(node, allowed: set, line: int):
-    if isinstance(node, Name):
-        if node.ident not in allowed:
-            raise ParseError(f"unknown identifier {node.ident!r}", line, node.col)
-    elif isinstance(node, Un):
-        _validate_idents(node.arg, allowed, line)
-    elif isinstance(node, Bin):
-        _validate_idents(node.left, allowed, line)
-        _validate_idents(node.right, allowed, line)
-    elif isinstance(node, Call):
-        if node.fn not in _FUNCS:
-            raise ParseError(f"unknown function {node.fn!r}", line, node.col)
-        arity, _ = _FUNCS[node.fn]
-        if len(node.args) != arity:
-            raise ParseError(
-                f"{node.fn} takes {arity} argument(s), got {len(node.args)}", line, node.col
-            )
-        for a in node.args:
-            _validate_idents(a, allowed, line)
-
-
 # ---------------------------------------------------------------------------
 # document parsing
 # ---------------------------------------------------------------------------
 
+_INDEXED = re.compile(r"(dx|y)(\d+)")
+# a dimension is a finite float, so no longer than 309 digits
+_VARIABLE = re.compile(r"([xu])(0|[1-9][0-9]{0,308})")
+
+
 def parse_system(text: str, name: str = "descriptor") -> SystemSpecDoc:
     """Parse and validate a descriptor document; errors carry line/column."""
-    dims: dict[str, int] = {}
+    dims: dict[str, tuple] = {}  # "x" / "u" -> (dimension, where declared)
     time_set = "continuous"
     params: dict[str, float] = {}
-    rhs: dict[int, object] = {}
-    outs: dict[int, object] = {}
+    rhs: dict[int, tuple] = {}  # index -> (expression, (line, col))
+    outs: dict[int, tuple] = {}
+    at = (1, 1)  # where the last statement starts
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize_line(raw, line_no)
-        if toks[0].kind == "EOL":
+        key = toks[0]
+        if key.kind == "EOL":
             continue
-        head = toks[0]
-        if head.kind != "IDENT":
-            raise ParseError("statement must start with a key", line_no, head.col)
-
-        if head.text == "param":
-            if len(toks) < 4 or toks[1].kind != "IDENT":
-                raise ParseError("param needs a name", line_no, head.col)
-            pname = toks[1].text
-            if pname[0] in "xu" and pname[1:].isdigit():
-                raise ParseError(
-                    f"param name {pname!r} shadows a state/input variable", line_no, toks[1].col
-                )
-            p = _ExprParser(toks[3:])
-            _eat_equals(toks[2])
-            node = _fold(p.parse_expr())
-            _expect_eol(p)
+        if key.kind != "IDENT":
+            raise ParseError("statement must start with a key", line_no, key.col)
+        named = key.text == "param"
+        if named and (len(toks) < 4 or toks[1].kind != "IDENT"):
+            raise ParseError("param needs a name", line_no, key.col)
+        if named and toks[1].text[0] in "xu" and toks[1].text[1:].isdigit():
+            raise ParseError(
+                f"param name {toks[1].text!r} shadows a state/input variable", line_no, toks[1].col
+            )
+        equals = toks[1 + named]
+        if equals.kind != "OP" or equals.text != "=":
+            raise ParseError("expected '=' after key" if equals.kind == "EOL" else "expected '='",
+                             line_no, equals.col)
+        indexed = _INDEXED.fullmatch(key.text)
+        if not indexed and key.text not in ("param", "dim_x", "dim_u", "time"):
+            raise ParseError(f"unknown key {key.text!r}", line_no, key.col)
+        p = _Parser(toks, 2 + named)
+        node = _fold(p.parse_expr(), None, line_no)
+        if toks[p.pos].kind != "EOL":
+            raise ParseError(f"trailing input {toks[p.pos].text!r}", line_no, toks[p.pos].col)
+        col = toks[2 + named].col
+        at = (line_no, key.col)
+        if indexed:
+            (rhs if indexed[1] == "dx" else outs)[int(indexed[2])] = (node, at)
+        elif named:
             if not isinstance(node, Lit):
-                raise ParseError("param value must be a literal expression", line_no, toks[3].col)
-            params[pname] = node.value
-            continue
+                raise ParseError("param value must be a literal expression", line_no, col)
+            params[toks[1].text] = node.value
+        elif key.text == "time":
+            # written bare: a parenthesised name is not a time set
+            if not (isinstance(node, Name) and node.col == col
+                    and node.ident in ("continuous", "discrete")):
+                raise ParseError("time must be 'continuous' or 'discrete'", line_no, col)
+            time_set = node.ident
+        elif not isinstance(node, Lit) or node.value != int(node.value) or node.value < 0:
+            raise ParseError(f"{key.text} must be a nonnegative integer", line_no, col)
+        else:
+            dims[key.text[-1]] = (int(node.value), at)
 
-        if len(toks) < 3:
-            raise ParseError("expected '=' after key", line_no,
-                             toks[1].col if len(toks) > 1 else head.col + len(head.text))
-        _eat_equals(toks[1])
-        p = _ExprParser(toks[2:])
+    for axis in "xu":
+        if axis not in dims:
+            raise ParseError(f"missing dim_{axis} declaration", *at)
+    n, m = dims["x"][0], dims["u"][0]
+    if len(rhs) != n or any(i >= n for i in rhs):
+        raise ParseError(f"need exactly dx0..dx{n-1}", *dims["x"][1])
+    late = [where for j, (_, where) in outs.items() if j >= len(outs)]
+    if not outs or late:
+        raise ParseError(f"need contiguous outputs y0..y{max(len(outs), 1) - 1}",
+                         *min(late, default=at))
 
-        if head.text in ("dim_x", "dim_u"):
-            node = p.parse_expr()
-            _expect_eol(p)
-            node = _fold(node)
-            if not isinstance(node, Lit) or node.value != int(node.value) or node.value < 0:
-                raise ParseError(f"{head.text} must be a nonnegative integer", line_no, toks[2].col)
-            dims[head.text] = int(node.value)
-            continue
-        if head.text == "time":
-            tok = p.next()
-            _expect_eol(p)
-            if tok.kind != "IDENT" or tok.text not in ("continuous", "discrete"):
-                raise ParseError("time must be 'continuous' or 'discrete'", line_no, tok.col)
-            time_set = tok.text
-            continue
-        if head.text.startswith("dx") and head.text[2:].isdigit():
-            rhs[int(head.text[2:])] = (_fold(p.parse_expr()), line_no)
-            _expect_eol(p)
-            continue
-        if head.text.startswith("y") and head.text[1:].isdigit():
-            outs[int(head.text[1:])] = (_fold(p.parse_expr()), line_no)
-            _expect_eol(p)
-            continue
-        raise ParseError(f"unknown key {head.text!r}", line_no, head.col)
+    def allowed(ident: str) -> bool:
+        var = _VARIABLE.fullmatch(ident)
+        return ident in params or var is not None and int(var[2]) < dims[var[1]][0]
 
-    if "dim_x" not in dims:
-        raise ParseError("missing dim_x declaration", 1, 1)
-    if "dim_u" not in dims:
-        raise ParseError("missing dim_u declaration", 1, 1)
-    n, m = dims["dim_x"], dims["dim_u"]
-    if sorted(rhs) != list(range(n)):
-        raise ParseError(f"need exactly dx0..dx{n-1}", 1, 1)
-    if not outs or sorted(outs) != list(range(len(outs))):
-        raise ParseError("need contiguous outputs y0..y{k}", 1, 1)
-    allowed = (
-        {f"x{i}" for i in range(n)} | {f"u{j}" for j in range(m)} | set(params)
-    )
-    for i, (node, line) in sorted(rhs.items()):
-        _validate_idents(node, allowed, line)
-    for j, (node, line) in sorted(outs.items()):
-        _validate_idents(node, allowed, line)
     return SystemSpecDoc(
         state_dim=n,
         input_dim=m,
         output_dim=len(outs),
-        rhs_exprs=tuple(rhs[i][0] for i in range(n)),
-        output_exprs=tuple(outs[j][0] for j in range(len(outs))),
+        rhs_exprs=tuple(_fold(rhs[i][0], allowed, rhs[i][1][0]) for i in range(n)),
+        output_exprs=tuple(_fold(outs[j][0], allowed, outs[j][1][0]) for j in range(len(outs))),
         time_set=time_set,
         params=tuple(sorted(params.items())),
         name=name,
     )
-
-
-def _eat_equals(tok: _Tok):
-    if tok.kind != "OP" or tok.text != "=":
-        raise ParseError("expected '='", tok.line, tok.col)
-
-
-def _expect_eol(p: _ExprParser):
-    tok = p.peek()
-    if tok.kind != "EOL":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
 
 
 # ---------------------------------------------------------------------------

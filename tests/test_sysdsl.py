@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ioslab.errors import ParseError
 from ioslab.signals import InputSignal
-from ioslab.sysdsl import Lit, compile_system, parse_system, print_system
+from ioslab.sysdsl import (
+    _FUNCS, Bin, Call, Lit, Name, SystemSpecDoc, Un, compile_system, parse_system, print_system,
+)
 from ioslab.systems import SimPlan, simulate
 from ioslab.zoo import make_example
 
@@ -232,3 +236,110 @@ def test_compiled_descriptor_broadcasts_over_rows():
         assert np.array_equal(out[i], want_out, equal_nan=True)
     assert np.isnan(rhs[0, 0]) and np.isnan(rhs[1, 1]) and np.isnan(rhs[2, 1])
     assert np.isnan(out[1, 0]) and np.isnan(out[4, 1])
+
+
+PARAMS = ("a", "k_1")
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _expressions(n, m):
+    """Trees over literals, x/u names, declared parameters, unary minus,
+    the four operators and every built-in at its arity."""
+    names = [f"x{i}" for i in range(n)] + [f"u{j}" for j in range(m)] + list(PARAMS)
+    leaves = st.one_of(FLOATS.map(Lit), st.sampled_from(names).map(Name))
+
+    def grow(sub):
+        calls = [st.tuples(*[sub] * arity).map(lambda args, fn=fn: Call(fn, args))
+                 for fn, (arity, _) in sorted(_FUNCS.items())]
+        return st.one_of(sub.map(lambda a: Un("-", a)),
+                         st.builds(Bin, st.sampled_from("+-*/"), sub, sub), *calls)
+
+    return st.recursive(leaves, grow, max_leaves=10)
+
+
+@st.composite
+def _documents(draw):
+    n, m, k = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    trees = draw(st.lists(_expressions(n, m), min_size=n + k, max_size=n + k))
+    values = draw(st.lists(FLOATS, min_size=len(PARAMS), max_size=len(PARAMS)))
+    return SystemSpecDoc(n, m, k, tuple(trees[:n]), tuple(trees[n:]),
+                         draw(st.sampled_from(("continuous", "discrete"))),
+                         tuple(zip(PARAMS, values)))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_documents())
+def test_print_parse_round_trip_on_random_trees(drawn):
+    doc = parse_system(print_system(drawn))
+    again = parse_system(print_system(doc))
+    assert again == doc
+    x = np.random.default_rng(3).uniform(-3, 3, size=(4, doc.state_dim + doc.input_dim))
+    x[0] = 0.0
+    x, u = x[:, :doc.state_dim], x[:, doc.state_dim:]
+    want, got = compile_system(drawn), compile_system(again)
+    with np.errstate(all="ignore"):
+        assert np.array_equal(want.rhs(x, u), got.rhs(x, u), equal_nan=True)
+        assert np.array_equal(want.output(x, u), got.output(x, u), equal_nan=True)
+
+
+@pytest.mark.parametrize("text, fragment, where", [
+    ("dim_u = 0\n dim_x = 2\ndx0 = -x0\ny0 = x0", "need exactly dx0..dx1", (2, 2)),
+    ("dim_x = 1\ndim_u = 0\ndx0 = -x0\ny1 = x0", "need contiguous outputs y0..y0", (4, 1)),
+    ("dim_x = 1\ndim_u = 0\ny0 = x0\ny2 = x0\ndx0 = -x0", "outputs y0..y1", (4, 1)),
+    ("dim_x = 1\ndim_u = 0\ndx0 = -x0\n# no output", "outputs y0..y0", (3, 1)),
+    ("dim_u = 0\ndx0 = -x0\n  y0 = x0\n", "missing dim_x declaration", (3, 3)),
+    ("dim_x = 1\ndim_u = 0\n  dx0 = x0 +   # note", "unexpected end of expression", (3, 13)),
+    ("dim_x = 1\ndim_u = 0\ntime =\ndx0 = -x0\ny0 = x0", "unexpected end", (3, 7)),
+    ("time = ", "unexpected end", (1, 7)),
+])
+def test_diagnostics_point_at_the_statement(text, fragment, where):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert fragment in str(err.value)
+    assert (err.value.line, err.value.column) == where
+
+
+SEED_LINES = ("dim_x = 2", "dim_u = 1", "time = discrete", "param a = 2", "dx0 = -x0",
+              "dx1 = a * x1 / (1 + x0 * x0)", "y0 = x0", "y1 = min(sin(u0), 2.5e-1)")
+PIECES = (
+    "dim_x", "dim_u", "time", "param", "dx0", "dx1", "y0", "y1", "dx", "dx²", "y٣", "what",
+    "=", "x0", "x1", "u0", "a", "continuous", "discrete", "sin", "min", "pow", "foo",
+    "(", ")", ",", "+", "-", "*", "/", "0", "1", "2", "1.5", ".5", "1e-3", "1e30", "1e400",
+    "1.2.3", "3e", "# note", "#", "$", "@", "²", "½", "é", ";", ".", "\t", " ",
+)
+
+
+def _random_document(rng):
+    """A valid document with a few random edits: a piece inserted into a
+    line, a line dropped or repeated, or a line of random pieces."""
+    lines = list(SEED_LINES)
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        i = rng.randrange(len(lines))
+        edit = rng.randrange(4)
+        if edit == 0:
+            cut, gap = rng.randint(0, len(lines[i])), rng.choice(("", " "))
+            lines[i] = lines[i][:cut] + gap + rng.choice(PIECES) + gap + lines[i][cut:]
+        elif edit == 1 and len(lines) > 1:
+            del lines[i]
+        elif edit == 2:
+            lines.insert(i, lines[rng.randrange(len(lines))])
+        else:
+            lines[i] = " ".join(rng.choice(PIECES) for _ in range(rng.randint(0, 5)))
+    return "\n".join(lines)
+
+
+def test_random_documents_parse_or_raise_parse_error():
+    # inputs that once raised IndexError, ValueError and OverflowError come
+    # first; a huge dim_u in the random ones once built a name per input
+    texts = ["time =", "dim_x = 1\ndim_u = 0\ntime =\ndx0 = -x0\ny0 = x0", "dx² = x0",
+             "dim_x = 1e30\ndim_u = 0\ndx0 = -x0\ny0 = x0"]
+    rng = random.Random(14)
+    texts += [_random_document(rng) for _ in range(4000)]
+    accepted = 0
+    for text in texts:
+        try:
+            parse_system(text)
+        except ParseError:
+            continue
+        accepted += 1
+    assert 0 < accepted < len(texts)
