@@ -452,33 +452,35 @@ def fit_monotone_envelope(
     ``force_zero_at_zero`` the result is pinned to f(0) = 0, which requires
     all samples at r <= 1e-9 to sit at or below 1e-9 and no negative values.
     """
-    pts = sorted((float(r), float(v)) for r, v in samples)
+    pts = np.array(samples if isinstance(samples, np.ndarray) else list(samples),
+                   dtype=float).reshape(-1, 2)
     if len(pts) < 2:
         raise FitError("need at least two samples to fit an envelope")
-    if any(r < 0 for r, _ in pts):
+    r, v = pts[:, 0], pts[:, 1]
+    if np.any(r < 0):
         raise DomainError("sample abscissae must be nonnegative")
     if force_zero_at_zero:
-        if any(v < 0 for _, v in pts):
+        if np.any(v < 0):
             raise FitError("negative sample values cannot be dominated from zero")
-        if any(r <= 1e-9 and v > 1e-9 for r, v in pts):
+        if np.any((r <= 1e-9) & (v > 1e-9)):
             raise FitError("samples at r = 0 exceed tolerance; cannot force f(0) = 0")
-    # collapse duplicate abscissae to their max
-    grouped: dict[float, float] = {}
-    for r, v in pts:
-        grouped[r] = max(v, grouped.get(r, -math.inf))
-    rs = sorted(grouped)
-    env = []
-    running = -math.inf
-    for r in rs:
-        running = max(running, grouped[r])
-        env.append(running)
+    # collapse duplicate abscissae to their max: sorted by (r, v), a run of
+    # equal r keeps its first abscissa (0.0 or -0.0) and its last value
+    order = np.lexsort((v, r))
+    r, v = r[order], v[order]
+    new = np.flatnonzero(np.append(True, r[1:] != r[:-1]))
+    rs = r[new]
+    grouped = v[np.append(new[1:], len(r)) - 1]
+    # running max that, on a tie, keeps the value it had (the sign of a zero)
+    top = np.maximum.accumulate(grouped)
+    rises = np.append(True, top[1:] > top[:-1])
+    env = grouped[np.maximum.accumulate(np.where(rises, np.arange(len(top)), 0))]
     if force_zero_at_zero:
         if rs[0] > 0.0:
-            rs = [0.0] + rs
-            env = [0.0] + env
+            rs, env = np.append(0.0, rs), np.append(0.0, env)
         else:
             env[0] = 0.0
-    env = [max(v, 0.0) for v in env]
+    rs, env = rs.tolist(), np.where(0.0 > env, 0.0, env).tolist()  # a -0.0 stays
     if len(rs) == 1:
         rs = [rs[0], rs[0] + 1.0]
         env = [env[0], env[0]]

@@ -58,7 +58,6 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -179,6 +178,14 @@ class _GridTable:
         # kept outside the dataclass fields: equality, hash and dicts skip it
         object.__setattr__(self, "_lookup_axes", tuple(lookup))
 
+    @staticmethod
+    def _snap(ball: bool, grid: np.ndarray, x):
+        """Grid index a query reads on one axis; outside [0, len(grid)) it
+        lies beyond the grid.  Elementwise on an array of queries."""
+        if ball:
+            return grid.searchsorted(x - 1e-12, side="left")
+        return grid.searchsorted(x + 1e-12, side="right") - 1
+
     def _lookup(self, *coords) -> float:
         """The rectified cell a query reads: one coordinate per declared axis."""
         idx = []
@@ -187,10 +194,7 @@ class _GridTable:
             if x is None:
                 names = ", ".join(axis[3] for axis in self._lookup_axes)
                 raise DomainError(f"this table is indexed by ({names})")
-            if ball:
-                i = int(grid.searchsorted(x - 1e-12, side="left"))
-            else:
-                i = int(grid.searchsorted(x + 1e-12, side="right")) - 1
+            i = int(self._snap(ball, grid, x))
             if not 0 <= i < len(grid):
                 raise TableGapError(f"{name} query {x:g} " + (
                     f"beyond table axis end {grid[-1]:g}" if ball
@@ -201,6 +205,17 @@ class _GridTable:
         if not math.isfinite(v):
             raise TableGapError(f"table cell {idx} is unavailable (inconclusive fit)")
         return v
+
+    def _lookup_block(self, *coords) -> np.ndarray:
+        """``_lookup`` of arrays of queries broadcast together, with NaN
+        wherever ``_lookup`` raises ``TableGapError``."""
+        idx, inside = [], True
+        for k, ball, grid, _ in self._lookup_axes:
+            i = self._snap(ball, grid, np.asarray(coords[k], dtype=float))
+            inside = inside & (i >= 0) & (i < len(grid))
+            idx.append(np.clip(i, 0, len(grid) - 1))
+        v = self.values[tuple(idx)]
+        return np.where(inside & np.isfinite(v), v, math.nan)
 
     def _items(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
@@ -538,9 +553,9 @@ class SamplingPlan:
     norm s is probed by one fixed family: the constant s, a step of height
     s switched off at half the horizon, and a 4-piece piecewise-constant
     input of sup norm s drawn from the seed.  A fixed seed
-    makes the expansion fully deterministic; checks reduce their probe
-    results order-independently (worst margin, ties broken by probe index),
-    so concurrent evaluation cannot change a verdict.
+    makes the expansion fully deterministic; checks reduce their samples to
+    the worst margin, ties broken by probe index and then by the order the
+    checker lists them in (see ``_Outcome``).
     """
 
     radii: tuple
@@ -866,34 +881,46 @@ class Verdict:
 
 
 class _Outcome:
-    """Order-independent reduction of per-sample slacks."""
+    """Reduction of a check's samples to the least slack and its sample.
+
+    A checker lists its samples probe by probe, and each probe's levels in
+    order, in one or more ``add`` calls.  The decisive sample has the least
+    slack (bound - observed); among equal slacks the lowest probe index
+    wins, and among equal slacks of one probe index the sample listed
+    first.  So the verdict does not depend on how the samples were split
+    into calls, but it does depend on the listing order when one probe
+    index appears twice (shell probes, continuity rows) or on one probe's
+    levels.  A NaN slack counts as a sample and never decides.
+    """
 
     def __init__(self):
         self.min_slack = math.inf
         self.worst = None  # (probe, t, observed, bound)
         self.samples = 0
         self.notes: list[str] = []
-        self.blown: list[int] = []
+        self.blown = 0
 
-    def add(self, probe: Probe, t: float, observed: float, bound: float):
-        self.samples += 1
+    def add(self, block: "_Block", rows, t, observed, bound):
+        """Sample i: row ``rows[i]`` of ``block`` observed ``observed[i]``
+        against ``bound[i]`` at time ``t[i]``."""
+        self.samples += len(rows)
         slack = bound - observed
-        if slack < self.min_slack or (
-            slack == self.min_slack
-            and self.worst is not None
-            and probe.index < self.worst[0].index
-        ):
-            self.min_slack = slack
-            self.worst = (probe, float(t), float(observed), float(bound))
-
-    def add_blown(self, probe: Probe):
-        self.blown.append(probe.index)
+        least = np.min(slack, initial=math.inf, where=~np.isnan(slack))
+        if not least < math.inf:
+            return
+        ties = np.flatnonzero(slack == least)
+        j = ties[np.argmin(block.index[rows[ties]])]
+        probe = block.probes[rows[j]]
+        if least < self.min_slack or (least == self.min_slack and self.worst is not None
+                                      and probe.index < self.worst[0].index):
+            self.min_slack = slack[j]
+            self.worst = (probe, float(t[j]), float(observed[j]), float(bound[j]))
 
     def verdict(self, prop: PropertyId, plan: SamplingPlan, phash: str) -> Verdict:
         notes = tuple(self.notes)
         if self.blown:
             notes = notes + (
-                f"{len(self.blown)} probe(s) blew up: forward-completeness failure at those samples",
+                f"{self.blown} probe(s) blew up: forward-completeness failure at those samples",
             )
         if self.samples == 0:
             return Verdict("inconclusive", prop, 0, None, None,
@@ -927,25 +954,72 @@ def _in_ball(r: float, s: float, radius: float) -> bool:
     return r <= radius + 1e-12 and s <= radius + 1e-12
 
 
-def _pointwise_bound(cert: Certificate, data: ProbeData) -> np.ndarray:
-    """Bound curve over the probe's time grid for pointwise properties."""
+# padded grid points per block.  A check's temporaries then stay at 64 kB
+# or less, which the allocator reuses from check to check; temporaries of a
+# whole (P, W) block run to 100 kB and more, and those the allocator maps
+# afresh and page-faults on every check (about 11,000 minor faults per
+# warm_recheck benchmark pass)
+_BLOCK_SAMPLES = 8192
+
+
+class _Block:
+    """Consecutive probes of one check as padded (P, W) arrays: row i holds
+    probe i's series in its first n_i entries and repeats the last entry
+    after them.  A padded entry so repeats the sample of the last grid time
+    (every bound is evaluated pointwise), and a reduction that keeps the
+    first of equal candidates, as ``argmin`` and ``argmax`` do, never picks
+    it.  Blocks are built per check and dropped with it (``falsify`` checks
+    one probe per block).
+    """
+
+    def __init__(self, datas):
+        self.datas = datas
+        self.probes = [d.probe for d in datas]
+        self.index = np.array([p.index for p in self.probes])
+        self.s = np.array([p.s for p in self.probes])
+        self.width = max(len(d.times) for d in datas)
+        self.times = self.pad(lambda d: d.times)
+
+    def pad(self, series) -> np.ndarray:
+        """series(data) of every row, padded."""
+        parts = []
+        for data in self.datas:
+            row = series(data)
+            parts.append(row)
+            if len(row) < self.width:
+                parts.append(row[-1:].repeat(self.width - len(row)))
+        return np.concatenate(parts).reshape(len(self.datas), self.width)
+
+
+def _blocks(datas):
+    """(first row, block) over ``datas`` in consecutive blocks of at most
+    ``_BLOCK_SAMPLES`` padded grid points (one row at least)."""
+    step = max(1, _BLOCK_SAMPLES // max(len(d.times) for d in datas))
+    for i in range(0, len(datas), step):
+        yield i, _Block(datas[i:i + step])
+
+
+def _pointwise_bound(cert: Certificate, block: _Block) -> np.ndarray:
+    """Bound over the block's time grid for pointwise properties (a column
+    where it is constant in t)."""
     p = cert.property
-    t = data.times
-    s = data.probe.s
+    t = block.times
+    r = np.array([probe.r for probe in block.probes])[:, None]
     c = cert.get("c", 0.0)
     if p == PropertyId.IOSS:
         g1, g2 = cert["gamma1"], cert["gamma2"]
-        return cert["beta"](data.probe.r, t) + g1(data.urestr) + g2(data.ysup)
+        return (cert["beta"](r, t) + g1(block.pad(lambda d: d.urestr))
+                + g2(block.pad(lambda d: d.ysup)))
     if p in (PropertyId.H_BOUNDED, PropertyId.H_K_BOUNDED):
         s1, g1 = cert["sigma1"], cert["gamma1"]
-        return s1(data.xnorm) + g1(data.uval_norm) + c
+        return s1(block.pad(lambda d: d.xnorm)) + g1(block.pad(lambda d: d.uval_norm)) + c
     if "beta" in cert.params:
         # beta(r, t) + gamma(s): IOpS adds c, OCAG shifts r by c
         shift, offset = (c, 0.0) if p == PropertyId.OCAG else (0.0, c)
-        return cert["beta"](data.probe.r + shift, t) + cert["gamma"](s) + offset
-    # sigma(initial condition) + gamma(s) + c: the OL and OUGS families
-    const = cert["sigma"](_initial(p, data)) + cert["gamma"](s) + c
-    return np.full_like(t, const)
+        return cert["beta"](r + shift, t) + cert["gamma"](block.s[:, None]) + offset
+    # sigma(initial condition) + gamma(s) + c, constant in t: the OL and OUGS families
+    initial = np.array([_initial(p, data) for data in block.datas])
+    return (cert["sigma"](initial) + cert["gamma"](block.s) + c)[:, None]
 
 
 def _probe_filter(cert: Certificate, data: ProbeData) -> bool:
@@ -959,52 +1033,52 @@ def _probe_filter(cert: Certificate, data: ProbeData) -> bool:
     return s_max is None or data.probe.s <= s_max + 1e-12
 
 
+def _live(cert: Certificate, datas, out: _Outcome) -> list[ProbeData]:
+    """The probes in the certificate's ball that did not blow up; the blown
+    ones are counted into ``out``."""
+    kept = [data for data in datas if _probe_filter(cert, data)]
+    live = [data for data in kept if not data.blown]
+    out.blown += len(kept) - len(live)
+    return live
+
+
 def _sup_until(data: ProbeData, horizon: float) -> int:
     """Grid index of the largest |y| at times up to ``horizon``."""
     mask = data.times <= horizon + 1e-12
     return int(np.argmax(np.where(mask, data.ynorm, -math.inf)))
 
 
-def _sweep(cert: Certificate, datas, levels, sample, out: _Outcome) -> list:
-    """Per-probe loop shared by the pointwise, convergence and visit checkers.
-
-    Probes outside the property's ball are skipped and blow-ups recorded.
-    Each remaining probe is sampled once per level by ``sample(data,
-    level)``, which returns (t, observed, bound), or None for an empty cell.
-    A cell whose table lookup raises ``TableGapError`` is skipped; the
-    skipped (probe, error message) pairs are returned.
-    """
-    gaps = []
-    for data in datas:
-        if not _probe_filter(cert, data):
-            continue
-        if data.blown:
-            out.add_blown(data.probe)
-            continue
-        for level in levels:
-            try:
-                hit = sample(data, level)
-            except TableGapError as exc:
-                gaps.append((data.probe, str(exc)))  # not exc: its traceback pins frames
-                continue
-            if hit is not None:
-                out.add(data.probe, *hit)
-    return gaps
-
-
 def _check_pointwise(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
-    def sample(data, _level):
-        bound = _pointwise_bound(cert, data)
-        observed = _observed(cert.property, data)
-        k = int(np.argmin(bound - observed))
-        return data.times[k], observed[k], bound[k]
-
-    # a table-backed beta raises TableGapError: no claim this far out
-    gaps = _sweep(cert, datas, (None,), sample, out)
-    if gaps:
-        probe, reason = gaps[0]
-        out.notes.append(f"{len(gaps)} probe(s) beyond the certified radius skipped "
-                         f"(first at r = {probe.r:g}: {reason})")
+    live = _live(cert, datas, out)
+    # a table-backed beta makes no claim beyond its radius grid, and only a
+    # probe's radius decides whether its row reaches past it: radius -> the
+    # reason its rows are skipped, or None
+    reasons, skipped = {}, []
+    for _, block in _blocks(live) if live else ():
+        try:
+            bound = _pointwise_bound(cert, block)
+        except TableGapError:
+            for data in block.datas:
+                if data.probe.r not in reasons:
+                    try:
+                        _pointwise_bound(cert, _Block([data]))
+                        reasons[data.probe.r] = None
+                    except TableGapError as exc:
+                        reasons[data.probe.r] = str(exc)  # not exc: its traceback pins frames
+            skipped += [data.probe.r for data in block.datas if reasons[data.probe.r]]
+            kept = [data for data in block.datas if reasons[data.probe.r] is None]
+            if not kept:
+                continue
+            block = _Block(kept)
+            bound = _pointwise_bound(cert, block)
+        observed = block.pad(lambda d: _observed(cert.property, d))
+        bound = np.broadcast_to(bound, observed.shape)
+        k = np.argmin(bound - observed, axis=1)
+        rows = np.arange(len(k))
+        out.add(block, rows, block.times[rows, k], observed[rows, k], bound[rows, k])
+    if skipped:
+        out.notes.append(f"{len(skipped)} probe(s) beyond the certified radius skipped "
+                         f"(first at r = {skipped[0]:g}: {reasons[skipped[0]]})")
 
 
 def _window_sup(data: ProbeData, horizon: float) -> tuple[float, float]:
@@ -1019,59 +1093,87 @@ def _window_sup(data: ProbeData, horizon: float) -> tuple[float, float]:
 
 def _check_window_rows(cert: Certificate, rows, plan: SamplingPlan, out: _Outcome):
     """Window rows: for each (bound, horizon, probe) the sup of |y| up to the
-    horizon must stay below the bound.  The continuity rows (OCEP, table
-    OULS) are (eps, horizon, probe) for each probe from a delta ball."""
-    for bound, horizon, data in rows:
-        out.add(data.probe, *_window_sup(data, horizon), bound)
+    horizon must stay below the bound, row by row as ``_window_sup`` takes
+    it.  The continuity rows (OCEP, table OULS) are (eps, horizon, probe)
+    for each probe from a delta ball."""
+    if not rows:
+        return
+    bounds, horizons, datas = zip(*rows)
+    bounds, horizons = np.array(bounds, dtype=float), np.array(horizons, dtype=float)
+    blow_up = np.array([d.traj.blow_up if d.blown else math.inf for d in datas])
+    for lo, block in _blocks(datas):
+        rows = np.arange(len(block.datas))
+        horizon, burst = horizons[lo + rows], blow_up[lo + rows] <= horizons[lo + rows]
+        ynorm = block.pad(lambda d: d.ynorm)
+        inside = block.times <= horizon[:, None] + 1e-12
+        k = np.argmax(np.where(inside, ynorm, -math.inf), axis=1)
+        out.add(block, rows, np.where(burst, blow_up[lo + rows], block.times[rows, k]),
+                np.where(burst, math.inf, ynorm[rows, k]), bounds[lo + rows])
 
 
 def _check_sup_bound(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     """Reachability bounds: sup over t < horizon of |y| against a constant."""
-    _check_window_rows(cert, ((cert["bound"], cert["horizon"], data) for data in datas
-                              if _probe_filter(cert, data)), plan, out)
+    _check_window_rows(cert, [(cert["bound"], cert["horizon"], data) for data in datas
+                              if _probe_filter(cert, data)], plan, out)
+
+
+def _level_samples(datas, levels, tau, gamma, out: _Outcome, after: bool):
+    """One sample per (probe, level) whose time mask holds a grid time: the
+    largest |y| at or after tau (``after``, convergence) or the smallest
+    at or before tau (visit), against eps + gamma(s).  tau is (P, L), NaN
+    where the cell is skipped; samples are listed probe by probe."""
+    for lo, block in _blocks(datas):
+        ynorm = block.pad(lambda d: d.ynorm)
+        cells = tau[lo:lo + len(block.datas)]
+        k = np.zeros(cells.shape, dtype=int)
+        hit = np.zeros(cells.shape, dtype=bool)
+        for j in range(len(levels)):
+            at = cells[:, j, None]
+            if after:
+                mask = block.times >= at - 1e-12
+                k[:, j] = np.argmax(np.where(mask, ynorm, -math.inf), axis=1)
+            else:
+                mask = block.times <= at + 1e-12
+                k[:, j] = np.argmin(np.where(mask, ynorm, math.inf), axis=1)
+            hit[:, j] = mask.any(axis=1)
+        rows, j = np.nonzero(hit)
+        k = k[rows, j]
+        bound = np.asarray(levels, dtype=float)[j] + gamma(block.s)[rows]
+        out.add(block, rows, block.times[rows, k], ynorm[rows, k], bound)
+
+
+def _table_taus(cert: Certificate, datas, table: ConvergenceTimeTable) -> np.ndarray:
+    """tau per (probe, level) from the table, NaN where a cell is missing."""
+    initial = np.array([_initial(cert.property, data) for data in datas])
+    s = np.array([data.probe.s for data in datas])
+    return table._lookup_block(np.asarray(table.eps_grid)[None, :], initial[:, None],
+                               s[:, None])
 
 
 def _check_uag(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     table: ConvergenceTimeTable = cert["tau_table"]
-    gamma = cert["gamma"]
-    late = []  # (eps, r, tau) per cell skipped because tau exceeds the horizon
-
-    def sample(data, eps):
-        r, s = _initial(cert.property, data), data.probe.s
-        tau = table.eval(eps, r, s)
-        if tau > plan.horizon + 1e-12:
-            late.append((eps, r, tau))
-            return None
-        mask = data.times >= tau - 1e-12
-        if not np.any(mask):
-            return None
-        k = int(np.argmax(np.where(mask, data.ynorm, -math.inf)))
-        return data.times[k], data.ynorm[k], eps + gamma(s)
-
-    _sweep(cert, datas, table.eps_grid, sample, out)
-    if late:
-        eps, r, tau = late[0]
-        out.notes.append(f"{len(late)} cell(s) skipped where tau exceeds the horizon "
-                         f"(first tau({eps:g}, {r:g}) = {tau:g})")
+    live = _live(cert, datas, out)
+    if not live:
+        return
+    tau = _table_taus(cert, live, table)
+    late = tau > plan.horizon + 1e-12  # cells skipped because tau exceeds the horizon
+    if late.any():
+        i, j = np.argwhere(late)[0]
+        out.notes.append(f"{int(late.sum())} cell(s) skipped where tau exceeds the horizon "
+                         f"(first tau({table.eps_grid[j]:g}, "
+                         f"{_initial(cert.property, live[i]):g}) = {tau[i, j]:g})")
+        tau[late] = math.nan
+    _level_samples(live, table.eps_grid, tau, cert["gamma"], out, after=True)
 
 
 def _check_lim(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
-    gamma = cert["gamma"]
     table: ConvergenceTimeTable | None = cert.get("tau_table")
-
-    def sample(data, eps):
-        if table is None:
-            tau = plan.horizon
-        else:
-            tau = table.eval(eps, _initial(cert.property, data), data.probe.s)
-        mask = data.times <= tau + 1e-12
-        if not np.any(mask):
-            return None
-        # existence check: best time must dip below the bound
-        k = int(np.argmin(np.where(mask, data.ynorm, math.inf)))
-        return data.times[k], data.ynorm[k], eps + gamma(data.probe.s)
-
-    _sweep(cert, datas, plan.eps_grid if table is None else table.eps_grid, sample, out)
+    live = _live(cert, datas, out)
+    if live:
+        levels = plan.eps_grid if table is None else table.eps_grid
+        tau = (np.full((len(live), len(levels)), plan.horizon) if table is None
+               else _table_taus(cert, live, table))
+        _level_samples(live, levels, tau, cert["gamma"], out, after=False)
     if table is None:
         out.notes.append(
             "visit times capped by the plan horizon: per-trajectory quantifier "
@@ -1448,24 +1550,32 @@ def _fit_separable_kl(datas, series, plan: SamplingPlan):
     return cf.kl_separable(sigma, temporal), sigma, a
 
 
-def _gain_envelope(pairs) -> ScalarFn:
-    """Class Kinf envelope through (0, 0) of the largest value per abscissa
-    among the (abscissa, value) pairs; (1, 0) stands in when no pair is
-    off the origin."""
-    samples = {0.0: 0.0}
-    for x, v in pairs:
-        samples[x] = max(samples.get(x, 0.0), v)
-    if len(samples) == 1:
-        samples[1.0] = 0.0
-    return cf.fit_monotone_envelope(sorted(samples.items()), force_zero_at_zero=True)
+def _gain_envelope(x, v) -> ScalarFn:
+    """Class Kinf envelope through (0, 0) of the largest value v[i], clamped
+    at 0, per abscissa x[i]; (1, 0) stands in when no abscissa is off the
+    origin."""
+    x = np.append(0.0, np.asarray(x, dtype=float) + 0.0)  # + 0.0: a -0.0 joins the origin
+    v = np.asarray(v, dtype=float)
+    v = np.append(0.0, np.where(v > 0.0, v, 0.0))
+    if not x.any():
+        x, v = np.append(x, 1.0), np.append(v, 0.0)
+    return cf.fit_monotone_envelope(np.column_stack((x, v)), force_zero_at_zero=True)
+
+
+def _largest_per(x, v):
+    """The distinct values of x, and the largest v (NaN ignored) at each."""
+    distinct, at = np.unique(x, return_inverse=True)
+    top = np.full(len(distinct), -math.inf)
+    np.fmax.at(top, at, v)
+    return distinct, top
 
 
 def _residual_gain(prop: PropertyId, datas, bound_fn) -> ScalarFn:
     """Envelope against the input norm of the positive residuals of the
     series ``prop`` observes."""
     return _gain_envelope(
-        (data.probe.s, float(np.max(np.maximum(_observed(prop, data) - bound_fn(data), 0.0))))
-        for data in datas)
+        [data.probe.s for data in datas],
+        [np.max(np.maximum(_observed(prop, data) - bound_fn(data), 0.0)) for data in datas])
 
 
 def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
@@ -1517,14 +1627,16 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
         return Certificate(prop, params)
 
     if prop in (PropertyId.H_BOUNDED, PropertyId.H_K_BOUNDED):
-        sigma1_samples = [(0.0, 0.0)]
-        for d in zero_in:
-            sigma1_samples.extend(zip(d.xnorm.tolist(), d.ynorm.tolist()))
-        sigma1 = cf.fit_monotone_envelope(sigma1_samples, force_zero_at_zero=True)
-        # static-map residuals are pointwise in the instantaneous input value
-        gamma1 = _gain_envelope(chain.from_iterable(
-            zip(d.uval_norm.tolist(), np.maximum(d.ynorm - sigma1(d.xnorm), 0.0).tolist())
-            for d in live))
+        sigma1 = cf.fit_monotone_envelope(np.column_stack((
+            np.concatenate([[0.0]] + [d.xnorm for d in zero_in]),
+            np.concatenate([[0.0]] + [d.ynorm for d in zero_in]))), force_zero_at_zero=True)
+        # static-map residuals are pointwise in the instantaneous input value;
+        # each probe's piecewise-constant input takes few values, so its
+        # largest residual per value keeps the fit's arrays short
+        tops = [_largest_per(d.uval_norm, np.maximum(d.ynorm - sigma1(d.xnorm), 0.0))
+                for d in live]
+        gamma1 = _gain_envelope(np.concatenate([x for x, _ in tops]),
+                                np.concatenate([v for _, v in tops]))
         params = {"sigma1": sigma1, "gamma1": gamma1}
         if prop == PropertyId.H_BOUNDED:
             params["c"] = 0.0
@@ -1536,10 +1648,9 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
         if prop == PropertyId.IOSS:
             gamma2 = cf.identity()
             gamma1 = _gain_envelope(
-                (float(np.max(d.urestr)) if d.probe.s > 0 else 0.0,
-                 float(np.max(np.maximum(
-                     d.xnorm - (beta(d.probe.r, d.times) + gamma2(d.ysup)), 0.0))))
-                for d in live)
+                [np.max(d.urestr) if d.probe.s > 0 else 0.0 for d in live],
+                [np.max(np.maximum(d.xnorm - (beta(d.probe.r, d.times) + gamma2(d.ysup)), 0.0))
+                 for d in live])
             params = {"beta": beta, "gamma1": gamma1, "gamma2": gamma2}
         else:
             params = {"beta": beta,
@@ -1582,8 +1693,9 @@ def _fit_asymptotic_gain(datas, plan: SamplingPlan) -> ScalarFn:
     table cells unreachable), while the gain must vanish at zero.
     """
     cut = 0.8 * plan.horizon
-    tails = ((d.probe.s, d.ynorm[d.times >= cut]) for d in datas if d.probe.s != 0.0)
-    return _gain_envelope((s, float(np.max(tail))) for s, tail in tails if tail.size)
+    driven = [d for d in datas if d.probe.s != 0.0 and d.times[-1] >= cut]
+    return _gain_envelope([d.probe.s for d in driven],
+                          [np.max(d.ynorm[d.times >= cut]) for d in driven])
 
 
 def _fit_delta_table(plan: SamplingPlan, ps: ProbeSet, with_tau: bool) -> DeltaTable:

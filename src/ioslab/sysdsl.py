@@ -160,12 +160,16 @@ def _tokenize_line(text: str, line_no: int) -> list[_Tok]:
 
 
 _LEVELS = ("+-", "*/")  # binary operators, loosest first; unary minus binds tighter
+# brackets and unary minus signs open at once: the parser, the fold and the
+# compiler recurse once or more per level, well inside Python's stack limit
+_MAX_DEPTH = 200
 
 
 class _Parser:
     def __init__(self, toks: list[_Tok], pos: int):
         self.toks = toks
         self.pos = pos
+        self.depth = 0
 
     def at(self, ops: str) -> bool:
         tok = self.toks[self.pos]
@@ -180,11 +184,21 @@ class _Parser:
         if tok.kind != "OP" or tok.text != op:
             raise ParseError(f"expected {op!r}", tok.line, tok.col)
 
+    def enter(self):
+        """Step over a "(" or a unary "-": one level deeper."""
+        tok = self.take()
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels",
+                             tok.line, tok.col)
+
     def parse_expr(self, level: int = 0):
         if level == len(_LEVELS):
             if self.at("-"):
-                self.pos += 1
-                return Un("-", self.parse_expr(level))
+                self.enter()
+                node = Un("-", self.parse_expr(level))
+                self.depth -= 1
+                return node
             return self.parse_primary()
         node = self.parse_expr(level + 1)
         while self.at(_LEVELS[level]):
@@ -193,9 +207,10 @@ class _Parser:
 
     def parse_primary(self):
         if self.at("("):
-            self.pos += 1
+            self.enter()
             node = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return node
         tok = self.take()
         if tok.kind == "NUM":
@@ -209,11 +224,13 @@ class _Parser:
         if tok.kind == "IDENT":
             if not self.at("("):
                 return Name(tok.text, tok.col)
-            args = []
-            while not args or self.at(","):  # skips the "(", then each ","
+            self.enter()
+            args = [self.parse_expr()]
+            while self.at(","):
                 self.pos += 1
                 args.append(self.parse_expr())
             self.expect(")")
+            self.depth -= 1
             return Call(tok.text, tuple(args), tok.col)
         raise ParseError("unexpected end of expression" if tok.kind == "EOL"
                          else f"unexpected token {tok.text!r}", tok.line, tok.col)
@@ -299,6 +316,8 @@ def parse_system(text: str, name: str = "descriptor") -> SystemSpecDoc:
         indexed = _INDEXED.fullmatch(key.text)
         if not indexed and key.text not in ("param", "dim_x", "dim_u", "time"):
             raise ParseError(f"unknown key {key.text!r}", line_no, key.col)
+        if indexed and len(indexed[2]) > 309:  # as _VARIABLE bounds a variable's index
+            raise ParseError(f"{indexed[1]} index longer than 309 digits", line_no, key.col)
         p = _Parser(toks, 2 + named)
         node = _fold(p.parse_expr(), None, line_no)
         if toks[p.pos].kind != "EOL":

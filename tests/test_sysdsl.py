@@ -343,3 +343,33 @@ def test_random_documents_parse_or_raise_parse_error():
             continue
         accepted += 1
     assert 0 < accepted < len(texts)
+
+
+_DEEP = "dim_x = 1\ndim_u = 0\ndx0 = {}\ny0 = x0"
+
+
+@pytest.mark.parametrize("expr, col", [("(" * 400 + "x0" + ")" * 400, 207),
+                                       ("-" * 1500 + "x0", 207),
+                                       ("sin(" * 400 + "x0" + ")" * 400, 810)],
+                         ids=["parentheses", "unary-minus", "calls"])
+def test_deep_nesting_is_a_parse_error(expr, col):
+    # the parser recurses per level: these once raised RecursionError
+    with pytest.raises(ParseError) as err:
+        parse_system(_DEEP.format(expr))
+    assert "nested deeper than 200 levels" in str(err.value)
+    assert (err.value.line, err.value.column) == (3, col)  # the 201st opening token
+
+
+@pytest.mark.parametrize("expr", ["(" * 200 + "x0" + ")" * 200, "-" * 200 + "x0"],
+                         ids=["parentheses", "unary-minus"])
+def test_nesting_at_the_limit_parses_and_compiles(expr):
+    doc = parse_system(_DEEP.format(expr))
+    assert compile_system(doc).rhs(np.array([1.0]), np.zeros(0)).shape == (1,)
+
+
+def test_long_key_index_is_a_parse_error():
+    # int() refuses more than 4,300 digits: this once raised ValueError
+    with pytest.raises(ParseError) as err:
+        parse_system("dim_x = 1\ndim_u = 0\ndx" + "0" * 5000 + " = x0\ny0 = x0")
+    assert "index longer than 309 digits" in str(err.value)
+    assert (err.value.line, err.value.column) == (3, 1)
