@@ -445,7 +445,8 @@ def fit_monotone_envelope(
     samples,
     force_zero_at_zero: bool = False,
 ) -> ScalarFn:
-    """Smallest nondecreasing piecewise-linear dominator of (r, value) samples.
+    """Smallest nondecreasing piecewise-linear dominator of (r, value) samples,
+    given as pairs or as an (N, 2) array.
 
     The envelope is the running maximum over increasing abscissae, then made
     strictly increasing by adding ``EPS_SLOPE * r``.  With

@@ -905,7 +905,7 @@ class _Outcome:
         against ``bound[i]`` at time ``t[i]``."""
         self.samples += len(rows)
         slack = bound - observed
-        least = np.min(slack, initial=math.inf, where=~np.isnan(slack))
+        least = np.fmin.reduce(slack, initial=math.inf)  # NaN never decides
         if not least < math.inf:
             return
         ties = np.flatnonzero(slack == least)

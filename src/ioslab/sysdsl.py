@@ -160,8 +160,9 @@ def _tokenize_line(text: str, line_no: int) -> list[_Tok]:
 
 
 _LEVELS = ("+-", "*/")  # binary operators, loosest first; unary minus binds tighter
-# brackets and unary minus signs open at once: the parser, the fold and the
-# compiler recurse once or more per level, well inside Python's stack limit
+# most brackets and unary minus signs open at once: the parser, the fold and
+# the compiler recurse once or more per level, and 200 levels stay well
+# inside Python's default recursion limit
 _MAX_DEPTH = 200
 
 
