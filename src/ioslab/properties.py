@@ -956,9 +956,9 @@ def _in_ball(r: float, s: float, radius: float) -> bool:
 
 # padded grid points per block.  A check's temporaries then stay at 64 kB
 # or less, which the allocator reuses from check to check; temporaries of a
-# whole (P, W) block run to 100 kB and more, and those the allocator maps
-# afresh and page-faults on every check (about 11,000 minor faults per
-# warm_recheck benchmark pass)
+# whole (P, W) block run to 100 kB and more, and those glibc's malloc maps
+# afresh and page-faults on every check (about 10,000 minor faults per
+# warm_recheck benchmark pass against 1,900 with this bound, NumPy 2.4)
 _BLOCK_SAMPLES = 8192
 
 
@@ -994,7 +994,7 @@ class _Block:
 def _blocks(datas):
     """(first row, block) over ``datas`` in consecutive blocks of at most
     ``_BLOCK_SAMPLES`` padded grid points (one row at least)."""
-    step = max(1, _BLOCK_SAMPLES // max(len(d.times) for d in datas))
+    step = max(1, _BLOCK_SAMPLES // max((len(d.times) for d in datas), default=1))
     for i in range(0, len(datas), step):
         yield i, _Block(datas[i:i + step])
 
@@ -1054,7 +1054,7 @@ def _check_pointwise(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome
     # probe's radius decides whether its row reaches past it: radius -> the
     # reason its rows are skipped, or None
     reasons, skipped = {}, []
-    for _, block in _blocks(live) if live else ():
+    for _, block in _blocks(live):
         try:
             bound = _pointwise_bound(cert, block)
         except TableGapError:
@@ -1153,8 +1153,6 @@ def _table_taus(cert: Certificate, datas, table: ConvergenceTimeTable) -> np.nda
 def _check_uag(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     table: ConvergenceTimeTable = cert["tau_table"]
     live = _live(cert, datas, out)
-    if not live:
-        return
     tau = _table_taus(cert, live, table)
     late = tau > plan.horizon + 1e-12  # cells skipped because tau exceeds the horizon
     if late.any():
@@ -1169,11 +1167,10 @@ def _check_uag(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
 def _check_lim(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     table: ConvergenceTimeTable | None = cert.get("tau_table")
     live = _live(cert, datas, out)
-    if live:
-        levels = plan.eps_grid if table is None else table.eps_grid
-        tau = (np.full((len(live), len(levels)), plan.horizon) if table is None
-               else _table_taus(cert, live, table))
-        _level_samples(live, levels, tau, cert["gamma"], out, after=False)
+    levels = plan.eps_grid if table is None else table.eps_grid
+    tau = (np.full((len(live), len(levels)), plan.horizon) if table is None
+           else _table_taus(cert, live, table))
+    _level_samples(live, levels, tau, cert["gamma"], out, after=False)
     if table is None:
         out.notes.append(
             "visit times capped by the plan horizon: per-trajectory quantifier "
