@@ -9,8 +9,8 @@ family with constants first), each probe is simulated once, and the
 defining inequality is evaluated with its quantifier structure respected.
 ``_CHECKERS`` is the single table that maps a property to its quantifier:
 the probe source its samples come from and the checker that reduces them,
-shared by ``verify`` (over the whole source) and ``falsify`` (one probe at a
-time).  The quantifier patterns are:
+shared by ``verify`` (over the whole source) and ``falsify`` (over each
+search batch).  The quantifier patterns are:
 
   pointwise notions   bound must hold at every grid time
                       (IOS, ISS, IOpS, OCAG, OL family, OUGS family, IOSS,
@@ -569,16 +569,25 @@ class SamplingPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-        object.__setattr__(self, "input_norms",
-                           tuple(float(s) for s in self.input_norms if s > 0.0))
+        norms = tuple(float(s) for s in self.input_norms)
         object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
         if not self.radii:
             raise DomainError("plan needs at least one radius shell")
         if not self.eps_grid:
             raise DomainError("plan needs a nonempty eps grid")
-        if not all(math.isfinite(x) for x in self.radii + self.eps_grid):
-            # the delta fit halves from min(eps, largest radius) to its floor
-            raise DomainError("plan radii and eps levels must be finite")
+        # all finite: the delta fit halves from min(eps, largest radius) to its
+        # floor, and the seeded pw input of norm s is drawn from int(s * 1e6)
+        for ok, what in ((all(0.0 <= r < math.inf for r in self.radii), "radii >= 0"),
+                         (all(0.0 <= s < math.inf for s in norms), "input norms >= 0"),
+                         (all(0.0 < e < math.inf for e in self.eps_grid), "eps levels > 0"),
+                         (0.0 < self.horizon < math.inf, "a horizon > 0"),
+                         (0.0 <= self.delta_margin < math.inf, "a delta margin >= 0")):
+            if not ok:
+                raise DomainError(f"plan needs finite {what}")
+        if not (isinstance(self.directions, int) and self.directions >= 1):
+            raise DomainError("plan needs at least one direction")
+        # the zero input is always probed, so an input norm of 0 adds nothing
+        object.__setattr__(self, "input_norms", tuple(s for s in norms if s > 0.0))
         if self.sim is None:
             object.__setattr__(self, "sim", SimPlan(self.horizon))
         elif abs(self.sim.horizon - self.horizon) > 1e-12:
@@ -881,57 +890,78 @@ class Verdict:
 
 
 class _Outcome:
-    """Reduction of a check's samples to the least slack and its sample.
+    """Reduction of a check's samples by one tie rule in two stages.
 
-    A checker lists its samples probe by probe, and each probe's levels in
-    order, in one or more ``add`` calls.  The decisive sample has the least
-    slack (bound - observed); among equal slacks the lowest probe index
-    wins, and among equal slacks of one probe index the sample listed
-    first.  So the verdict does not depend on how the samples were split
-    into calls, but it does depend on the listing order when one probe
-    index appears twice (shell probes, continuity rows) or on one probe's
-    levels.  A NaN slack counts as a sample and never decides.
+    A checker lists its samples row by row in the order of its input (a row
+    is a probe or a continuity row), each row's levels in order, in one or
+    more ``add`` calls.  Stage one records each row's decisive sample: its
+    least slack (bound - observed), the first listed on a tie.  Stage two
+    decides the check from those: the least slack, then the lowest probe
+    index, then the row listed first.  So the verdict does not depend on
+    how the samples were split into calls, but on the listing order when
+    one probe index is in two rows (shell probes, continuity rows,
+    ``falsify``'s refinement candidates) or on one probe's levels.  A NaN
+    or +inf slack counts as a sample and never decides.
     """
 
     def __init__(self):
-        self.min_slack = math.inf
-        self.worst = None  # (probe, t, observed, bound)
         self.samples = 0
         self.notes: list[str] = []
         self.blown = 0
+        # the listed blocks' rows, and per add call per sample: (its row in _probes,
+        # position in the checker's input, probe index, slack, t, observed, bound)
+        self._probes, self._listed = [], [(np.empty(0, int),) * 3 + (np.empty(0),) * 4]
 
     def add(self, block: "_Block", rows, t, observed, bound):
         """Sample i: row ``rows[i]`` of ``block`` observed ``observed[i]``
         against ``bound[i]`` at time ``t[i]``."""
         self.samples += len(rows)
-        slack = bound - observed
-        least = np.fmin.reduce(slack, initial=math.inf)  # NaN never decides
-        if not least < math.inf:
-            return
-        ties = np.flatnonzero(slack == least)
-        j = ties[np.argmin(block.index[rows[ties]])]
-        probe = block.probes[rows[j]]
-        if least < self.min_slack or (least == self.min_slack and self.worst is not None
-                                      and probe.index < self.worst[0].index):
-            self.min_slack = slack[j]
-            self.worst = (probe, float(t[j]), float(observed[j]), float(bound[j]))
+        self._listed.append((len(self._probes) + rows, block.pos[rows], block.index[rows],
+                             bound - observed, t, observed, bound))
+        self._probes += block.probes
+
+    def _rows(self) -> list:
+        """Stage one: the ``_listed`` columns at each row's decisive sample,
+        rows in the order of their positions."""
+        cols = [np.concatenate(c) for c in zip(*self._listed)]
+        pos, slack = cols[1], cols[3]
+        order = np.lexsort((slack, pos))  # stable: by row, then slack with NaN last
+        first = order[np.diff(pos[order], prepend=-1) != 0]
+        first = first[slack[first] < math.inf]
+        return [c[first] for c in cols]
+
+    def by_row(self) -> dict:
+        """Position in the checker's input -> (probe, t, observed, bound) of
+        that row's decisive sample, for the rows that have one."""
+        row, pos, _, _, t, observed, bound = self._rows()
+        return {int(p): (self._probes[r], float(a), float(b), float(c))
+                for r, p, a, b, c in zip(row, pos, t, observed, bound)}
+
+    def _decide(self):
+        """Stage two: (slack, (probe, t, observed, bound)) of the check's
+        decisive sample, or (inf, None) when no row has one."""
+        row, _, index, slack, t, observed, bound = self._rows()
+        if not len(row):
+            return math.inf, None
+        j = np.lexsort((index, slack))[0]  # stable: ties go to the row listed first
+        return slack[j], (self._probes[row[j]], float(t[j]), float(observed[j]), float(bound[j]))
+
+    min_slack = property(lambda self: self._decide()[0])
+    worst = property(lambda self: self._decide()[1])
 
     def verdict(self, prop: PropertyId, plan: SamplingPlan, phash: str) -> Verdict:
-        notes = tuple(self.notes)
-        if self.blown:
-            notes = notes + (
-                f"{self.blown} probe(s) blew up: forward-completeness failure at those samples",
-            )
+        min_slack, worst = self._decide()
+        notes = tuple(self.notes) + ((f"{self.blown} probe(s) blew up: forward-completeness "
+                                      "failure at those samples",) if self.blown else ())
         if self.samples == 0:
             return Verdict("inconclusive", prop, 0, None, None,
                            "no samples satisfied the property's ball constraints",
                            phash, notes)
-        if self.min_slack >= -plan.delta_margin:
-            return Verdict("certified", prop, self.samples, float(self.min_slack),
+        if min_slack >= -plan.delta_margin:
+            return Verdict("certified", prop, self.samples, float(min_slack),
                            None, None, phash, notes)
-        witness = Witness.of_probe(prop, *self.worst)
-        return Verdict("falsified", prop, self.samples, float(self.min_slack),
-                       witness, None, phash, notes)
+        return Verdict("falsified", prop, self.samples, float(min_slack),
+                       Witness.of_probe(prop, *worst), None, phash, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -963,17 +993,18 @@ _BLOCK_SAMPLES = 8192
 
 
 class _Block:
-    """Consecutive probes of one check as padded (P, W) arrays: row i holds
-    probe i's series in its first n_i entries and repeats the last entry
+    """Consecutive rows of one check as padded (P, W) arrays: row i holds
+    its probe's series in its first n_i entries and repeats the last entry
     after them.  A padded entry so repeats the sample of the last grid time
     (every bound is evaluated pointwise), and a reduction that keeps the
     first of equal candidates, as ``argmin`` and ``argmax`` do, never picks
-    it.  Blocks are built per check and dropped with it (``falsify`` checks
-    one probe per block).
+    it.  ``pos`` holds each row's position in the checker's input.  Blocks
+    are built per check and dropped with it.
     """
 
-    def __init__(self, datas):
+    def __init__(self, datas, pos):
         self.datas = datas
+        self.pos = np.asarray(pos)
         self.probes = [d.probe for d in datas]
         self.index = np.array([p.index for p in self.probes])
         self.s = np.array([p.s for p in self.probes])
@@ -991,12 +1022,12 @@ class _Block:
         return np.concatenate(parts).reshape(len(self.datas), self.width)
 
 
-def _blocks(datas):
-    """(first row, block) over ``datas`` in consecutive blocks of at most
-    ``_BLOCK_SAMPLES`` padded grid points (one row at least)."""
+def _blocks(datas, pos):
+    """(first row, block) over ``datas`` (at ``pos`` in the checker's input)
+    in blocks of at most ``_BLOCK_SAMPLES`` padded points (one row at least)."""
     step = max(1, _BLOCK_SAMPLES // max((len(d.times) for d in datas), default=1))
     for i in range(0, len(datas), step):
-        yield i, _Block(datas[i:i + step])
+        yield i, _Block(datas[i:i + step], pos[i:i + step])
 
 
 def _pointwise_bound(cert: Certificate, block: _Block) -> np.ndarray:
@@ -1033,13 +1064,13 @@ def _probe_filter(cert: Certificate, data: ProbeData) -> bool:
     return s_max is None or data.probe.s <= s_max + 1e-12
 
 
-def _live(cert: Certificate, datas, out: _Outcome) -> list[ProbeData]:
-    """The probes in the certificate's ball that did not blow up; the blown
-    ones are counted into ``out``."""
-    kept = [data for data in datas if _probe_filter(cert, data)]
-    live = [data for data in kept if not data.blown]
-    out.blown += len(kept) - len(live)
-    return live
+def _live(cert: Certificate, datas, out: _Outcome):
+    """(positions in ``datas``, data) of the probes in the certificate's
+    ball that did not blow up; the blown ones are counted into ``out``."""
+    kept = [i for i, data in enumerate(datas) if _probe_filter(cert, data)]
+    pos = [i for i in kept if not datas[i].blown]
+    out.blown += len(kept) - len(pos)
+    return pos, [datas[i] for i in pos]
 
 
 def _sup_until(data: ProbeData, horizon: float) -> int:
@@ -1049,27 +1080,27 @@ def _sup_until(data: ProbeData, horizon: float) -> int:
 
 
 def _check_pointwise(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
-    live = _live(cert, datas, out)
+    pos, live = _live(cert, datas, out)
     # a table-backed beta makes no claim beyond its radius grid, and only a
     # probe's radius decides whether its row reaches past it: radius -> the
     # reason its rows are skipped, or None
     reasons, skipped = {}, []
-    for _, block in _blocks(live):
+    for _, block in _blocks(live, pos):
         try:
             bound = _pointwise_bound(cert, block)
         except TableGapError:
             for data in block.datas:
                 if data.probe.r not in reasons:
                     try:
-                        _pointwise_bound(cert, _Block([data]))
+                        _pointwise_bound(cert, _Block([data], [0]))
                         reasons[data.probe.r] = None
                     except TableGapError as exc:
                         reasons[data.probe.r] = str(exc)  # not exc: its traceback pins frames
             skipped += [data.probe.r for data in block.datas if reasons[data.probe.r]]
-            kept = [data for data in block.datas if reasons[data.probe.r] is None]
+            kept = [i for i, data in enumerate(block.datas) if reasons[data.probe.r] is None]
             if not kept:
                 continue
-            block = _Block(kept)
+            block = _Block([block.datas[i] for i in kept], block.pos[kept])
             bound = _pointwise_bound(cert, block)
         observed = block.pad(lambda d: _observed(cert.property, d))
         bound = np.broadcast_to(bound, observed.shape)
@@ -1091,17 +1122,17 @@ def _window_sup(data: ProbeData, horizon: float) -> tuple[float, float]:
     return data.times[k], data.ynorm[k]
 
 
-def _check_window_rows(cert: Certificate, rows, plan: SamplingPlan, out: _Outcome):
+def _check_window_rows(cert: Certificate, rows, plan: SamplingPlan, out: _Outcome, pos=None):
     """Window rows: for each (bound, horizon, probe) the sup of |y| up to the
     horizon must stay below the bound, row by row as ``_window_sup`` takes
-    it.  The continuity rows (OCEP, table OULS) are (eps, horizon, probe)
-    for each probe from a delta ball."""
+    it.  The continuity rows (OCEP, table OULS) are (eps, horizon, probe) for
+    each probe from a delta ball.  ``pos`` places the rows in a longer input."""
     if not rows:
         return
     bounds, horizons, datas = zip(*rows)
     bounds, horizons = np.array(bounds, dtype=float), np.array(horizons, dtype=float)
     blow_up = np.array([d.traj.blow_up if d.blown else math.inf for d in datas])
-    for lo, block in _blocks(datas):
+    for lo, block in _blocks(datas, range(len(rows)) if pos is None else pos):
         rows = np.arange(len(block.datas))
         horizon, burst = horizons[lo + rows], blow_up[lo + rows] <= horizons[lo + rows]
         ynorm = block.pad(lambda d: d.ynorm)
@@ -1113,16 +1144,17 @@ def _check_window_rows(cert: Certificate, rows, plan: SamplingPlan, out: _Outcom
 
 def _check_sup_bound(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     """Reachability bounds: sup over t < horizon of |y| against a constant."""
-    _check_window_rows(cert, [(cert["bound"], cert["horizon"], data) for data in datas
-                              if _probe_filter(cert, data)], plan, out)
+    pos = [i for i, data in enumerate(datas) if _probe_filter(cert, data)]
+    _check_window_rows(cert, [(cert["bound"], cert["horizon"], datas[i]) for i in pos],
+                       plan, out, pos)
 
 
-def _level_samples(datas, levels, tau, gamma, out: _Outcome, after: bool):
+def _level_samples(datas, pos, levels, tau, gamma, out: _Outcome, after: bool):
     """One sample per (probe, level) whose time mask holds a grid time: the
     largest |y| at or after tau (``after``, convergence) or the smallest
     at or before tau (visit), against eps + gamma(s).  tau is (P, L), NaN
     where the cell is skipped; samples are listed probe by probe."""
-    for lo, block in _blocks(datas):
+    for lo, block in _blocks(datas, pos):
         ynorm = block.pad(lambda d: d.ynorm)
         cells = tau[lo:lo + len(block.datas)]
         k = np.zeros(cells.shape, dtype=int)
@@ -1152,7 +1184,7 @@ def _table_taus(cert: Certificate, datas, table: ConvergenceTimeTable) -> np.nda
 
 def _check_uag(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     table: ConvergenceTimeTable = cert["tau_table"]
-    live = _live(cert, datas, out)
+    pos, live = _live(cert, datas, out)
     tau = _table_taus(cert, live, table)
     late = tau > plan.horizon + 1e-12  # cells skipped because tau exceeds the horizon
     if late.any():
@@ -1161,16 +1193,16 @@ def _check_uag(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
                          f"(first tau({table.eps_grid[j]:g}, "
                          f"{_initial(cert.property, live[i]):g}) = {tau[i, j]:g})")
         tau[late] = math.nan
-    _level_samples(live, table.eps_grid, tau, cert["gamma"], out, after=True)
+    _level_samples(live, pos, table.eps_grid, tau, cert["gamma"], out, after=True)
 
 
 def _check_lim(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
     table: ConvergenceTimeTable | None = cert.get("tau_table")
-    live = _live(cert, datas, out)
+    pos, live = _live(cert, datas, out)
     levels = plan.eps_grid if table is None else table.eps_grid
     tau = (np.full((len(live), len(levels)), plan.horizon) if table is None
            else _table_taus(cert, live, table))
-    _level_samples(live, levels, tau, cert["gamma"], out, after=False)
+    _level_samples(live, pos, levels, tau, cert["gamma"], out, after=False)
     if table is None:
         out.notes.append(
             "visit times capped by the plan horizon: per-trajectory quantifier "
@@ -1287,7 +1319,7 @@ def falsify(sys: SystemModel, cert: Certificate, budget: int,
     swept probes are refined by local grid search over the initial-state
     radius, the direction on their shell and the input amplitude, one batch
     per round, with the violation time taken as the worst grid time of each
-    refined trajectory.  The verdict's
+    refined trajectory.  One checker call scores each batch.  The verdict's
     ``samples`` counts probe requests, so it bounds the simulations run and
     never exceeds ``budget``.  The search is deterministic for a fixed plan
     seed.  Continuity-table certificates are not supported: their checker
@@ -1300,58 +1332,52 @@ def falsify(sys: SystemModel, cert: Certificate, budget: int,
     ps = ProbeSet(sys, plan)
     swept = ps.probes[: max(budget, 0)]
     spent = len(swept)
-    ranked = []  # (margin, probe, t, observed, bound) per admissible swept probe
-    for probe, data in zip(swept, ps.data_many(swept)):
-        margin, t, observed, bound = _probe_margin_from_data(cert, plan, data)
-        if margin > -math.inf:
-            ranked.append((margin, probe, t, observed, bound))
+    ranked = sorted(_scored(cert, plan, ps, swept).values(),
+                    key=lambda item: (-item[0], item[1].index))
     if not ranked:
         return Verdict("inconclusive", cert.property, spent, None, None,
                        "no admissible probes for this certificate", phash)
 
-    # multi-start local refinement: one hill-climb per elite coarse probe,
-    # so a degenerate near-zero basin cannot shadow a genuine violation
-    ranked.sort(key=lambda item: (-item[0], item[1].index))
-    starts = []
-    seen_radii = set()
+    # multi-start local refinement from the three best swept probes of distinct
+    # radii, so a degenerate near-zero basin cannot shadow a genuine violation
+    starts = {}
     for item in ranked:
-        key = round(item[1].r, 9)
-        if key not in seen_radii:
-            starts.append(item)
-            seen_radii.add(key)
-        if len(starts) >= 3:
-            break
-
+        starts.setdefault(round(item[1].r, 9), item)
     best = ranked[0]
-    for start in starts:
+    for start in list(starts.values())[:3]:
         if spent >= budget:
             break
         refined, spent = _refine_from(sys, cert, plan, ps, start, spent, budget)
         if refined[0] > best[0]:
             best = refined
-    margin, probe, t, observed, bound = best
-
+    margin = best[0]
     if margin > plan.delta_margin:
-        witness = Witness.of_probe(cert.property, probe, t, observed, bound)
         return Verdict("falsified", cert.property, spent, float(-margin),
-                       witness, None, phash)
-    return Verdict(
-        "inconclusive", cert.property, spent, float(-margin), None,
-        f"budget exhausted, max slack = {-margin:.6g}", phash,
-    )
+                       Witness.of_probe(cert.property, *best[1:]), None, phash)
+    return Verdict("inconclusive", cert.property, spent, float(-margin), None,
+                   f"budget exhausted, max slack = {-margin:.6g}", phash)
+
+
+def _scored(cert, plan, ps, probes) -> dict:
+    """Position in ``probes`` -> (observed - bound, probe, t, observed, bound)
+    of the probe's decisive sample, from one checker call over the batch; a
+    probe without one (outside the ball, blown up, no finite slack) is absent."""
+    out = _Outcome()
+    _checker(cert)[1](cert, ps.data_many(probes), plan, out)
+    return {pos: (observed - bound, probes[pos], t, observed, bound)
+            for pos, (_, t, observed, bound) in out.by_row().items()}
 
 
 def _refine_from(sys, cert, plan, ps, start, spent, budget):
     """Hill-climb from a swept probe.  Each round's candidates move the
-    round-start best's radius, direction or amplitude, and run as one batch
-    cut to the remaining budget.  Amplitudes are absolute factors on the
-    swept probe's input, so accepted steps do not compound."""
+    round-start best's radius, direction or amplitude, run as one batch cut
+    to the remaining budget, and the first of the largest margin replaces a
+    smaller best.  Amplitudes are absolute factors on the swept input, so
+    accepted steps do not compound."""
     best = start
     base_u = start[1].u
     span_r = _initial_span(plan.radii, start[1].r)
-    dir_best = np.asarray(start[1].direction) if start[1].direction else np.ones(sys.state_dim)
-    if np.linalg.norm(dir_best) > 0:
-        dir_best = dir_best / np.linalg.norm(dir_best)
+    dir_best = np.asarray(start[1].direction) / np.linalg.norm(start[1].direction)
     amp = 1.0
     stale = 0
     for _ in range(18):
@@ -1368,31 +1394,18 @@ def _refine_from(sys, cert, plan, ps, start, spent, budget):
         cands = []
         for r_new, d_new, amp_new in moves:
             x0 = np.asarray(sys.embed(r_new, d_new), dtype=float)
-            u = _scaled_input(base_u, amp_new)
+            u = InputSignal(base_u.breakpoints, base_u.values * amp_new)
             cands.append(Probe(probe.index, tuple(x0), u, r_new, u.norm(),
                                probe.tag + "+", tuple(d_new)))
         spent += len(cands)
-        improved = False
-        for cand, (_, d_new, amp_new), data in zip(cands, moves, ps.data_many(cands)):
-            m, t_new, obs, bnd = _probe_margin_from_data(cert, plan, data)
-            if m > best[0]:
-                best = (m, cand, t_new, obs, bnd)
-                next_dir, next_amp = d_new, amp_new
-                improved = True
-        if improved:
-            dir_best, amp = next_dir, next_amp
+        scored = _scored(cert, plan, ps, cands)
+        top = max(scored, key=lambda pos: scored[pos][0], default=None)
+        if top is not None and scored[top][0] > best[0]:
+            best, (_, dir_best, amp), stale = scored[top], moves[top], 0
+        else:
+            stale += 1
         span_r *= 0.5
-        stale = 0 if improved else stale + 1
     return best, spent
-
-
-def _probe_margin_from_data(cert, plan, data) -> tuple[float, float, float, float]:
-    out = _Outcome()
-    _checker(cert)[1](cert, [data], plan, out)
-    if out.worst is None:
-        return -math.inf, 0.0, 0.0, 0.0
-    _, t, observed, bound = out.worst
-    return observed - bound, t, observed, bound
 
 
 def _initial_span(radii, r):
@@ -1413,12 +1426,6 @@ def _direction_neighbours(d: np.ndarray, span_angle: float):
             if n > 1e-9:
                 out.append(v / n)
     return out
-
-
-def _scaled_input(u: InputSignal, factor: float) -> InputSignal:
-    if factor == 1.0 or u.dim == 0:
-        return u
-    return InputSignal(u.breakpoints, u.values * factor)
 
 
 # ---------------------------------------------------------------------------

@@ -160,10 +160,18 @@ def _tokenize_line(text: str, line_no: int) -> list[_Tok]:
 
 
 _LEVELS = ("+-", "*/")  # binary operators, loosest first; unary minus binds tighter
-# most brackets and unary minus signs open at once: the parser, the fold and
-# the compiler recurse once or more per level, and 200 levels stay well
-# inside Python's default recursion limit
+# most brackets and unary minus signs open at once, and most nodes on a path
+# from an expression's root to a leaf: the parser recurses per open level, the
+# fold, the compiler, the printer and node equality per node level, and 200
+# levels of each stay well inside Python's default recursion limit
 _MAX_DEPTH = 200
+
+
+def _nest(level: int, tok: _Tok) -> int:
+    """One level deeper than ``level``; past ``_MAX_DEPTH`` a parse error at ``tok``."""
+    if level >= _MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", tok.line, tok.col)
+    return level + 1
 
 
 class _Parser:
@@ -185,34 +193,38 @@ class _Parser:
         if tok.kind != "OP" or tok.text != op:
             raise ParseError(f"expected {op!r}", tok.line, tok.col)
 
-    def enter(self):
+    def enter(self) -> _Tok:
         """Step over a "(" or a unary "-": one level deeper."""
         tok = self.take()
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels",
-                             tok.line, tok.col)
+        self.depth = _nest(self.depth, tok)
+        return tok
 
     def parse_expr(self, level: int = 0):
+        """(expression, height): the height counts the nodes on the longest
+        path from the root to a leaf.  ``enter`` counts what opens before its
+        operand; a chain of binary operators nests its first operand one
+        level per operator read after it, so only the height bounds it."""
         if level == len(_LEVELS):
             if self.at("-"):
-                self.enter()
-                node = Un("-", self.parse_expr(level))
+                tok = self.enter()
+                node, height = self.parse_expr(level)
                 self.depth -= 1
-                return node
+                return Un("-", node), _nest(height, tok)
             return self.parse_primary()
-        node = self.parse_expr(level + 1)
+        node, height = self.parse_expr(level + 1)
         while self.at(_LEVELS[level]):
-            node = Bin(self.take().text, node, self.parse_expr(level + 1))
-        return node
+            tok = self.take()
+            right, right_height = self.parse_expr(level + 1)
+            node, height = Bin(tok.text, node, right), _nest(max(height, right_height), tok)
+        return node, height
 
     def parse_primary(self):
         if self.at("("):
             self.enter()
-            node = self.parse_expr()
+            expr = self.parse_expr()  # (node, height)
             self.expect(")")
             self.depth -= 1
-            return node
+            return expr
         tok = self.take()
         if tok.kind == "NUM":
             try:
@@ -221,10 +233,10 @@ class _Parser:
                 value = math.inf
             if math.isinf(value):  # malformed, or overflowing like 1e400
                 raise ParseError(f"bad number {tok.text!r}", tok.line, tok.col)
-            return Lit(value)
+            return Lit(value), 0
         if tok.kind == "IDENT":
             if not self.at("("):
-                return Name(tok.text, tok.col)
+                return Name(tok.text, tok.col), 0
             self.enter()
             args = [self.parse_expr()]
             while self.at(","):
@@ -232,7 +244,8 @@ class _Parser:
                 args.append(self.parse_expr())
             self.expect(")")
             self.depth -= 1
-            return Call(tok.text, tuple(args), tok.col)
+            return (Call(tok.text, tuple(a for a, _ in args), tok.col),
+                    _nest(max(h for _, h in args), tok))
         raise ParseError("unexpected end of expression" if tok.kind == "EOL"
                          else f"unexpected token {tok.text!r}", tok.line, tok.col)
 
@@ -320,7 +333,7 @@ def parse_system(text: str, name: str = "descriptor") -> SystemSpecDoc:
         if indexed and len(indexed[2]) > 309:  # as _VARIABLE bounds a variable's index
             raise ParseError(f"{indexed[1]} index longer than 309 digits", line_no, key.col)
         p = _Parser(toks, 2 + named)
-        node = _fold(p.parse_expr(), None, line_no)
+        node = _fold(p.parse_expr()[0], None, line_no)
         if toks[p.pos].kind != "EOL":
             raise ParseError(f"trailing input {toks[p.pos].text!r}", line_no, toks[p.pos].col)
         col = toks[2 + named].col

@@ -387,3 +387,62 @@ def test_listing_order_decides_a_tie_of_one_probe_index():
                                                 data([0.0, 0.0, 1.25])],))
     assert got == want
     assert (got["slack"], got["witness"]["t"], got["witness"]["bound"]) == (-1.0, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# each row's decisive sample
+# ---------------------------------------------------------------------------
+
+def _moved_rows(cert, items, plan) -> list:
+    """The positions in ``items`` whose decisive sample, from one checker
+    call over all of them, differs from the reference's on that row alone
+    (None on both sides where the row has no sample)."""
+    out = props._Outcome()
+    props._checker(cert)[1](cert, items, plan, out)
+    got = out.by_row()
+    moved = []
+    for pos, item in enumerate(items):
+        ref = _Reference()
+        _reference_check(cert)(cert, [item], plan, ref)
+        if got.get(pos) != ref.worst:
+            moved.append(pos)
+    return moved
+
+
+def test_zoo_rows_equal_the_reference_row_by_row(zoo_cases):
+    moved = []
+    for name, sys, cert, plan, ps in zoo_cases:
+        items = props._checker(cert)[0](cert, ps, plan, props._Outcome())
+        moved += [f"{name}:{pos}" for pos in _moved_rows(cert, items, plan)]
+    assert moved == []
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(datas=st.lists(_probe_data(), min_size=1, max_size=7), tau_values=_TAU_VALUES,
+       block=st.sampled_from((1, 5, 8192)), again=st.integers(0, 6), at=st.integers(0, 7))
+def test_generated_rows_equal_the_reference_row_by_row(datas, tau_values, block, again, at):
+    # probe indices are drawn from 0..2, so rows share them; and one
+    # ProbeData is listed twice
+    datas = datas[:at] + [datas[again % len(datas)]] + datas[at:]
+    saved, props._BLOCK_SAMPLES = props._BLOCK_SAMPLES, block
+    try:
+        for cert in _FIXED + _tabled(tau_values):
+            assert _moved_rows(cert, datas, _PLAN) == [], cert.property
+    finally:
+        props._BLOCK_SAMPLES = saved
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from((0.25, 1.0)), st.sampled_from((0.5, 1.5, 3.0)),
+                               _probe_data()), min_size=1, max_size=8),
+       block=st.sampled_from((1, 5, 8192)))
+def test_generated_continuity_rows_equal_the_reference_row_by_row(rows, block):
+    eps, horizon, data = rows[0]
+    rows = rows + [(1.25 - eps, horizon, data)]  # one ProbeData in two rows of unequal bounds
+    cert = Certificate(P.OCEP, {"delta_table": props.DeltaTable((0.25, 1.0), None,
+                                                                np.array([0.5, 1.0]))})
+    saved, props._BLOCK_SAMPLES = props._BLOCK_SAMPLES, block
+    try:
+        assert _moved_rows(cert, rows, _PLAN) == []
+    finally:
+        props._BLOCK_SAMPLES = saved

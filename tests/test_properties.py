@@ -875,3 +875,74 @@ def test_blow_up_inside_a_continuity_window_is_a_violation(prop):
     assert verdict.status == "falsified" and verdict.min_slack == -math.inf
     assert verdict.samples == 4
     assert verdict.witness.observed == math.inf and verdict.witness.t <= plan.horizon
+
+
+@pytest.mark.parametrize("fields", [
+    {"radii": (-1.0, 1.0)},
+    {"input_norms": (-2.0, math.nan)},
+    {"input_norms": (math.inf,)},
+    {"horizon": math.nan},
+    {"horizon": math.inf},
+    {"horizon": 0.0},
+    {"eps_grid": (-0.1,)},
+    {"eps_grid": (0.0, 0.5)},
+    {"delta_margin": -1.0},
+    {"delta_margin": math.nan},
+    {"directions": 0},
+    {"directions": 1.5},
+], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
+def test_malformed_plans_are_refused_at_construction(fields):
+    """Each of these once simulated and then failed inside a checker, or
+    dropped its input norms silently, or certified on no samples."""
+    with pytest.raises(DomainError, match="plan needs"):
+        SamplingPlan(**{"radii": (1.0,), **fields})
+    # the zero input is always probed: an input norm of 0 is dropped, not refused
+    assert SamplingPlan(radii=(1.0,), input_norms=(0.0, 1.0)).input_norms == (1.0,)
+
+
+# the falsify_search benchmark cases, built from the zoo: (status, samples,
+# min_slack, witness probe index, witness t) and the checker calls per search
+_SEARCH_CASES = {
+    "sin_output:OL": (("falsified", 40, -0.964872747181463, 4, 2.08), 7),
+    "rotation:IOS": (("falsified", 40, -4.874950952985021, 6, 12.57), 5),
+    "sat_polar:OL": (("falsified", 40, -10.027079529211008, 11, 18.54), 5),
+    "l2_blowup16:BORS": (("falsified", 40, -30.940170398109757, 9, 0.06), 4),
+    "rotation:IOS:budget6": (("falsified", 6, -0.9999899390738498, 3, 12.57), 1),
+}
+
+
+def _search_case(name):
+    from ioslab.zoo import blowup_ball_radius
+
+    ol_id = Certificate(PropertyId.OL, {"sigma": cf.identity(), "gamma": cf.zero()})
+    if name == "l2_blowup16:BORS":
+        radius = blowup_ball_radius()
+        plan = SamplingPlan(radii=(1.0, 3.0, 6.0, radius), input_norms=(), eps_grid=(0.1,),
+                            horizon=1.0, sim=SimPlan(1.0, 2e-3), directions=3, seed=104)
+        cert = Certificate(PropertyId.BORS, {"radius": radius, "horizon": 1.0, "bound": 10.0})
+        return make_example("l2_blowup", n=16), cert, 40, plan
+    zid, prop = name.split(":")[:2]
+    cert = ol_id if prop == "OL" else ios_exp_cert()
+    return (make_example(zid), cert, 6 if name.endswith("budget6") else 40,
+            get_entry(zid).default_plan())
+
+
+@pytest.mark.parametrize("name", list(_SEARCH_CASES))
+def test_falsify_search_verdicts_and_one_checker_call_per_batch(name, monkeypatch):
+    """The sweep and each refinement round are scored by one checker call;
+    the verdicts are the ones the search gave checking probe by probe."""
+    import ioslab.properties as props
+
+    calls = []
+    real = props._checker
+
+    def counting(cert):
+        source, check = real(cert)
+        return source, lambda *args: calls.append(1) or check(*args)
+
+    monkeypatch.setattr(props, "_checker", counting)
+    expected, checker_calls = _SEARCH_CASES[name]
+    v = falsify(*_search_case(name))
+    assert (v.status, v.samples, v.min_slack, v.witness.probe_index,
+            round(v.witness.t, 2)) == expected
+    assert len(calls) == checker_calls

@@ -373,3 +373,30 @@ def test_long_key_index_is_a_parse_error():
         parse_system("dim_x = 1\ndim_u = 0\ndx" + "0" * 5000 + " = x0\ny0 = x0")
     assert "index longer than 309 digits" in str(err.value)
     assert (err.value.line, err.value.column) == (3, 1)
+
+
+@pytest.mark.parametrize("op", ["+", "*"], ids=["sum", "product"])
+def test_long_chain_is_a_parse_error(op):
+    # a chain nests its first operand one level per operator: a 1,000-term
+    # sum or product once raised RecursionError
+    with pytest.raises(ParseError) as err:
+        parse_system(_DEEP.format(f" {op} ".join(["x0"] * 1000)))
+    assert "nested deeper than 200 levels" in str(err.value)
+    assert (err.value.line, err.value.column) == (3, 1010)  # the 201st operator
+
+
+def test_chain_at_the_limit_parses_compiles_and_prints_back():
+    doc = parse_system(_DEEP.format(" + ".join(["x0"] * 200)))
+    assert parse_system(print_system(doc)) == doc
+    assert compile_system(doc).rhs(np.array([0.5]), np.zeros(0))[0] == 100.0
+
+
+def test_bracketed_chains_count_toward_one_height():
+    # a chain's first operand may itself hold a chain: no chain and no
+    # bracket depth passes 200, but 8 chains of 190 nest 1,520 levels deep
+    # on the path to the innermost x0, past the fold's recursion limit
+    expr = "x0"
+    for _ in range(8):
+        expr = "(" + expr + ")" + " + x0" * 190
+    with pytest.raises(ParseError, match="nested deeper than 200 levels"):
+        parse_system(_DEEP.format(expr))
