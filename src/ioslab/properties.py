@@ -908,8 +908,8 @@ class _Outcome:
         self.samples = 0
         self.notes: list[str] = []
         self.blown = 0
-        # the listed blocks' rows, and per add call per sample: (its row in _probes,
-        # position in the checker's input, probe index, slack, t, observed, bound)
+        # the listed blocks' rows; per add call (after an empty one, for a check with
+        # none) per sample: (row in _probes, position, probe index, slack, t, observed, bound)
         self._probes, self._listed = [], [(np.empty(0, int),) * 3 + (np.empty(0),) * 4]
 
     def add(self, block: "_Block", rows, t, observed, bound):

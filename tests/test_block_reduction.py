@@ -8,7 +8,9 @@ rule (least slack, then lowest probe index, then the sample met first), and
 gaps.  Every verdict the block checkers give must equal the reference's,
 field by field: on every zoo entry's certificates and estimates, and on
 generated probe data built to hit exact slack ties, blown rows, rows of
-unequal length, table gaps, empty tau masks and one-row blocks.
+unequal length, table gaps, empty tau masks and one-row blocks.  So must
+each row's decisive sample, which ``falsify`` ranks its batches by, against
+the reference run on that row alone.
 """
 
 from __future__ import annotations
