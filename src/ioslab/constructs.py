@@ -34,13 +34,16 @@ steps used to prove the corresponding implications:
   iss_from_ios_ioss      detectability closes the loop: the half-time split
                          beta~(s,t) = beta(2 sigma(s), t/2) + gamma2(2 beta(s, t/2))
 
-``IMPLICATIONS`` is the one place that decides each recipe's inputs: the
-notion each argument must witness, in argument order, and the conclusion.
-Any other argument is refused with ``CertificateError``.  A reachability
-table witnesses BORS, or OBORS when built over initial-output shells; an
-output-map bound witnesses H_BOUNDED, and H_K_BOUNDED too when its offset c
-is 0; a BORS or OBORS certificate (one ball, not a table) witnesses nothing;
-any other certificate witnesses its own property.
+``IMPLICATIONS`` is the one place that decides each recipe's inputs, its
+conclusion and its record: the notion each argument must witness, in
+argument order, and the notion concluded.  A recipe computes only the
+conclusion's parameters and a derivation trace; ``_implication`` makes the
+certificate and the ``ConstructionRecord`` of the recipe's name and
+arguments.  Any other argument is refused with ``CertificateError``.  A
+reachability table witnesses BORS, or OBORS when built over initial-output
+shells; an output-map bound witnesses H_BOUNDED, and H_K_BOUNDED too when
+its offset c is 0; a BORS or OBORS certificate (one ball, not a table)
+witnesses nothing; any other certificate witnesses its own property.
 
 Inputs are never mutated; every output certificate re-runs its class checks
 at construction and is meant to be re-verified empirically.  Table-backed
@@ -125,16 +128,30 @@ def _witnessed(arg) -> set:
 
 
 def _implication(recipe):
-    """Check ``recipe``'s arguments against its ``IMPLICATIONS`` row first."""
-    needs = IMPLICATIONS[recipe.__name__][0]
+    """Run ``recipe`` as its ``IMPLICATIONS`` row says.
+
+    The arguments are checked against the row's inputs first.  The recipe
+    returns ``(params, trace)``: the parameters of the row's conclusion and
+    the derivation trace.  The wrapped recipe returns ``(cert, record)``, the
+    conclusion's certificate and a ``ConstructionRecord`` under the recipe's
+    name that lists the arguments, a reachability table by what it is read
+    over (initial-output shells, or its number of radii).
+    """
+    needs, conclusion = IMPLICATIONS[recipe.__name__]
     signature = inspect.signature(recipe)
 
     @functools.wraps(recipe)
     def checked(*args, **kwargs):
-        for (role, arg), need in zip(signature.bind(*args, **kwargs).arguments.items(), needs):
+        bound = signature.bind(*args, **kwargs).arguments
+        for (role, arg), need in zip(bound.items(), needs):
             if need not in _witnessed(arg):
                 raise CertificateError(f"{recipe.__name__}: {role} must witness {need.value}")
-        return recipe(*args, **kwargs)
+        params, trace = recipe(*args, **kwargs)
+        cert = Certificate(conclusion, params)
+        inputs = tuple(arg if not isinstance(arg, ReachabilityBound)
+                       else "mu over initial output" if arg.over_initial_output
+                       else f"mu over {len(arg.r_grid)} radii" for arg in bound.values())
+        return cert, ConstructionRecord(recipe.__name__, inputs, cert, trace)
     return checked
 
 
@@ -332,13 +349,9 @@ def decompose_bound(mu):
     t = float(mu.t_grid[-1])
     c = mu.eval(*_origin_cell(mu), t)
     sigma1 = _staircase(mu.r_grid, lambda r: mu.eval(r, min(r, mu.s_grid[-1]), t) - c)
-    cert = Certificate(PropertyId.H_BOUNDED, {"sigma1": sigma1, "gamma1": sigma1, "c": c})
-    record = ConstructionRecord(
-        "decompose_bound", (f"mu over {len(mu.r_grid)} radii",), cert,
+    return {"sigma1": sigma1, "gamma1": sigma1, "c": c}, (
         f"sigma1(r) = gamma1(r) = mu(r, r) - mu(0, 0); c = mu(0, 0) = {c:.6g} "
-        f"(diagonal read at t = {t:g})",
-    )
-    return cert, record
+        f"(diagonal read at t = {t:g})")
 
 
 def uniformize_gain(gamma: ScalarFn, shell_taus: dict, eps: float, r: float, s: float):
@@ -399,13 +412,9 @@ def ogulim_from_oulim(oulim: Certificate, hbound: Certificate):
             vals[i, j] = table.eval(eps, r, big_r)
     gamma_tilde = cf.declare(cf.add(gamma, gamma1), "Kinf")
     out_table = ConvergenceTimeTable(table.eps_grid, table.r_grid, None, vals, mode="lim")
-    cert = Certificate(PropertyId.OGULIM, {"gamma": gamma_tilde, "tau_table": out_table})
-    record = ConstructionRecord(
-        "ogulim_from_oulim", (oulim, hbound), cert,
+    return {"gamma": gamma_tilde, "tau_table": out_table}, (
         "R(r) = gamma^-1(sigma1(r) + c); tau~(eps, r) = tau(eps, r, R(r)); "
-        "gamma~ = gamma + gamma1",
-    )
-    return cert, record
+        "gamma~ = gamma + gamma1")
 
 
 @_implication
@@ -439,14 +448,9 @@ def ougb_from_ouag_bors(ouag: Certificate, mu: ReachabilityBound):
 
     sigma = _staircase(mu.r_grid, level)
     c = max(sigma0, 1.0)
-    gamma_prime = _merge_gains(gamma, sigma)
-    cert = Certificate(PropertyId.OUGB, {"sigma": sigma, "gamma": gamma_prime, "c": c})
-    record = ConstructionRecord(
-        "ougb_from_ouag_bors", (ouag, f"mu over {len(mu.r_grid)} radii"), cert,
+    return {"sigma": sigma, "gamma": _merge_gains(gamma, sigma), "c": c}, (
         "sigma~(r) = mu(r, r, tau(1, r, r)); sigma = sigma~ - sigma~(0); "
-        f"c = max(sigma~(0), 1) = {c:.6g}; gamma' = max(gamma, sigma)",
-    )
-    return cert, record
+        f"c = max(sigma~(0), 1) = {c:.6g}; gamma' = max(gamma, sigma)")
 
 
 @_implication
@@ -470,14 +474,10 @@ def ocag_from_oguag(oguag: Certificate, ougb: Certificate):
     if not rows:
         raise DomainError("convergence table has no usable radius rows")
     beta = cf.grid_piecewise_kl(r_grid, rows, eps0)
-    cert = Certificate(PropertyId.OCAG, {"beta": beta, "gamma": gamma, "c": c})
-    record = ConstructionRecord(
-        "ocag_from_oguag", (oguag, ougb), cert,
+    return {"beta": beta, "gamma": gamma, "c": c}, (
         "eps_0(r) = sigma(r) + r; eps_n = e^-n eps_0; tau_0 = 0, "
         "tau_n = tau(eps_n(r), r); beta piecewise-exponential on the knots, "
-        f"evaluated at |x| + c with c = {c:.6g}",
-    )
-    return cert, record
+        f"evaluated at |x| + c with c = {c:.6g}")
 
 
 @_implication
@@ -488,14 +488,8 @@ def iops_from_ocag(ocag: Certificate):
     c = ocag["c"]
     beta_prime = cf.kl_inner(beta, cf.scale(2.0))
     c_tilde = float(beta(2.0 * c, 0.0)) if c > 0 else 0.0
-    cert = Certificate(
-        PropertyId.IOPS, {"beta": beta_prime, "gamma": ocag["gamma"], "c": c_tilde}
-    )
-    record = ConstructionRecord(
-        "iops_from_ocag", (ocag,), cert,
-        f"beta'(r, t) = beta(2r, t); c~ = beta(2c, 0) = {c_tilde:.6g}",
-    )
-    return cert, record
+    return {"beta": beta_prime, "gamma": ocag["gamma"], "c": c_tilde}, (
+        f"beta'(r, t) = beta(2r, t); c~ = beta(2c, 0) = {c_tilde:.6g}")
 
 
 @_implication
@@ -508,13 +502,9 @@ def ougs_from_ougb_ouls(ougb: Certificate, ouls: Certificate):
     c = ougb["c"]
     sigma = _case_split_merge(ougb["sigma"], ouls["sigma"], c, radius)
     gamma = _case_split_merge(ougb["gamma"], ouls["gamma"], c, radius)
-    cert = Certificate(PropertyId.OUGS, {"sigma": sigma, "gamma": gamma})
-    record = ConstructionRecord(
-        "ougs_from_ougb_ouls", (ougb, ouls), cert,
+    return {"sigma": sigma, "gamma": gamma}, (
         f"sigma(s) = max(sigma1(s) + c min(s/{radius:g}, 1), sigma2(s)), "
-        "same shape for gamma",
-    )
-    return cert, record
+        "same shape for gamma")
 
 
 @_implication
@@ -529,12 +519,8 @@ def ios_from_ocag_ougs(ocag: Certificate, ougs: Certificate):
         cf.kl_separable(ougs["sigma"], cf.add(cf.constant(1.0), cf.exp_decay())),
         shifted,
     )
-    cert = Certificate(PropertyId.IOS, {"beta": beta, "gamma": gamma})
-    record = ConstructionRecord(
-        "ios_from_ocag_ougs", (ocag, ougs), cert,
-        "beta~(r, t) = min{(1 + e^-t) sigma(r), beta(r + c, t)} with shared gain",
-    )
-    return cert, record
+    return {"beta": beta, "gamma": gamma}, (
+        "beta~(r, t) = min{(1 + e^-t) sigma(r), beta(r + c, t)} with shared gain")
 
 
 @_implication
@@ -567,14 +553,10 @@ def ios_from_oulim_ol(oulim: Certificate, ol: Certificate, hbound: Certificate):
     if not rows:
         raise DomainError("visit table has no usable radius rows")
     beta = cf.kl_outer(sigma_tilde, cf.grid_piecewise_kl(r_grid, rows, eps0))
-    cert = Certificate(PropertyId.IOS, {"beta": beta, "gamma": gamma_tilde})
-    record = ConstructionRecord(
-        "ios_from_oulim_ol", (oulim, ol, hbound), cert,
+    return {"beta": beta, "gamma": gamma_tilde}, (
         "eps_0 = sigma o 2 sigma1 + sigma o 2 gamma1 + gamma; "
         "sigma~ = sigma(2 .); gamma~ = sigma o (2 (gamma + eps_0)) + gamma; "
-        "beta = sigma~ o piecewise-exponential(eps_0, tau_n = tau(eps_n(r), r, r))",
-    )
-    return cert, record
+        "beta = sigma~ o piecewise-exponential(eps_0, tau_n = tau(eps_n(r), r, r))")
 
 
 @_implication
@@ -592,13 +574,8 @@ def ouls_from_ouag_ocep(ouag: Certificate, ocep: Certificate):
         delta = delta_table.eval(eps, big_t)
         eps_grid.append(eps)
         deltas.append(min(delta, 1.0, cf.invert(gamma, eps / 2.0)))
-    out = DeltaTable(tuple(eps_grid), None, np.array(deltas))
-    cert = Certificate(PropertyId.OULS, {"delta_table": out})
-    record = ConstructionRecord(
-        "ouls_from_ouag_ocep", (ouag, ocep), cert,
-        "delta~(eps) = min{delta(eps, T), 1, gamma^-1(eps/2)}, T = tau(eps/2, 1, 1)",
-    )
-    return cert, record
+    return {"delta_table": DeltaTable(tuple(eps_grid), None, np.array(deltas))}, (
+        "delta~(eps) = min{delta(eps, T), 1, gamma^-1(eps/2)}, T = tau(eps/2, 1, 1)")
 
 
 @_implication
@@ -635,17 +612,11 @@ def ol_from_ooulim_localol_obors(ooulim: Certificate, local_ol: Certificate,
     radius = local_ol["radius"]
     sigma_final = _case_split_merge(sigma, local_ol["sigma"], base, radius)
     gamma_final = _case_split_merge(gamma_oougb, local_ol["gamma"], base, radius)
-    cert = Certificate(PropertyId.OL, {"sigma": sigma_final, "gamma": gamma_final})
-    record = ConstructionRecord(
-        "ol_from_ooulim_localol_obors", (ooulim, local_ol, "mu over initial output"),
-        cert,
+    return {"sigma": sigma_final, "gamma": gamma_final}, (
         "R(r) = mu(r, r, 1); gamma~(r) = max{r, 2 gamma(r)}; "
         "sigma~(r) = mu(R(r), gamma~^-1(r), tau(r/2, R(r))); "
         f"offset sigma~(0) = {base:.6g}; merged with the local bound by the "
-        "initial-output case split; intermediate bound: "
-        f"{oougb.property.value}",
-    )
-    return cert, record
+        f"initial-output case split; intermediate bound: {oougb.property.value}")
 
 
 @_implication
@@ -657,12 +628,8 @@ def ios_from_iss_kbounded(iss: Certificate, hbound: Certificate):
     beta = cf.kl_outer(cf.compose(sigma1, two), iss["beta"])
     g = cf.add(cf.compose(sigma1, cf.compose(two, iss["gamma"])), gamma1)
     g = g if g.is_zero else cf.declare(g, "Kinf")
-    cert = Certificate(PropertyId.IOS, {"beta": beta, "gamma": g})
-    record = ConstructionRecord(
-        "ios_from_iss_kbounded", (iss, hbound), cert,
-        "beta~ = sigma1 o (2 beta); gamma~ = sigma1 o (2 gamma) + gamma1",
-    )
-    return cert, record
+    return {"beta": beta, "gamma": g}, (
+        "beta~ = sigma1 o (2 beta); gamma~ = sigma1 o (2 gamma) + gamma1")
 
 
 @_implication
@@ -691,15 +658,11 @@ def iss_from_ios_ioss(ios: Certificate, ioss: Certificate):
     gamma_tilde = cf.add(cf.add(head, gamma1), g2_2g)
     if not gamma_tilde.is_zero:
         gamma_tilde = cf.declare(gamma_tilde, "Kinf")
-    cert = Certificate(PropertyId.ISS, {"beta": beta_tilde, "gamma": gamma_tilde})
-    record = ConstructionRecord(
-        "iss_from_ios_ioss", (ios, ioss), cert,
+    return {"beta": beta_tilde, "gamma": gamma_tilde}, (
         "sigma = beta(., 0) + gamma2(2 beta(., 0)); gamma^ = gamma1 + "
         "gamma2 o (2 gamma); beta~(s, t) = beta(2 sigma(s), t/2) + "
         "gamma2(2 beta(s, t/2)); gamma~ = beta(2 gamma^, 0) + gamma1 + "
-        "gamma2 o (2 gamma)",
-    )
-    return cert, record
+        "gamma2 o (2 gamma)")
 
 
 CONSTRUCTIONS = {name: globals()[name] for name in ("uniformize_gain", *IMPLICATIONS)}

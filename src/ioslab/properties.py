@@ -171,6 +171,9 @@ class _GridTable:
             else:
                 vals = np.flip(self._worse.accumulate(np.flip(vals, axis), axis=axis), axis)
             grid = tuple(float(x) for x in getattr(self, field))
+            # the lookup snaps with searchsorted, and rectification runs along the grid
+            if not all(0.0 <= a < b for a, b in zip(grid, grid[1:] + (math.inf,))):
+                raise DomainError(f"{field} must be finite, >= 0 and strictly increasing")
             object.__setattr__(self, field, grid)
             lookup.append((k, kind == _BALL, np.array(grid), field.removesuffix("_grid")))
         vals.setflags(write=False)
@@ -1574,12 +1577,14 @@ def _largest_per(x, v):
     return distinct, top
 
 
-def _residual_gain(prop: PropertyId, datas, bound_fn) -> ScalarFn:
-    """Envelope against the input norm of the positive residuals of the
-    series ``prop`` observes."""
-    return _gain_envelope(
-        [data.probe.s for data in datas],
-        [np.max(np.maximum(_observed(prop, data) - bound_fn(data), 0.0)) for data in datas])
+def _residual_gain(prop, params: dict, plan: SamplingPlan, ps: ProbeSet) -> ScalarFn:
+    """Envelope against s of each plan probe's margin (observed - bound at
+    its decisive sample, scored as ``falsify`` scores a batch) under the
+    certificate ``params`` with a zero input gain: so the gain is read off
+    the samples ``verify`` reads, and a probe without one constrains nothing."""
+    scored = _scored(Certificate(prop, dict(params)), plan, ps, ps.probes).values()
+    return _gain_envelope([probe.s for _, probe, *_ in scored],
+                          [margin for margin, *_ in scored])
 
 
 def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
@@ -1587,15 +1592,16 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
                   table_form: bool = False) -> Certificate:
     """Fit a certificate from simulation data; over-approximates by envelopes.
 
-    The envelopes dominate every sample they were fitted to, so the result
-    verifies on the same plan wherever the check reads the samples the fit
-    read.  Properties whose quantifiers cannot be exhausted from
+    The envelopes dominate every sample they were fitted to.  An input gain
+    (gamma, IOSS's gamma1) is fitted to the margins the property's checker
+    reports for the certificate with that gain set to zero, so the result
+    verifies on the same plan; the output-map bounds fit gamma1 per input
+    value.  Properties whose quantifiers cannot be exhausted from
     bounded-horizon data (the per-trajectory visit property over unbounded
     inputs) are rejected with ``EstimationError``.
     """
     ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
-    datas = ps.all_data()
-    live = [d for d in datas if not d.blown]
+    live = [d for d in ps.all_data() if not d.blown]
     if not live:
         raise EstimationError("every probe blew up; nothing to fit")
     zero_in = [d for d in live if d.probe.s == 0.0]
@@ -1615,27 +1621,25 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
         if radius is None:
             radius = max(plan.radii)
         local = prop in (PropertyId.OULS, PropertyId.LOCAL_OL)
-        pool = [d for d in live if not local or _in_ball(d.probe.r, d.probe.s, radius)]
         sigma = cf.fit_monotone_envelope(
-            [(_initial(prop, d), float(np.max(d.ynorm))) for d in pool if d.probe.s == 0.0]
-            + [(0.0, 0.0)],
+            [(_initial(prop, d), float(np.max(d.ynorm))) for d in zero_in
+             if not local or _in_ball(d.probe.r, 0.0, radius)] + [(0.0, 0.0)],
             force_zero_at_zero=True,
         )
-        gamma = _residual_gain(
-            prop, pool, lambda d: np.full_like(d.ynorm, float(sigma(_initial(prop, d)))))
-        params = {"sigma": sigma, "gamma": gamma}
+        params = {"sigma": sigma, "gamma": cf.zero()}
         if local:
             params["radius"] = radius
         elif prop in (PropertyId.OUGB, PropertyId.OOUGB):
-            params["c"] = 1e-9
-        return Certificate(prop, params)
+            params["c"] = 0.0
+        params["gamma"] = _residual_gain(prop, params, plan, ps)
+        return Certificate(prop, params | {"c": 1e-9} if "c" in params else params)
 
     if prop in (PropertyId.H_BOUNDED, PropertyId.H_K_BOUNDED):
         sigma1 = cf.fit_monotone_envelope(np.column_stack((
             np.concatenate([[0.0]] + [d.xnorm for d in zero_in]),
             np.concatenate([[0.0]] + [d.ynorm for d in zero_in]))), force_zero_at_zero=True)
-        # static-map residuals are pointwise in the instantaneous input value;
-        # each probe's piecewise-constant input takes few values, so its
+        # residuals per instantaneous input value, which no row's one decisive
+        # sample gives; a piecewise-constant input takes few values, so its
         # largest residual per value keeps the fit's arrays short
         tops = [_largest_per(d.uval_norm, np.maximum(d.ynorm - sigma1(d.xnorm), 0.0))
                 for d in live]
@@ -1649,18 +1653,15 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
     if prop in (PropertyId.IOS, PropertyId.ISS, PropertyId.OCAG, PropertyId.IOPS,
                 PropertyId.IOSS):
         beta, sigma, a = _fit_separable_kl(zero_in, lambda d: _observed(prop, d), plan)
+        # IOSS's gamma1 is fitted against s, the largest |u restricted to [0, t]|
+        # of a row: every plan input takes its sup norm before the horizon
+        gain = "gamma1" if prop == PropertyId.IOSS else "gamma"
+        params = {"beta": beta, gain: cf.zero()}
         if prop == PropertyId.IOSS:
-            gamma2 = cf.identity()
-            gamma1 = _gain_envelope(
-                [np.max(d.urestr) if d.probe.s > 0 else 0.0 for d in live],
-                [np.max(np.maximum(d.xnorm - (beta(d.probe.r, d.times) + gamma2(d.ysup)), 0.0))
-                 for d in live])
-            params = {"beta": beta, "gamma1": gamma1, "gamma2": gamma2}
-        else:
-            params = {"beta": beta,
-                      "gamma": _residual_gain(prop, live, lambda d: beta(d.probe.r, d.times))}
-            if prop in (PropertyId.OCAG, PropertyId.IOPS):
-                params["c"] = 0.0
+            params["gamma2"] = cf.identity()
+        elif prop in (PropertyId.OCAG, PropertyId.IOPS):
+            params["c"] = 0.0
+        params[gain] = _residual_gain(prop, params, plan, ps)
         return Certificate(prop, params)
 
     if prop == PropertyId.OCEP:

@@ -109,8 +109,11 @@ class SimPlan:
     blow_up_threshold: float = 1e9
 
     def __post_init__(self):
-        if self.horizon < 0 or self.step <= 0:
-            raise DomainError("horizon must be >= 0 and step > 0")
+        # NaN fails every comparison; a threshold of inf switches the guard off
+        if not (0.0 <= self.horizon < np.inf and 0.0 < self.step < np.inf
+                and self.blow_up_threshold > 0.0):
+            raise DomainError("SimPlan needs a finite horizon >= 0, a finite step > 0 "
+                              "and a blow-up threshold > 0")
 
 
 @dataclass

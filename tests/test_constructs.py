@@ -700,3 +700,33 @@ def test_record_serialisable():
     )
     d = record.to_dict()
     assert json.loads(json.dumps(d, sort_keys=True))["name"] == "iops_from_ocag"
+
+
+# every KL node kind, and a separable profile whose time factor is 0 at t = 0
+_KL_KINDS = {
+    "separable_zero_at_0": cf.kl_separable(cf.identity(), cf.zero()),
+    "separable": cf.kl_exp(),
+    "pw_exp": cf.build_piecewise_kl(cf.KnotSequence((0.0, 1.0, 3.0), cf.power(2))),
+    "grid_pw_exp": cf.grid_piecewise_kl((1.0, 4.0), ((0.0, 1.0), (0.0, 2.0, 3.0)),
+                                        cf.identity()),
+    "min": cf.kl_min(cf.kl_exp(), cf.kl_separable(cf.power(2), cf.exp_decay())),
+    "max": cf.kl_max(cf.kl_exp(), cf.kl_separable(cf.power(2), cf.exp_decay())),
+    "sum": cf.kl_sum(cf.kl_exp(), cf.kl_separable(cf.power(2), cf.exp_decay())),
+    "outer": cf.kl_outer(cf.scale(3.0), cf.kl_exp()),
+    "inner": cf.kl_inner(cf.kl_exp(), cf.power(2)),
+    "time_scale": cf.kl_time_scale(cf.kl_exp(), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_KL_KINDS))
+def test_kl_at_zero_is_the_profile_at_t_0(name):
+    beta = _KL_KINDS[name]
+    r = np.linspace(0.0, 4.0, 17)
+    assert np.array_equal(cx.kl_at_zero(beta)(r), beta(r, 0.0))
+
+
+def test_merge_gains_returns_the_other_gain_when_one_is_zero():
+    g = cf.scale(2.0)
+    assert cx._merge_gains(cf.zero(), g) is g
+    assert cx._merge_gains(g, cf.zero()) is g
+    assert cx._merge_gains(cf.zero(), cf.zero()).is_zero

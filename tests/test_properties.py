@@ -946,3 +946,13 @@ def test_falsify_search_verdicts_and_one_checker_call_per_batch(name, monkeypatc
     assert (v.status, v.samples, v.min_slack, v.witness.probe_index,
             round(v.witness.t, 2)) == expected
     assert len(calls) == checker_calls
+
+
+def test_falsify_without_a_probe_in_the_ball_is_inconclusive(lin_sys, lin_plan):
+    # the plan's smallest radius is 0.1, so no probe lies in a ball of radius 0.01
+    cert = Certificate(PropertyId.LOCAL_OL,
+                       {"sigma": cf.identity(), "gamma": cf.identity(), "radius": 0.01})
+    v = falsify(lin_sys, cert, 20, lin_plan)
+    assert (v.status, v.reason) == ("inconclusive", "no admissible probes for this certificate")
+    assert v.samples <= 20
+    assert falsify(lin_sys, cert, 0, lin_plan).samples == 0

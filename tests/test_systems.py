@@ -443,3 +443,18 @@ def test_nonfinite_first_step_of_a_chunk_raises(step):
     assert t == _time_grid(plan.horizon, plan.step, u.breakpoints)[step]
     with _raises_at(t):
         simulate(sys, [0.0], u, plan)
+
+
+@pytest.mark.parametrize("controls", [
+    {"horizon": math.nan}, {"horizon": math.inf}, {"horizon": -1.0},
+    {"horizon": 1.0, "step": math.nan}, {"horizon": 1.0, "step": math.inf},
+    {"horizon": 1.0, "step": 0.0},
+    {"horizon": 1.0, "blow_up_threshold": math.nan},
+    {"horizon": 1.0, "blow_up_threshold": -1.0},
+    {"horizon": 1.0, "blow_up_threshold": 0.0},
+])
+def test_sim_plan_refuses_controls_that_are_not_finite_and_in_range(controls):
+    with pytest.raises(DomainError, match="SimPlan needs"):
+        SimPlan(**controls)
+    # an infinite threshold switches the blow-up guard off and stays allowed
+    assert SimPlan(1.0, blow_up_threshold=math.inf).blow_up_threshold == math.inf

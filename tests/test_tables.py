@@ -120,3 +120,18 @@ def test_certificate_dict_refuses_an_unknown_table_kind(kind):
     d["params"]["delta_table"]["table"] = kind
     with pytest.raises(DomainError, match="unknown table kind"):
         Certificate.from_dict(d)
+
+
+@pytest.mark.parametrize("grid", [(0.5, 0.1), (0.1, 0.1), (-0.1, 0.5), (0.1, float("nan")),
+                                  (0.1, float("inf"))])
+def test_tables_refuse_a_grid_that_is_not_finite_nonnegative_and_increasing(grid):
+    vals = np.array([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(DomainError, match="eps_grid must be"):
+        ConvergenceTimeTable(grid, (1.0, 10.0), None, vals)
+    with pytest.raises(DomainError, match="r_grid must be"):
+        ConvergenceTimeTable((0.1, 0.5), grid, None, vals)
+    with pytest.raises(DomainError, match="tau_grid must be"):
+        DeltaTable.from_dict({"eps_grid": [0.1, 0.5], "tau_grid": list(grid),
+                              "values": vals.tolist()})
+    with pytest.raises(DomainError, match="t_grid must be"):
+        ReachabilityBound((1.0,), (0.0,), grid, np.ones((1, 1, 2)))
