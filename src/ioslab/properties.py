@@ -37,7 +37,11 @@ Probes come from the plan or from shells: the (r, s) balls that the
 tables (tau, delta and reachability) and the shell-sourced checks (OOULIM,
 the continuity tables) read.  ``ProbeSet.shells`` is the one shell request:
 each consumer asks it once for all its cells, and the misses run as one
-kernel call.
+kernel call.  A probe set the caller shares between ``verify`` and
+``estimate_gain`` calls is simulated in one kernel call where it can: the
+first plan-probe request on its empty cache also simulates the delta fit's
+first-round continuity shells, which depend on the plan alone (see
+``ProbeSet``).
 
 Verdicts are three-valued.  "certified" never asserts the mathematical
 truth of a universally quantified statement; it records that no sampled
@@ -552,7 +556,9 @@ class SamplingPlan:
 
     ``radii`` are the initial-state norm shells, ``input_norms`` the input
     sup-norm ladder (the zero input is always probed first), ``eps_grid``
-    the levels used by convergence/visit/continuity checks.  Each input
+    the levels used by convergence/visit/continuity checks; each of the
+    three is finite and strictly increasing (``DomainError`` otherwise),
+    since the tables estimated from the plan use them as axes.  Each input
     norm s is probed by one fixed family: the constant s, a step of height
     s switched off at half the horizon, and a 4-piece piecewise-constant
     input of sup norm s drawn from the seed.  A fixed seed
@@ -587,6 +593,11 @@ class SamplingPlan:
                          (0.0 <= self.delta_margin < math.inf, "a delta margin >= 0")):
             if not ok:
                 raise DomainError(f"plan needs finite {what}")
+        # the grids become table axes (reachability, tau and delta tables)
+        for grid, what in ((self.radii, "radii"), (norms, "input norms"),
+                           (self.eps_grid, "eps levels")):
+            if any(a >= b for a, b in zip(grid, grid[1:])):
+                raise DomainError(f"plan needs strictly increasing {what}")
         if not (isinstance(self.directions, int) and self.directions >= 1):
             raise DomainError("plan needs at least one direction")
         # the zero input is always probed, so an input norm of 0 adds nothing
@@ -686,11 +697,24 @@ def _inputs_at_norm(plan: SamplingPlan, input_dim: int, s: float, seed_extra: in
     ]
 
 
+def _initial_output(sys: SystemModel, x0: np.ndarray, u: InputSignal) -> float:
+    """|y(0)| from x0 under u, from the output map alone."""
+    return float(np.linalg.norm(np.atleast_1d(sys.output(x0, u(0.0)))))
+
+
 class ProbeSet:
     """Deterministic probe expansion plus a per-probe simulation cache.
 
     ``data_many`` looks probes up and simulates the misses as one kernel
     call; ``shells`` is the one request for the probes of (r, s) balls.
+
+    Prefetch rule: when ``verify`` or ``estimate_gain`` is handed a probe
+    set whose cache is still empty, its first plan-probe request simulates
+    the plan probes together with the first-round shells of the delta fit
+    (``_prefetch``), so a later OCEP estimate on the same set adds no
+    kernel call.  ``all_data``, ``data_many`` and ``shells`` never
+    prefetch, nor does a call that builds its own probe set, since it
+    would drop the shells unread; a set with anything cached is left alone.
     """
 
     def __init__(self, sys: SystemModel, plan: SamplingPlan):
@@ -796,7 +820,7 @@ class ProbeSet:
             for d in dirs:
                 x0 = np.asarray(self.sys.embed(radius, d), dtype=float)
                 for tag, u in inputs:
-                    y0 = np.linalg.norm(np.atleast_1d(self.sys.output(x0, u(0.0))))
+                    y0 = _initial_output(self.sys, x0, u)
                     if y0 <= r_y + 1e-12:
                         kept.append((float(y0), radius, x0, u, tag, tuple(d)))
         kept.sort(key=lambda item: (-item[0], item[1], tuple(item[2])))
@@ -839,8 +863,9 @@ class Witness:
         return InputSignal.from_dict(self.u)
 
     def replay(self, sys: SystemModel, sim: SimPlan) -> float:
-        """Re-simulate and return the observed norm (of ``series``) at t."""
-        traj = simulate(sys, np.asarray(self.x0), self.signal(), sim)
+        """Re-simulate on [0, t] and return the observed norm (of ``series``)
+        at t."""
+        traj = simulate(sys, np.asarray(self.x0), self.signal(), replace(sim, horizon=self.t))
         k = traj.at_time(self.t)
         if self.series == "state":
             return float(sys.state_norm(traj.states[k]))
@@ -1056,15 +1081,20 @@ def _pointwise_bound(cert: Certificate, block: _Block) -> np.ndarray:
     return (cert["sigma"](initial) + cert["gamma"](block.s) + c)[:, None]
 
 
-def _probe_filter(cert: Certificate, data: ProbeData) -> bool:
-    """Does the probe lie in the certificate's ball: |x0| (|y(0)| for OBORS)
-    and |u| up to its ``radius``, or |u| up to its ``s_max``?"""
+def _in_cert_ball(cert: Certificate, r: float, y0: float, s: float) -> bool:
+    """Does a probe with |x0| = r, |y(0)| = y0 and |u| = s lie in the
+    certificate's ball: r (y0 for OBORS) and s up to its ``radius``, or s
+    up to its ``s_max``?"""
     radius = cert.get("radius")
     if radius is not None:
-        r = data.y0 if cert.property == PropertyId.OBORS else data.probe.r
-        return _in_ball(r, data.probe.s, radius)
+        return _in_ball(y0 if cert.property == PropertyId.OBORS else r, s, radius)
     s_max = cert.get("s_max")
-    return s_max is None or data.probe.s <= s_max + 1e-12
+    return s_max is None or s <= s_max + 1e-12
+
+
+def _probe_filter(cert: Certificate, data: ProbeData) -> bool:
+    """``_in_cert_ball`` of a simulated probe."""
+    return _in_cert_ball(cert, data.probe.r, data.y0, data.probe.s)
 
 
 def _live(cert: Certificate, datas, out: _Outcome):
@@ -1305,8 +1335,12 @@ def _checker(cert: Certificate):
 def verify(sys: SystemModel, cert: Certificate, plan: SamplingPlan,
            probe_set: ProbeSet | None = None) -> Verdict:
     """Check the certificate's defining inequality over the probes its
-    table entry draws: the plan's, or shells of its own balls."""
+    table entry draws: the plan's, or shells of its own balls.  A fresh
+    ``probe_set`` simulates its continuity shells with the plan probes
+    (``_prefetch``)."""
     source, check = _checker(cert)
+    if probe_set is not None and source is _plan_probes:
+        _prefetch(probe_set)
     ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
     out = _Outcome()
     check(cert, source(cert, ps, plan, out), plan, out)
@@ -1317,23 +1351,27 @@ def falsify(sys: SystemModel, cert: Certificate, budget: int,
             plan: SamplingPlan) -> Verdict:
     """Search for a maximal-margin witness within a simulation budget.
 
-    The plan's probes are swept first (constants before richer inputs), as
-    far as the budget reaches, in one simulation batch; afterwards the worst
-    swept probes are refined by local grid search over the initial-state
-    radius, the direction on their shell and the input amplitude, one batch
-    per round, with the violation time taken as the worst grid time of each
-    refined trajectory.  One checker call scores each batch.  The verdict's
-    ``samples`` counts probe requests, so it bounds the simulations run and
-    never exceeds ``budget``.  The search is deterministic for a fixed plan
-    seed.  Continuity-table certificates are not supported: their checker
-    needs the row each probe was drawn for.
+    The plan's probes in the certificate's ball are swept first (constants
+    before richer inputs), as far as the budget reaches, in one simulation
+    batch; afterwards the worst swept probes are refined by local grid
+    search over the initial-state radius, the direction on their shell and
+    the input amplitude, one batch per round, with the violation time taken
+    as the worst grid time of each refined trajectory.  One checker call
+    scores each batch.  The verdict's ``samples`` counts probe requests, so
+    it bounds the simulations run and never exceeds ``budget``.  The search
+    is deterministic for a fixed plan seed.  Continuity-table certificates
+    are not supported: their checker needs the row each probe was drawn
+    for.
     """
     _, check = _checker(cert)
     if check is _check_window_rows:
         raise CertificateError(f"falsification unsupported for {cert.property.value}")
     phash = plan_hash(plan)
     ps = ProbeSet(sys, plan)
-    swept = ps.probes[: max(budget, 0)]
+    # the ball is known before any simulation: |y(0)| is the output map at x0
+    swept = [p for p in ps.probes
+             if _in_cert_ball(cert, p.r, _initial_output(sys, np.asarray(p.x0), p.u), p.s)]
+    swept = swept[: max(budget, 0)]
     spent = len(swept)
     ranked = sorted(_scored(cert, plan, ps, swept).values(),
                     key=lambda item: (-item[0], item[1].index))
@@ -1598,8 +1636,11 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
     verifies on the same plan; the output-map bounds fit gamma1 per input
     value.  Properties whose quantifiers cannot be exhausted from
     bounded-horizon data (the per-trajectory visit property over unbounded
-    inputs) are rejected with ``EstimationError``.
+    inputs) are rejected with ``EstimationError``.  A fresh ``probe_set``
+    simulates its continuity shells with the plan probes (``_prefetch``).
     """
+    if probe_set is not None:
+        _prefetch(probe_set)
     ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
     live = [d for d in ps.all_data() if not d.blown]
     if not live:
@@ -1714,9 +1755,7 @@ def _fit_delta_table(plan: SamplingPlan, ps: ProbeSet, with_tau: bool) -> DeltaT
     delta, delta / 2 and delta / 4, so one kernel call decides two
     halvings: a failed delta's delta / 2 shell is the next candidate's
     delta shell."""
-    horizons = plan.tau_grid() if with_tau else (plan.horizon,)
-    rows = [(eps, horizon) for eps in plan.eps_grid for horizon in horizons]
-    deltas = [min(eps, max(plan.radii)) for eps, _ in rows]
+    horizons, rows, deltas = _delta_rows(plan, with_tau)
 
     def fails(i, datas) -> bool:
         eps, horizon = rows[i]
@@ -1729,14 +1768,39 @@ def _fit_delta_table(plan: SamplingPlan, ps: ProbeSet, with_tau: bool) -> DeltaT
 
     halving = [i for i, delta in enumerate(deltas) if delta > 0]
     while halving:
-        shells = ps.shells([cell for i in halving for cell in
-                            _delta_cells(ps, deltas[i]) + _delta_cells(ps, deltas[i] * 0.5)[1:]])
+        shells = ps.shells(_halving_cells(ps, [deltas[i] for i in halving]))
         # fail at delta, halve, fail at delta / 2, halve: still halving
         halving = [i for i, a, b, c in zip(halving, shells[::3], shells[1::3], shells[2::3])
                    if fails(i, a + b) and halve(i) and fails(i, b + c) and halve(i)]
     vals = np.array(deltas).reshape(len(plan.eps_grid), len(horizons))
     return DeltaTable(plan.eps_grid, horizons if with_tau else None,
                       vals if with_tau else vals[:, 0])
+
+
+def _delta_rows(plan: SamplingPlan, with_tau: bool):
+    """(horizons, rows, deltas) of a delta fit: its (eps, horizon) rows and
+    the delta each row's halving starts from, min(eps, largest radius)."""
+    horizons = plan.tau_grid() if with_tau else (plan.horizon,)
+    rows = [(eps, horizon) for eps in plan.eps_grid for horizon in horizons]
+    return horizons, rows, [min(eps, max(plan.radii)) for eps, _ in rows]
+
+
+def _halving_cells(ps: ProbeSet, deltas) -> list[tuple]:
+    """The (r, s) cells of one halving round of a delta fit: the shells at
+    delta, delta / 2 and delta / 4 of each delta, three cells per delta."""
+    return [cell for delta in deltas
+            for cell in _delta_cells(ps, delta) + _delta_cells(ps, delta * 0.5)[1:]]
+
+
+def _prefetch(ps: ProbeSet) -> None:
+    """The prefetch rule of ``ProbeSet``: while the cache is empty, simulate
+    the plan probes and the delta fit's first-round shells as one kernel
+    call.  On every zoo plan those two halvings decide the OCEP estimate."""
+    if not ps._cache:
+        _, _, deltas = _delta_rows(ps.plan, False)
+        deltas = [delta for delta in deltas if delta > 0]
+        ps.data_many(ps.probes + [probe for r, s in _halving_cells(ps, deltas)
+                                  for probe in ps._state_shell(r, s)])
 
 
 # ---------------------------------------------------------------------------

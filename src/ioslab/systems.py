@@ -156,13 +156,14 @@ class Trajectory:
 
 
 def _time_grid(horizon: float, step: float, breakpoints: np.ndarray) -> np.ndarray:
-    n_steps = int(np.ceil(horizon / step - 1e-12))
-    base = np.linspace(0.0, n_steps * step, n_steps + 1)
-    base = base[base <= horizon + 1e-15]
-    if base[-1] < horizon:
-        base = np.append(base, horizon)
+    """The multiples k * step below the horizon, the breakpoints inside it
+    and the horizon itself, near-duplicates dropped.  Every rule reads the
+    horizon alone, so the grid up to one of its times t is the grid of
+    horizon t, and a run to t repeats the states of a longer run."""
+    # k * step, where linspace's k * (n * step / n) is an ulp off for some n
+    base = np.arange(int(np.ceil(horizon / step - 1e-12)) + 1) * step
     cuts = breakpoints[(breakpoints > 0.0) & (breakpoints < horizon)]
-    grid = np.union1d(base, cuts)
+    grid = np.union1d(base[base < horizon], np.append(cuts, horizon))
     # drop near-duplicates produced by float unions
     keep = np.concatenate(([True], np.diff(grid) > 1e-13))
     return grid[keep]

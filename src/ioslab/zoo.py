@@ -231,9 +231,18 @@ def _l2_rhs(n_coords: int):
         if w is None:
             w = tiles[x.shape] = np.broadcast_to(inv_n2, x.shape).copy()
         # xn ** 3 is NumPy's power (libm pow, about 80 ns per element); the
-        # square is formed once and serves both the x_0 x_n^2 and x_n^3 terms
+        # square is formed once and serves the x_0 x_n^2, x_n |x_n| and x_n^3
+        # terms.  The sum is -x + x_0 xn2 - copysign(xn2, xn) - w xn2 xn taken
+        # left to right, in place on fresh whole temporaries: x_0 xn2 - x is
+        # -x + x_0 xn2 and copysign(xn2, xn) is xn |xn|, bit for bit
         xn2 = xn * xn
-        return -x + xn2 * x[..., :1] - xn * np.abs(xn) - w * (xn2 * xn)
+        d = xn2 * x[..., :1]
+        d -= x
+        cube = xn2 * xn
+        cube *= w
+        d -= np.copysign(xn2, xn, out=xn2)
+        d -= cube
+        return d
 
     return rhs
 

@@ -30,7 +30,7 @@ from ioslab.properties import (
 from ioslab.signals import InputSignal
 from ioslab.systems import SimPlan, SystemModel, full_state_wrap, simulate
 from ioslab.sysdsl import compile_system, parse_system
-from ioslab.zoo import get_entry, make_example
+from ioslab.zoo import get_entry, make_example, zoo_ids
 
 
 # ---------------------------------------------------------------------------
@@ -956,3 +956,95 @@ def test_falsify_without_a_probe_in_the_ball_is_inconclusive(lin_sys, lin_plan):
     assert (v.status, v.reason) == ("inconclusive", "no admissible probes for this certificate")
     assert v.samples <= 20
     assert falsify(lin_sys, cert, 0, lin_plan).samples == 0
+
+
+@pytest.mark.parametrize("name", list(_SEARCH_CASES))
+def test_witnesses_replay_their_observation_exactly(name):
+    """A replay integrates [0, t] only, on the probe's own grid up to t, so it
+    returns the observed norm bit for bit, from falsify and from verify."""
+    sys, cert, budget, plan = _search_case(name)
+    for v in (falsify(sys, cert, budget, plan), verify(sys, cert, plan)):
+        assert v.falsified
+        assert v.witness.replay(sys, plan.sim) == v.witness.observed
+
+
+def test_falsify_spends_nothing_outside_the_certificate_ball(lin_sys, lin_plan, kernel_calls):
+    # the plan's smallest radius is 0.1, so no probe lies in a ball of radius 0.01
+    cert = Certificate(PropertyId.LOCAL_OL,
+                       {"sigma": cf.identity(), "gamma": cf.identity(), "radius": 0.01})
+    v = falsify(lin_sys, cert, 20, lin_plan)
+    assert (v.samples, v.reason) == (0, "no admissible probes for this certificate")
+    assert kernel_calls == []
+
+
+def test_falsify_sweeps_the_obors_ball_by_initial_output(lin_plan, kernel_calls):
+    """With y = x / 10, the OBORS ball of radius 0.5 holds the probes of
+    radius 0.1 and 1 (|y(0)| from the output map, before any simulation)
+    with input norm up to 0.5: the sweep runs exactly those."""
+    import ioslab.properties as props
+
+    sys = compile_system(parse_system("dim_x = 1\ndim_u = 1\ndx0 = -x0 + u0\ny0 = 0.1 * x0"))
+    cert = Certificate(PropertyId.OBORS, {"radius": 0.5, "horizon": 5.0, "bound": 100.0})
+    falsify(sys, cert, 40, lin_plan)
+    inside = [d for d in ProbeSet(sys, lin_plan).all_data() if props._probe_filter(cert, d)]
+    assert {(d.probe.r, d.probe.s) for d in inside} == {(r, s) for r in (0.1, 1.0)
+                                                         for s in (0.0, 0.5)}
+    assert kernel_calls[0] == len(inside)
+
+
+@pytest.mark.parametrize("fields", [
+    {"radii": (1.0, 0.1)},
+    {"radii": (0.5, 0.5)},
+    {"input_norms": (2.0, 1.0)},
+    {"input_norms": (1.0, 1.0)},
+    {"eps_grid": (0.5, 0.1)},
+    {"eps_grid": (0.1, 0.1)},
+], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
+def test_plans_with_grids_out_of_order_are_refused(fields):
+    """The grids become table axes: a descending or repeated one used to be
+    simulated and then refused by the table, or tabulated wrongly."""
+    with pytest.raises(DomainError, match="plan needs strictly increasing"):
+        SamplingPlan(**{"radii": (1.0,), **fields})
+
+
+# ---------------------------------------------------------------------------
+# one kernel call per shared probe set
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("zid", zoo_ids())
+def test_verify_then_ocep_estimate_on_a_fresh_probe_set_is_one_kernel_call(zid, kernel_calls):
+    """The first plan-probe request on a probe set the caller passed in also
+    simulates the delta fit's first-round shells, which decide every zoo
+    entry's OCEP estimate.  (The golden matrix, which estimates on such
+    probe sets, holds the estimates to the standalone fits'.)"""
+    import ioslab.properties as props
+
+    entry = get_entry(zid)
+    sys, plan = entry.factory(), entry.default_plan()
+    ps = ProbeSet(sys, plan)
+    cert = next(c for c in entry.certificates().values()
+                if props._checker(c)[0] is props._plan_probes)
+    verify(sys, cert, plan, probe_set=ps)
+    estimate_gain(sys, PropertyId.OCEP, plan, probe_set=ps)
+    assert len(kernel_calls) == 1
+
+
+def test_standalone_verify_simulates_only_the_plan_probes(lin_sys, lin_plan, kernel_calls):
+    verify(lin_sys, ios_exp_cert(), lin_plan)
+    assert kernel_calls == [len(ProbeSet(lin_sys, lin_plan).probes)]
+
+
+def test_warm_probe_set_makes_no_kernel_call_and_builds_no_shell(lin_sys, lin_plan,
+                                                                   kernel_calls, monkeypatch):
+    ps = ProbeSet(lin_sys, lin_plan)
+    verify(lin_sys, ios_exp_cert(), lin_plan, probe_set=ps)
+    kernel_calls.clear()
+    shells = []
+    real = ProbeSet._state_shell
+    monkeypatch.setattr(ProbeSet, "_state_shell",
+                        lambda self, r, s: shells.append((r, s)) or real(self, r, s))
+    verify(lin_sys, ios_exp_cert(), lin_plan, probe_set=ps)
+    assert shells == []
+    # the first verify's request simulated the shells this fit reads
+    estimate_gain(lin_sys, PropertyId.OCEP, lin_plan, probe_set=ps)
+    assert kernel_calls == []

@@ -458,3 +458,20 @@ def test_sim_plan_refuses_controls_that_are_not_finite_and_in_range(controls):
         SimPlan(**controls)
     # an infinite threshold switches the blow-up guard off and stays allowed
     assert SimPlan(1.0, blow_up_threshold=math.inf).blow_up_threshold == math.inf
+
+
+@pytest.mark.parametrize("step", [1e-2, 2e-2, 2e-4])
+def test_a_run_to_a_grid_time_repeats_the_longer_run(step):
+    """The grid up to one of its times t is the grid of horizon t, so a run
+    to t repeats the longer run's states bit for bit.  This includes the
+    step counts where linspace's step n * h / n is an ulp off h (29, 57 and
+    58 at either of the first two steps) and a breakpoint an ulp below
+    the multiple of 2e-4 at 0.123."""
+    sys = make_example("lin_scalar")
+    u = InputSignal.steps([0.0, 0.123], np.array([[1.0], [-0.5]]))
+    long = simulate(sys, [1.0], u, SimPlan(1.2, step))
+    cut = int(np.flatnonzero(long.times == 0.123)[0])
+    for k in [1, 13, 29, 57, 58, cut, len(long.times) - 1]:
+        short = simulate(sys, [1.0], u, SimPlan(long.times[k], step))
+        assert np.array_equal(short.times, long.times[:k + 1])
+        assert np.array_equal(short.states, long.states[:k + 1])

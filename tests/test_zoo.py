@@ -252,3 +252,41 @@ def test_expected_map_is_closed_under_the_implications(zoo_id):
 def test_closure_finds_a_contradiction():
     with pytest.raises(AssertionError, match="IOS forced to holds"):
         _closure({P.ISS: "holds", P.H_K_BOUNDED: "holds", P.IOS: "fails"})
+
+
+def _l2_rhs_reference(n: int):
+    """The sequence right-hand side as one expression: -x_n + x_0 x_n^2 -
+    x_n |x_n| - x_n^3 / n^2 for n >= 1, and -x_0 for the first coordinate."""
+    inv_n2 = np.zeros(n)
+    inv_n2[1:] = 1.0 / np.arange(1, n).astype(float) ** 2
+
+    def rhs(x, u):
+        xn = x.copy()
+        xn[..., 0] = 0.0
+        xn2 = xn * xn
+        return -x + xn2 * x[..., :1] - xn * np.abs(xn) - inv_n2 * (xn2 * xn)
+
+    return rhs
+
+
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_l2_rhs_equals_the_one_expression_bit_for_bit(n):
+    """On random rows salted with signed zeros, subnormals, huge and
+    non-finite entries: the same bits where finite, and the same finite,
+    infinite and NaN pattern."""
+    rng = np.random.default_rng(n)
+    salt = np.array([0.0, -0.0, 5e-324, -5e-324, 1e154, -1e154, 1e300, -1e300,
+                     np.inf, -np.inf, np.nan, 1.0, -2.5])
+    rhs, ref = zoo._l2_rhs(n), _l2_rhs_reference(n)
+    with np.errstate(all="ignore"):
+        for shape in [(n,), (1, n), (7, n), (40, n), (3, 5, n)] * 20:
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6)
+            salted = rng.random(shape) < 0.25
+            x[salted] = rng.choice(salt, size=int(salted.sum()))
+            got, want = rhs(x, None), ref(x, None)
+            assert got.shape == want.shape
+            finite, nan = np.isfinite(want), np.isnan(want)
+            assert np.array_equal(np.isfinite(got), finite)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got[~finite & ~nan], want[~finite & ~nan])  # signed infs
+            assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
