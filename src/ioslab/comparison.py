@@ -115,6 +115,15 @@ class ScalarFn:
     knots: tuple = ()
     values: tuple = ()
 
+    def __post_init__(self):
+        # a pwl table is read as arrays, built once; kept outside the fields,
+        # so equality, hash and dicts still read the tuples
+        if self.kind == "pwl":
+            for name, field in (("_kn", self.knots), ("_vals", self.values)):
+                arr = np.array(field, dtype=float)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
+
     def __call__(self, r):
         scalar_in = np.isscalar(r) or (isinstance(r, np.ndarray) and r.ndim == 0)
         arr = _as_nonneg(r)
@@ -148,8 +157,7 @@ class ScalarFn:
         raise ValueError(f"unknown scalar node kind {k!r}")
 
     def _eval_pwl(self, arr):
-        kn = np.asarray(self.knots)
-        vals = np.asarray(self.values)
+        kn, vals = self._kn, self._vals
         out = np.interp(arr, kn, vals)
         if kn.size >= 2:
             last_slope = (vals[-1] - vals[-2]) / (kn[-1] - kn[-2])
@@ -408,8 +416,7 @@ def invert(f: ScalarFn, v: float) -> float:
     if f.kind == "power":
         return float(v) ** (1.0 / f.param)
     if f.kind == "pwl":
-        kn = np.asarray(f.knots)
-        vals = np.asarray(f.values)
+        kn, vals = f._kn, f._vals
         if v <= vals[-1]:
             return float(np.interp(v, vals, kn))
         last_slope = (vals[-1] - vals[-2]) / (kn[-1] - kn[-2])

@@ -100,18 +100,30 @@ __all__ = [
 
 
 _P = PropertyId
+# Each row names the paper's result it follows, in the words of the paper's
+# abstract; "no anchor" marks a row that none of those results states.  The
+# IOS superposition theorem contains the ISS superposition theorem of MiW18b
+# and the IOS superposition theorem for ODEs of ISW01 as special cases.
 IMPLICATIONS = {
+    # no anchor: splits a reachability bound into an output-map bound
     "decompose_bound": ((_P.BORS,), _P.H_BOUNDED),
+    # the criteria for the uniform limit property
     "ogulim_from_oulim": ((_P.OULIM, _P.H_BOUNDED), _P.OGULIM),
+    # the IOS superposition theorem (MiW18b, ISW01), up to the next comment
     "ougb_from_ouag_bors": ((_P.OUAG, _P.BORS), _P.OUGB),
     "ocag_from_oguag": ((_P.OGUAG, _P.OUGB), _P.OCAG),
     "iops_from_ocag": ((_P.OCAG,), _P.IOPS),
     "ougs_from_ougb_ouls": ((_P.OUGB, _P.OULS), _P.OUGS),
     "ios_from_ocag_ougs": ((_P.OCAG, _P.OUGS), _P.IOS),
+    # superposition under OL and IOS
     "ios_from_oulim_ol": ((_P.OULIM, _P.OL, _P.H_K_BOUNDED), _P.IOS),
+    # the IOS superposition theorem (MiW18b, ISW01): local stability
     "ouls_from_ouag_ocep": ((_P.OUAG, _P.OCEP), _P.OULS),
+    # the sufficient condition for OL
     "ol_from_ooulim_localol_obors": ((_P.OOULIM, _P.LOCAL_OL, _P.OBORS), _P.OL),
+    # no anchor: an output-map bound carries ISS over to IOS
     "ios_from_iss_kbounded": ((_P.ISS, _P.H_K_BOUNDED), _P.IOS),
+    # ISS characterised by IOS and input/output-to-state stability (IOSS)
     "iss_from_ios_ioss": ((_P.IOS, _P.IOSS), _P.ISS),
 }
 

@@ -611,6 +611,11 @@ class SamplingPlan:
     def s_max(self) -> float:
         return max(self.input_norms) if self.input_norms else 0.0
 
+    @property
+    def s_levels(self) -> tuple:
+        """The input ladder the probes and tables read: zero, then the norms."""
+        return (0.0,) + self.input_norms
+
     def tau_grid(self) -> tuple:
         return (0.5 * self.horizon, self.horizon)
 
@@ -721,23 +726,28 @@ class ProbeSet:
         self.sys = sys
         self.plan = plan
         self._cache: dict = {}
-        self.probes = self._expand()
+        self._drawn: dict = {}  # seed offset -> directions; (s, offset) -> input family
+        self.probes = [Probe(i, tuple(x0), u, r, u.norm(), tag, tuple(d)) for i, (x0, u, r, tag, d)
+                       in enumerate(self._family(plan.radii, plan.s_levels))]
 
-    def _expand(self) -> list[Probe]:
-        sys, plan = self.sys, self.plan
-        dirs = _directions(sys.state_dim, plan.directions, plan.seed)
-        inputs = [("zero", InputSignal.zero(sys.input_dim))]
-        for s in plan.input_norms:
-            inputs.extend(_inputs_at_norm(plan, sys.input_dim, s))
-        probes = []
-        idx = 0
-        for r in plan.radii:
-            for d in dirs:
-                x0 = np.asarray(sys.embed(r, d), dtype=float)
+    def _family(self, radii, levels, by_output: bool = False):
+        """The one probe-construction rule: (x0, u, r, tag, direction) per state
+        radius x direction x input of each level's family.  Output-shell
+        candidates draw their own, with at least 3 directions and seeds offset
+        by 7.  Each direction list and input family is drawn once per set."""
+        plan, extra, drawn = self.plan, 7 if by_output else 0, self._drawn
+        if extra not in drawn:  # the direction list
+            drawn[extra] = _directions(self.sys.state_dim, max(plan.directions, 3)
+                                       if by_output else plan.directions, plan.seed + extra)
+        for s in levels:
+            if (s, extra) not in drawn:
+                drawn[(s, extra)] = _inputs_at_norm(plan, self.sys.input_dim, s, extra)
+        inputs = [pair for s in levels for pair in drawn[(s, extra)]]
+        for r in radii:
+            for d in drawn[extra]:
+                x0 = np.asarray(self.sys.embed(r, d), dtype=float)
                 for tag, u in inputs:
-                    probes.append(Probe(idx, tuple(x0), u, r, u.norm(), tag, tuple(d)))
-                    idx += 1
-        return probes
+                    yield x0, u, r, tag, d
 
     def data(self, probe: Probe) -> ProbeData:
         return self.data_many([probe])[0]
@@ -797,32 +807,20 @@ class ProbeSet:
         return [[next(datas) for _ in g] for g in groups]
 
     def _state_shell(self, r: float, s: float) -> list[Probe]:
-        dirs = _directions(self.sys.state_dim, self.plan.directions, self.plan.seed)
-        inputs = _inputs_at_norm(self.plan, self.sys.input_dim, s)
-        probes = []
-        for d in dirs:
-            x0 = np.asarray(self.sys.embed(r, d), dtype=float)
-            for tag, u in inputs:
-                probes.append(Probe(-1000 - len(probes), tuple(x0), u, r, u.norm(),
-                                    f"shell:{tag}", tuple(d)))
-        return probes
+        return [Probe(-1000 - i, tuple(x0), u, r, u.norm(), f"shell:{tag}", tuple(d))
+                for i, (x0, u, r, tag, d) in enumerate(self._family((r,), (s,)))]
 
     def _output_shell(self, r_y: float, s: float) -> list[Probe]:
         """Probes whose initial output norm lies at or below r_y: a ladder
         of state radii is screened by rejection, keeping the candidates
         inside the ball (preferring the top of the shell).  Sampling the
         level set of the output map this way is heuristic."""
-        dirs = _directions(self.sys.state_dim, max(self.plan.directions, 3), self.plan.seed + 7)
-        inputs = _inputs_at_norm(self.plan, self.sys.input_dim, s, 7)
         ladder = [r_y * f for f in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
         kept = []
-        for radius in ladder:
-            for d in dirs:
-                x0 = np.asarray(self.sys.embed(radius, d), dtype=float)
-                for tag, u in inputs:
-                    y0 = _initial_output(self.sys, x0, u)
-                    if y0 <= r_y + 1e-12:
-                        kept.append((float(y0), radius, x0, u, tag, tuple(d)))
+        for x0, u, radius, tag, d in self._family(ladder, (s,), by_output=True):
+            y0 = _initial_output(self.sys, x0, u)
+            if y0 <= r_y + 1e-12:
+                kept.append((float(y0), radius, x0, u, tag, tuple(d)))
         kept.sort(key=lambda item: (-item[0], item[1], tuple(item[2])))
         return [Probe(-2000 - i, tuple(x0), u, float(self.sys.state_norm(x0)), u.norm(),
                       f"yshell:{tag}", d)
@@ -1264,7 +1262,7 @@ def _plan_probes(cert: Certificate, ps: ProbeSet, plan: SamplingPlan, out: _Outc
 def _initial_output_shells(cert: Certificate, ps: ProbeSet, plan: SamplingPlan,
                            out: _Outcome):
     """Probes from the initial-output balls the visit table is indexed by."""
-    cells = [(r_y, s) for r_y in cert["tau_table"].r_grid for s in (0.0,) + plan.input_norms]
+    cells = [(r_y, s) for r_y in cert["tau_table"].r_grid for s in plan.s_levels]
     return [data for shell in ps.shells(cells, by_output=True) for data in shell]
 
 
@@ -1526,7 +1524,7 @@ def build_tau_table(sys: SystemModel, plan: SamplingPlan, mode: str,
     ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
     eps_grid = tuple(eps_grid if eps_grid is not None else plan.eps_grid)
     r_grid = tuple(r_grid if r_grid is not None else plan.radii)
-    s_levels = tuple(s_grid) if s_grid is not None else (0.0,) + tuple(plan.input_norms)
+    s_levels = tuple(s_grid) if s_grid is not None else plan.s_levels
     shells = ps.shells([(r, s) for r in r_grid for s in s_levels], by_output=over_initial_output)
     if over_initial_output:
         # the check reads a probe in the row its own |y(0)| snaps up to, so row
@@ -1715,8 +1713,7 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
         if prop == PropertyId.OLIM:
             return Certificate(prop, {"gamma": gamma})
         mode = "uag" if prop in (PropertyId.OUAG, PropertyId.OGUAG) else "lim"
-        s_grid = ((0.0,) + tuple(plan.input_norms)
-                  if prop in (PropertyId.OUAG, PropertyId.OULIM) else None)
+        s_grid = plan.s_levels if prop in (PropertyId.OUAG, PropertyId.OULIM) else None
         table = build_tau_table(sys, plan, mode, gamma, s_grid=s_grid, probe_set=ps,
                                 over_initial_output=prop in _BY_OUTPUT)
         if np.all(~np.isfinite(table.values)):
@@ -1813,7 +1810,7 @@ def build_reachability_bound(sys: SystemModel, plan: SamplingPlan,
     """Empirical sup-output table with monotone rectification."""
     ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
     r_grid = tuple(plan.radii)
-    s_grid = (0.0,) + tuple(plan.input_norms)
+    s_grid = plan.s_levels
     t_grid = tuple(np.linspace(0.0, plan.horizon, 9)[1:])
 
     def worst(datas, t_cap):

@@ -380,6 +380,46 @@ def test_envelope_stays_finite_past_a_subnormal_last_gap():
     assert np.all(np.diff(vals) > 0.0)
 
 
+def _pwl_from_tuples(fn, arr):
+    """A pwl node read straight from its knot and value tuples."""
+    kn, vals = np.asarray(fn.knots), np.asarray(fn.values)
+    out = np.interp(arr, kn, vals)
+    if kn.size >= 2:
+        last_slope = (vals[-1] - vals[-2]) / (kn[-1] - kn[-2])
+        above = arr > kn[-1]
+        if np.any(above):
+            out = np.where(above, vals[-1] + last_slope * (arr - kn[-1]), out)
+    return out
+
+
+def _invert_pwl_from_tuples(fn, v):
+    kn, vals = np.asarray(fn.knots), np.asarray(fn.values)
+    if v <= vals[-1]:
+        return float(np.interp(v, vals, kn))
+    last_slope = (vals[-1] - vals[-2]) / (kn[-1] - kn[-2])
+    return float(kn[-1] + (v - vals[-1]) / last_slope)
+
+
+@pytest.mark.parametrize("seed, n", [(seed, n) for seed in range(6) for n in (2, 40, 9000)])
+def test_pwl_arrays_read_as_the_knot_tuples(seed, n):
+    """Evaluation and inversion of a pwl node, whose arrays are built once,
+    are bit-identical to reading its tuples on every call."""
+    rng = np.random.default_rng(seed)
+    samples = np.column_stack([rng.uniform(0, 50, n), rng.uniform(0, 100, n)])
+    table = cf.fit_monotone_envelope(samples).children[0]
+    kinf = cf.pwl(np.append(0.0, np.cumsum(rng.exponential(size=n))),
+                  np.append(0.0, np.cumsum(rng.exponential(size=n))))
+    for fn in (table, kinf):
+        top = fn.knots[-1]
+        grid = np.concatenate([rng.uniform(0, 1.5 * top, 500), fn.knots, [0.0, 2.0 * top]])
+        assert fn(grid).tobytes() == _pwl_from_tuples(fn, grid).tobytes()
+        assert fn(float(grid[0])) == float(_pwl_from_tuples(fn, grid[0]))
+    levels = np.concatenate([rng.uniform(0, 1.5 * kinf.values[-1], 200),
+                             kinf.values[1::max(1, n // 50)]])
+    for v in levels:
+        assert cf.invert(kinf, float(v)) == _invert_pwl_from_tuples(kinf, float(v))
+
+
 # ---------------------------------------------------------------------------
 # serialisation
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1048,3 +1049,91 @@ def test_warm_probe_set_makes_no_kernel_call_and_builds_no_shell(lin_sys, lin_pl
     # the first verify's request simulated the shells this fit reads
     estimate_gain(lin_sys, PropertyId.OCEP, lin_plan, probe_set=ps)
     assert kernel_calls == []
+
+
+# ---------------------------------------------------------------------------
+# one probe-construction rule
+# ---------------------------------------------------------------------------
+
+def _reference_probes(sys, plan, radii, levels, seed_extra, count, tag_prefix, first):
+    """Radius x direction x input family per level, written out from the two
+    draw functions: the plan probes (levels from zero, extra 0), a state
+    shell (one radius, one level) and the output-shell candidates (extra 7)."""
+    import ioslab.properties as props
+
+    dirs = props._directions(sys.state_dim, count, plan.seed + seed_extra)
+    inputs = [pair for s in levels
+              for pair in props._inputs_at_norm(plan, sys.input_dim, s, seed_extra)]
+    out = []
+    for r in radii:
+        for d in dirs:
+            x0 = np.asarray(sys.embed(r, d), dtype=float)
+            for tag, u in inputs:
+                index = len(out) if first == 0 else first - len(out)
+                out.append(props.Probe(index, tuple(x0), u, r, u.norm(), tag_prefix + tag,
+                                       tuple(d)))
+    return out
+
+
+def _reference_output_shell(sys, plan, r_y, s):
+    import ioslab.properties as props
+
+    count = max(plan.directions, 3)
+    ladder = [r_y * f for f in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
+    kept = [(props._initial_output(sys, np.asarray(p.x0), p.u), p.r, np.asarray(p.x0), p.u,
+             p.tag, p.direction)
+            for p in _reference_probes(sys, plan, ladder, (s,), 7, count, "", 0)]
+    kept = [item for item in kept if item[0] <= r_y + 1e-12]
+    kept.sort(key=lambda item: (-item[0], item[1], tuple(item[2])))
+    return [props.Probe(-2000 - i, tuple(x0), u, float(sys.state_norm(x0)), u.norm(),
+                        f"yshell:{tag}", d)
+            for i, (y0, radius, x0, u, tag, d) in enumerate(kept[: 3 * count])]
+
+
+def _probe_bytes(p):
+    return (p.index, np.asarray(p.x0).tobytes(), p.u.breakpoints.tobytes(), p.u.values.tobytes(),
+            p.r, p.s, p.tag, np.asarray(p.direction).tobytes())
+
+
+@pytest.mark.parametrize("zid", zoo_ids())
+@pytest.mark.parametrize("seed_offset", [0, 1])
+@pytest.mark.parametrize("seeded_dirs", [False, True])
+def test_plan_probes_and_shells_follow_one_construction_rule(zid, seed_offset, seeded_dirs):
+    """Plan probes, state shells and output-shell candidates are byte for
+    byte the radius x direction x input-family grid of the draw functions,
+    also at another seed and with seeded directions past the 2 dim axes."""
+    entry = get_entry(zid)
+    sys, plan = entry.factory(), entry.default_plan()
+    directions = 2 * sys.state_dim + 2 if seeded_dirs else plan.directions
+    plan = replace(plan, seed=plan.seed + seed_offset, directions=directions)
+    ps = ProbeSet(sys, plan)
+    levels = (0.0,) + plan.input_norms  # the zero input first
+    expected = _reference_probes(sys, plan, plan.radii, levels, 0, plan.directions, "", 0)
+    assert list(map(_probe_bytes, ps.probes)) == list(map(_probe_bytes, expected))
+    cells = [(plan.radii[0], 0.0), (plan.radii[-1], plan.s_max),
+             (0.5 * plan.radii[-1], 0.5 * plan.s_max), (plan.radii[0], plan.s_max)]
+    for r, s in cells:
+        state = _reference_probes(sys, plan, (r,), (s,), 0, plan.directions, "shell:", -1000)
+        assert list(map(_probe_bytes, ps._state_shell(r, s))) == list(map(_probe_bytes, state))
+        output = _reference_output_shell(sys, plan, r, s)
+        assert list(map(_probe_bytes, ps._output_shell(r, s))) == list(map(_probe_bytes, output))
+
+
+def test_a_probe_set_draws_each_direction_list_and_input_family_once(lin_sys, lin_plan,
+                                                                     monkeypatch):
+    import ioslab.properties as props
+
+    draws = []
+    for name in ("_directions", "_inputs_at_norm"):
+        real = getattr(props, name)
+        monkeypatch.setattr(props, name,
+                            lambda *a, real=real, name=name: draws.append((name,) + a) or real(*a))
+    ps = ProbeSet(lin_sys, lin_plan)
+    cells = [(r, s) for r in (0.1, lin_plan.radii[-1]) for s in lin_plan.s_levels + (0.3,)]
+    for _ in range(2):
+        ps.shells(cells)
+        ps.shells(cells, by_output=True)
+    # the plan's list and families, then the output shells' own
+    assert len(draws) == len(set(draws))
+    assert sum(d[0] == "_directions" for d in draws) == 2
+    assert sum(d[0] == "_inputs_at_norm" for d in draws) == 2 * len(lin_plan.s_levels) + 2
