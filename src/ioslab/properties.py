@@ -25,7 +25,9 @@ search batch).  The quantifier patterns are:
                       row's level over the row's horizon (OCEP, table OULS)
 
 The window notions and the continuity tables share one rule: a trajectory
-that blows up inside the window is an unbounded sample there.
+that blows up inside the window is an unbounded sample there, and so is a
+witness replay that blows up by the witness's time.  ``estimate_gain`` fits
+the same certificate forms (``_SCHEMAS``) the checkers read.
 
 Across quantifiers the notions differ on two axes, each decided by one set:
 ``_BY_OUTPUT`` holds the notions whose bound or table radius reads the
@@ -404,6 +406,12 @@ _SCHEMAS: dict[PropertyId, dict | tuple] = {
 }
 
 
+def _forms(prop: PropertyId) -> tuple:
+    """The certificate forms of ``prop``, function form first (none for FC)."""
+    forms = _SCHEMAS.get(prop, ())
+    return forms if isinstance(forms, tuple) else (forms,)
+
+
 def _monotone_cap_solve(g: ScalarFn, cap: float) -> float:
     """Largest r with g(r) <= cap for a monotone map g (bisection)."""
     if float(g(0.0)) > cap:
@@ -466,8 +474,7 @@ class Certificate:
     def __post_init__(self):
         if self.property == PropertyId.FC:
             raise CertificateError("forward completeness has no bound-form certificate")
-        forms = _SCHEMAS[self.property]
-        forms = forms if isinstance(forms, tuple) else (forms,)
+        forms = _forms(self.property)
         schema = next((form for form in forms
                        if all(name in self.params for name, typ in form.items()
                               if not typ.endswith("?"))), forms[0])
@@ -713,13 +720,13 @@ class ProbeSet:
     ``data_many`` looks probes up and simulates the misses as one kernel
     call; ``shells`` is the one request for the probes of (r, s) balls.
 
-    Prefetch rule: when ``verify`` or ``estimate_gain`` is handed a probe
-    set whose cache is still empty, its first plan-probe request simulates
-    the plan probes together with the first-round shells of the delta fit
-    (``_prefetch``), so a later OCEP estimate on the same set adds no
-    kernel call.  ``all_data``, ``data_many`` and ``shells`` never
-    prefetch, nor does a call that builds its own probe set, since it
-    would drop the shells unread; a set with anything cached is left alone.
+    Prefetch rule: when ``estimate_gain``, or a ``verify`` of plan probes,
+    is handed a probe set with an empty cache, its first request simulates
+    the plan probes with the delta fit's first-round shells (``_prefetch``),
+    so a later OCEP estimate or plan-probe read on the set adds no kernel
+    call.  ``all_data``, ``data_many`` and ``shells`` never prefetch, nor
+    does a call that builds its own probe set, since it would drop the
+    shells unread; a set with anything cached is left alone.
     """
 
     def __init__(self, sys: SystemModel, plan: SamplingPlan):
@@ -862,8 +869,11 @@ class Witness:
 
     def replay(self, sys: SystemModel, sim: SimPlan) -> float:
         """Re-simulate on [0, t] and return the observed norm (of ``series``)
-        at t."""
+        at t, or +inf when the run blows up at or before t (as ``_window_sup``
+        reads a blow-up inside its window)."""
         traj = simulate(sys, np.asarray(self.x0), self.signal(), replace(sim, horizon=self.t))
+        if traj.blow_up is not None and traj.blow_up <= self.t:
+            return math.inf
         k = traj.at_time(self.t)
         if self.series == "state":
             return float(sys.state_norm(traj.states[k]))
@@ -1063,11 +1073,11 @@ def _pointwise_bound(cert: Certificate, block: _Block) -> np.ndarray:
     t = block.times
     r = np.array([probe.r for probe in block.probes])[:, None]
     c = cert.get("c", 0.0)
-    if p == PropertyId.IOSS:
+    if "gamma2" in cert.params:  # IOSS
         g1, g2 = cert["gamma1"], cert["gamma2"]
         return (cert["beta"](r, t) + g1(block.pad(lambda d: d.urestr))
                 + g2(block.pad(lambda d: d.ysup)))
-    if p in (PropertyId.H_BOUNDED, PropertyId.H_K_BOUNDED):
+    if "sigma1" in cert.params:  # the output-map bounds
         s1, g1 = cert["sigma1"], cert["gamma1"]
         return s1(block.pad(lambda d: d.xnorm)) + g1(block.pad(lambda d: d.uval_norm)) + c
     if "beta" in cert.params:
@@ -1330,6 +1340,16 @@ def _checker(cert: Certificate):
 # public checking API
 # ---------------------------------------------------------------------------
 
+def _probe_set(sys: SystemModel, plan: SamplingPlan, probe_set: ProbeSet | None) -> ProbeSet:
+    """``probe_set``, or a fresh one for (sys, plan); a set built for another
+    system or plan is refused, since its samples would pass for ``plan``'s."""
+    if probe_set is None:
+        return ProbeSet(sys, plan)
+    if probe_set.sys is not sys or (probe_set.plan is not plan and probe_set.plan != plan):
+        raise DomainError("the probe set was built for another system or plan")
+    return probe_set
+
+
 def verify(sys: SystemModel, cert: Certificate, plan: SamplingPlan,
            probe_set: ProbeSet | None = None) -> Verdict:
     """Check the certificate's defining inequality over the probes its
@@ -1337,9 +1357,9 @@ def verify(sys: SystemModel, cert: Certificate, plan: SamplingPlan,
     ``probe_set`` simulates its continuity shells with the plan probes
     (``_prefetch``)."""
     source, check = _checker(cert)
+    ps = _probe_set(sys, plan, probe_set)
     if probe_set is not None and source is _plan_probes:
-        _prefetch(probe_set)
-    ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
+        _prefetch(ps)
     out = _Outcome()
     check(cert, source(cert, ps, plan, out), plan, out)
     return out.verdict(cert.property, plan, plan_hash(plan))
@@ -1511,7 +1531,7 @@ def estimate_tau(sys: SystemModel, eps: float, r: float, s: float, mode: str,
     trajectory never satisfies the bound within the horizon.
     """
     _check_tau_mode(mode)
-    ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
+    ps = _probe_set(sys, plan, probe_set)
     return _shell_tau(ps.shells([(r, s)])[0], eps, mode, gamma_ref)
 
 
@@ -1521,7 +1541,7 @@ def build_tau_table(sys: SystemModel, plan: SamplingPlan, mode: str,
                     over_initial_output: bool = False) -> ConvergenceTimeTable:
     """Tabulate empirical times over plan grids; unreachable cells become inf."""
     _check_tau_mode(mode)
-    ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
+    ps = _probe_set(sys, plan, probe_set)
     eps_grid = tuple(eps_grid if eps_grid is not None else plan.eps_grid)
     r_grid = tuple(r_grid if r_grid is not None else plan.radii)
     s_levels = tuple(s_grid) if s_grid is not None else plan.s_levels
@@ -1552,19 +1572,10 @@ def _fit_decay_rate(series_list, horizon: float, floor: float = 5e-3) -> float:
     rates = []
     for times, y in series_list:
         k1 = int(np.argmin(np.abs(times - 0.7 * horizon)))
-        k2 = len(times) - 1
-        y1, y2 = float(y[k1]), float(y[k2])
-        span = float(times[k2] - times[k1])
-        if span <= 0:
-            continue
-        if y1 <= 1e-12:
-            continue  # fully decayed, unconstraining
-        if y2 <= 1e-12:
-            continue  # decayed to zero inside the window
-        if y2 >= y1:
-            rates.append(0.0)
-        else:
-            rates.append(math.log(y1 / y2) / span)
+        y1, y2, span = float(y[k1]), float(y[-1]), float(times[-1] - times[k1])
+        # a probe decayed to zero before or inside the window constrains nothing
+        if span > 0 and y1 > 1e-12 and y2 > 1e-12:
+            rates.append(0.0 if y2 >= y1 else math.log(y1 / y2) / span)
     if not rates:
         return 1.0
     a = 0.9 * min(rates)
@@ -1576,7 +1587,7 @@ def _fit_decay_rate(series_list, horizon: float, floor: float = 5e-3) -> float:
     return a
 
 
-def _fit_separable_kl(datas, series, plan: SamplingPlan):
+def _fit_separable_kl(datas, series, plan: SamplingPlan) -> KLFn:
     """Radial envelope of max_t series(t) * exp(a t) times a decaying profile.
 
     With the rate fixed from the tails, the radial part absorbs delayed
@@ -1584,19 +1595,16 @@ def _fit_separable_kl(datas, series, plan: SamplingPlan):
     sample by construction of the envelope.
     """
     a = _fit_decay_rate([(d.times, series(d)) for d in datas], plan.horizon)
-    samples = [(0.0, 0.0)]
-    for d in datas:
-        boosted = series(d) * np.exp(a * d.times)
-        samples.append((d.probe.r, float(np.max(boosted))))
-    sigma = cf.fit_monotone_envelope(samples, force_zero_at_zero=True)
-    temporal = cf.compose(cf.exp_decay(), cf.scale(a))
-    return cf.kl_separable(sigma, temporal), sigma, a
+    sigma = _gain_envelope([d.probe.r for d in datas],
+                           [np.max(series(d) * np.exp(a * d.times)) for d in datas])
+    return cf.kl_separable(sigma, cf.compose(cf.exp_decay(), cf.scale(a)))
 
 
 def _gain_envelope(x, v) -> ScalarFn:
     """Class Kinf envelope through (0, 0) of the largest value v[i], clamped
     at 0, per abscissa x[i]; (1, 0) stands in when no abscissa is off the
-    origin."""
+    origin.  Every envelope ``estimate_gain`` fits is this one: sigma,
+    sigma1, the radial part of a KL fit and the input gains."""
     x = np.append(0.0, np.asarray(x, dtype=float) + 0.0)  # + 0.0: a -0.0 joins the origin
     v = np.asarray(v, dtype=float)
     v = np.append(0.0, np.where(v > 0.0, v, 0.0))
@@ -1628,104 +1636,81 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
                   table_form: bool = False) -> Certificate:
     """Fit a certificate from simulation data; over-approximates by envelopes.
 
-    The envelopes dominate every sample they were fitted to.  An input gain
-    (gamma, IOSS's gamma1) is fitted to the margins the property's checker
-    reports for the certificate with that gain set to zero, so the result
-    verifies on the same plan; the output-map bounds fit gamma1 per input
-    value.  Properties whose quantifiers cannot be exhausted from
-    bounded-horizon data (the per-trajectory visit property over unbounded
-    inputs) are rejected with ``EstimationError``.  A fresh ``probe_set``
-    simulates its continuity shells with the plan probes (``_prefetch``).
+    The keys of ``prop``'s certificate form (``_SCHEMAS``; its table form
+    with ``table_form``) pick the fit, as they pick the checkers' bounds: a
+    ``delta_table`` from continuity shells alone; ``sigma1``, ``sigma`` (on
+    the ball of ``radius``, by default the largest plan radius, where the
+    form has one) and ``beta`` envelopes from the zero-input probes; and
+    ``gamma`` alone, an asymptotic gain with its tau table.  An input gain
+    is fitted to the margins the checker reports for the certificate with
+    that gain set to zero (the output-map bounds' gamma1 per input value),
+    so the result verifies on the same plan.  OAG and a form no fit follows
+    are refused with ``EstimationError`` before any simulation.  A fresh
+    ``probe_set`` simulates its continuity shells with the plan probes
+    (``_prefetch``).
     """
-    if probe_set is not None:
-        _prefetch(probe_set)
-    ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
-    live = [d for d in ps.all_data() if not d.blown]
-    if not live:
-        raise EstimationError("every probe blew up; nothing to fit")
-    zero_in = [d for d in live if d.probe.s == 0.0]
-
+    form = (_forms(prop) or ({},))[-1 if table_form else 0]
     if prop == PropertyId.OAG:
         raise EstimationError(
             "per-trajectory visit times over unbounded inputs are not estimable "
             "from bounded-horizon data; use the uniform variants instead"
         )
+    if not form.keys() & {"delta_table", "sigma1", "sigma", "beta", "gamma"}:
+        raise EstimationError(f"no estimator for property {prop.value}")
+    ps = _probe_set(sys, plan, probe_set)
+    if probe_set is not None:
+        _prefetch(ps)
+    if "delta_table" in form:
+        return Certificate(prop, {"delta_table": _fit_delta_table(
+            plan, ps, with_tau=prop == PropertyId.OCEP)})
+    live = [d for d in ps.all_data() if not d.blown]
+    if not live:
+        raise EstimationError("every probe blew up; nothing to fit")
 
-    if prop == PropertyId.OULS and table_form:
-        table = _fit_delta_table(plan, ps, with_tau=False)
-        return Certificate(prop, {"delta_table": table})
+    if not form.keys() & {"sigma1", "sigma", "beta"}:
+        params = {"gamma": _fit_asymptotic_gain(live, plan)}
+        if "tau_table" in form:
+            mode = "uag" if prop in (PropertyId.OUAG, PropertyId.OGUAG) else "lim"
+            by_output = prop in _BY_OUTPUT
+            s_grid = None if by_output or form["tau_table"] == "tau_table_r" else plan.s_levels
+            table = params["tau_table"] = build_tau_table(
+                sys, plan, mode, params["gamma"], s_grid=s_grid, probe_set=ps,
+                over_initial_output=by_output)
+            if np.all(~np.isfinite(table.values)):
+                raise EstimationError(
+                    f"{prop.value}: no finite convergence cell within the horizon")
+        if "s_max" in form:
+            params["s_max"] = max(plan.s_max, 1e-9)
+        return Certificate(prop, params)
 
-    if prop in (PropertyId.OUGS, PropertyId.OULS, PropertyId.OUGB,
-                PropertyId.OL, PropertyId.LOCAL_OL, PropertyId.OOUGB):
-        if radius is None:
-            radius = max(plan.radii)
-        local = prop in (PropertyId.OULS, PropertyId.LOCAL_OL)
-        sigma = cf.fit_monotone_envelope(
-            [(_initial(prop, d), float(np.max(d.ynorm))) for d in zero_in
-             if not local or _in_ball(d.probe.r, 0.0, radius)] + [(0.0, 0.0)],
-            force_zero_at_zero=True,
-        )
-        params = {"sigma": sigma, "gamma": cf.zero()}
-        if local:
-            params["radius"] = radius
-        elif prop in (PropertyId.OUGB, PropertyId.OOUGB):
-            params["c"] = 0.0
-        params["gamma"] = _residual_gain(prop, params, plan, ps)
-        return Certificate(prop, params | {"c": 1e-9} if "c" in params else params)
-
-    if prop in (PropertyId.H_BOUNDED, PropertyId.H_K_BOUNDED):
-        sigma1 = cf.fit_monotone_envelope(np.column_stack((
-            np.concatenate([[0.0]] + [d.xnorm for d in zero_in]),
-            np.concatenate([[0.0]] + [d.ynorm for d in zero_in]))), force_zero_at_zero=True)
+    ball = (max(plan.radii) if radius is None else radius) if "radius" in form else math.inf
+    zero_in = [d for d in live if d.probe.s == 0.0 and _in_ball(d.probe.r, 0.0, ball)]
+    if not zero_in:
+        raise EstimationError(f"{prop.value}: no zero-input probe survived to fit on")
+    if "sigma1" in form:
+        sigma1 = _gain_envelope(np.concatenate([d.xnorm for d in zero_in]),
+                                np.concatenate([d.ynorm for d in zero_in]))
         # residuals per instantaneous input value, which no row's one decisive
         # sample gives; a piecewise-constant input takes few values, so its
         # largest residual per value keeps the fit's arrays short
         tops = [_largest_per(d.uval_norm, np.maximum(d.ynorm - sigma1(d.xnorm), 0.0))
                 for d in live]
-        gamma1 = _gain_envelope(np.concatenate([x for x, _ in tops]),
-                                np.concatenate([v for _, v in tops]))
-        params = {"sigma1": sigma1, "gamma1": gamma1}
-        if prop == PropertyId.H_BOUNDED:
-            params["c"] = 0.0
-        return Certificate(prop, params)
+        params = {"sigma1": sigma1, "gamma1": _gain_envelope(*map(np.concatenate, zip(*tops)))}
+        return Certificate(prop, params | ({"c": 0.0} if "c" in form else {}))
 
-    if prop in (PropertyId.IOS, PropertyId.ISS, PropertyId.OCAG, PropertyId.IOPS,
-                PropertyId.IOSS):
-        beta, sigma, a = _fit_separable_kl(zero_in, lambda d: _observed(prop, d), plan)
-        # IOSS's gamma1 is fitted against s, the largest |u restricted to [0, t]|
-        # of a row: every plan input takes its sup norm before the horizon
-        gain = "gamma1" if prop == PropertyId.IOSS else "gamma"
-        params = {"beta": beta, gain: cf.zero()}
-        if prop == PropertyId.IOSS:
-            params["gamma2"] = cf.identity()
-        elif prop in (PropertyId.OCAG, PropertyId.IOPS):
-            params["c"] = 0.0
-        params[gain] = _residual_gain(prop, params, plan, ps)
-        return Certificate(prop, params)
-
-    if prop == PropertyId.OCEP:
-        table = _fit_delta_table(plan, ps, with_tau=True)
-        return Certificate(prop, {"delta_table": table})
-
-    if prop in (PropertyId.OUAG, PropertyId.OGUAG, PropertyId.OULIM,
-                PropertyId.OGULIM, PropertyId.OOULIM, PropertyId.OLIM):
-        gamma = _fit_asymptotic_gain(live, plan)
-        if prop == PropertyId.OLIM:
-            return Certificate(prop, {"gamma": gamma})
-        mode = "uag" if prop in (PropertyId.OUAG, PropertyId.OGUAG) else "lim"
-        s_grid = plan.s_levels if prop in (PropertyId.OUAG, PropertyId.OULIM) else None
-        table = build_tau_table(sys, plan, mode, gamma, s_grid=s_grid, probe_set=ps,
-                                over_initial_output=prop in _BY_OUTPUT)
-        if np.all(~np.isfinite(table.values)):
-            raise EstimationError(
-                f"{prop.value}: no finite convergence cell within the horizon"
-            )
-        params = {"gamma": gamma, "tau_table": table}
-        if prop == PropertyId.OGUAG:
-            params["s_max"] = max(plan.s_max, 1e-9)
-        return Certificate(prop, params)
-
-    raise EstimationError(f"no estimator for property {prop.value}")
+    # IOSS's gamma1 is fitted against s, the largest |u restricted to [0, t]|
+    # of a row: every plan input takes its sup norm before the horizon
+    gain = "gamma1" if "gamma1" in form else "gamma"
+    if "sigma" in form:
+        params = {"sigma": _gain_envelope([_initial(prop, d) for d in zero_in],
+                                          [np.max(d.ynorm) for d in zero_in])}
+    else:
+        params = {"beta": _fit_separable_kl(zero_in, lambda d: _observed(prop, d), plan)}
+    params[gain] = cf.zero()
+    params |= {k: v for k, v in (("radius", ball), ("gamma2", cf.identity()), ("c", 0.0))
+               if k in form}
+    params[gain] = _residual_gain(prop, params, plan, ps)
+    return Certificate(prop, params | {"c": 1e-9} if "sigma" in form and "c" in form else params)
 
 
 def _fit_asymptotic_gain(datas, plan: SamplingPlan) -> ScalarFn:
@@ -1808,7 +1793,7 @@ def build_reachability_bound(sys: SystemModel, plan: SamplingPlan,
                              over_initial_output: bool = False,
                              probe_set: ProbeSet | None = None) -> ReachabilityBound:
     """Empirical sup-output table with monotone rectification."""
-    ps = probe_set if probe_set is not None else ProbeSet(sys, plan)
+    ps = _probe_set(sys, plan, probe_set)
     r_grid = tuple(plan.radii)
     s_grid = plan.s_levels
     t_grid = tuple(np.linspace(0.0, plan.horizon, 9)[1:])
