@@ -7,10 +7,11 @@ sampled: a plan expands into a deterministic family of probes (initial
 states on radius shells times seeded directions, inputs from a documented
 family with constants first), each probe is simulated once, and the
 defining inequality is evaluated with its quantifier structure respected.
-``_CHECKERS`` is the single table that maps a property to its quantifier:
-the probe source its samples come from and the checker that reduces them,
-shared by ``verify`` (over the whole source) and ``falsify`` (over each
-search batch).  The quantifier patterns are:
+The keys of a certificate's form (``_SCHEMAS``) pick its quantifier by one
+rule (``_form_checker``): the probe source its samples come from and the
+checker that reduces them, shared by ``verify`` (over the whole source) and
+``falsify`` (over each search batch).  ``_CHECKERS`` lists the rule's pick
+for each notion's function form.  The quantifier patterns are:
 
   pointwise notions   bound must hold at every grid time
                       (IOS, ISS, IOpS, OCAG, OL family, OUGS family, IOSS,
@@ -33,7 +34,9 @@ Across quantifiers the notions differ on two axes, each decided by one set:
 ``_BY_OUTPUT`` holds the notions whose bound or table radius reads the
 initial output |y(0)| instead of |x0| (OL, local OL, OOUGB, OOULIM), and
 ``_OF_STATE`` the notions that bound the state norm |x| instead of |y|
-(ISS, IOSS).
+(ISS, IOSS).  Among the level notions, checked against eps + gamma(s),
+``_CONVERGENCE`` holds the convergence notions; it decides "after tau"
+against "by tau" for the checker and the tau fit alike.
 
 Probes come from the plan or from shells: the (r, s) balls that the
 tables (tau, delta and reachability) and the shell-sourced checks (OOULIM,
@@ -133,6 +136,9 @@ _BY_OUTPUT = frozenset({PropertyId.OL, PropertyId.LOCAL_OL, PropertyId.OOUGB,
                         PropertyId.OOULIM})
 # notions that bound the state norm |x|; every other notion bounds |y|
 _OF_STATE = frozenset({PropertyId.ISS, PropertyId.IOSS})
+# the level notions whose bound holds at every time after tau (a convergence
+# time, tau table mode "uag"); every other level notion visits it by tau ("lim")
+_CONVERGENCE = frozenset({PropertyId.OUAG, PropertyId.OGUAG})
 
 
 # ---------------------------------------------------------------------------
@@ -1215,54 +1221,39 @@ def _level_samples(datas, pos, levels, tau, gamma, out: _Outcome, after: bool):
         out.add(block, rows, block.times[rows, k], ynorm[rows, k], bound)
 
 
-def _table_taus(cert: Certificate, datas, table: ConvergenceTimeTable) -> np.ndarray:
-    """tau per (probe, level) from the table, NaN where a cell is missing."""
-    initial = np.array([_initial(cert.property, data) for data in datas])
-    s = np.array([data.probe.s for data in datas])
-    return table._lookup_block(np.asarray(table.eps_grid)[None, :], initial[:, None],
-                               s[:, None])
-
-
-def _check_uag(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
-    table: ConvergenceTimeTable = cert["tau_table"]
+def _check_levels(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
+    """The asymptotic-gain and limit notions: eps + gamma(s) must bound |y|
+    at every grid time at or after the tabulated tau (the notions in
+    ``_CONVERGENCE``, whose cells with tau beyond the horizon are skipped)
+    or at some grid time at or before it.  Without a table each plan level
+    must be visited by the plan horizon.  A form tabulated over (eps, r)
+    alone is input-global: it is exercised up to the largest input norm."""
+    table: ConvergenceTimeTable | None = cert.get("tau_table")
     pos, live = _live(cert, datas, out)
-    tau = _table_taus(cert, live, table)
-    late = tau > plan.horizon + 1e-12  # cells skipped because tau exceeds the horizon
+    if table is None:
+        levels, tau = plan.eps_grid, np.full((len(live), len(plan.eps_grid)), plan.horizon)
+    else:
+        initial = np.array([_initial(cert.property, data) for data in live])
+        levels, s = table.eps_grid, np.array([data.probe.s for data in live])
+        tau = table._lookup_block(np.asarray(levels)[None, :], initial[:, None], s[:, None])
+    after = cert.property in _CONVERGENCE
+    late = (tau > plan.horizon + 1e-12) & after
     if late.any():
         i, j = np.argwhere(late)[0]
         out.notes.append(f"{int(late.sum())} cell(s) skipped where tau exceeds the horizon "
-                         f"(first tau({table.eps_grid[j]:g}, "
-                         f"{_initial(cert.property, live[i]):g}) = {tau[i, j]:g})")
+                         f"(first tau({levels[j]:g}, {initial[i]:g}) = {tau[i, j]:g})")
         tau[late] = math.nan
-    _level_samples(live, pos, table.eps_grid, tau, cert["gamma"], out, after=True)
-
-
-def _check_lim(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
-    table: ConvergenceTimeTable | None = cert.get("tau_table")
-    pos, live = _live(cert, datas, out)
-    levels = plan.eps_grid if table is None else table.eps_grid
-    tau = (np.full((len(live), len(levels)), plan.horizon) if table is None
-           else _table_taus(cert, live, table))
-    _level_samples(live, pos, levels, tau, cert["gamma"], out, after=False)
+    _level_samples(live, pos, levels, tau, cert["gamma"], out, after)
     if table is None:
-        out.notes.append(
-            "visit times capped by the plan horizon: per-trajectory quantifier "
-            "is checked as a finite-horizon proxy"
-        )
-
-
-def _input_global(check):
-    """The checker plus the note that an input-global claim was only
-    exercised up to the largest input norm sampled."""
-    def run(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
-        check(cert, datas, plan, out)
+        out.notes.append("visit times capped by the plan horizon: per-trajectory quantifier "
+                         "is checked as a finite-horizon proxy")
+    elif _forms(cert.property)[0]["tau_table"] == "tau_table_r":
         out.notes.append(f"input-global claim certified up to s_max = "
                          f"{cert.get('s_max', plan.s_max):g}")
-    return run
 
 
 # ---------------------------------------------------------------------------
-# probe sources and the checker table
+# probe sources and the checker rule
 # ---------------------------------------------------------------------------
 
 def _plan_probes(cert: Certificate, ps: ProbeSet, plan: SamplingPlan, out: _Outcome):
@@ -1298,42 +1289,29 @@ def _delta_cells(ps: ProbeSet, delta: float) -> list[tuple]:
             for r in (delta, delta * 0.5)]
 
 
-# property -> (probe source, checker): the one place that decides which
-# quantifier a property's inequality is checked under
-_CHECKERS = {
-    PropertyId.IOS: (_plan_probes, _check_pointwise),
-    PropertyId.ISS: (_plan_probes, _check_pointwise),
-    PropertyId.IOPS: (_plan_probes, _check_pointwise),
-    PropertyId.OCAG: (_plan_probes, _check_pointwise),
-    PropertyId.OL: (_plan_probes, _check_pointwise),
-    PropertyId.LOCAL_OL: (_plan_probes, _check_pointwise),
-    PropertyId.OUGS: (_plan_probes, _check_pointwise),
-    PropertyId.OULS: (_plan_probes, _check_pointwise),
-    PropertyId.OUGB: (_plan_probes, _check_pointwise),
-    PropertyId.OOUGB: (_plan_probes, _check_pointwise),
-    PropertyId.IOSS: (_plan_probes, _check_pointwise),
-    PropertyId.H_BOUNDED: (_plan_probes, _check_pointwise),
-    PropertyId.H_K_BOUNDED: (_plan_probes, _check_pointwise),
-    PropertyId.BORS: (_plan_probes, _check_sup_bound),
-    PropertyId.OBORS: (_plan_probes, _check_sup_bound),
-    PropertyId.OUAG: (_plan_probes, _check_uag),
-    PropertyId.OGUAG: (_plan_probes, _input_global(_check_uag)),
-    PropertyId.OLIM: (_plan_probes, _check_lim),
-    PropertyId.OAG: (_plan_probes, _check_lim),
-    PropertyId.OULIM: (_plan_probes, _check_lim),
-    PropertyId.OGULIM: (_plan_probes, _input_global(_check_lim)),
-    PropertyId.OOULIM: (_initial_output_shells, _check_lim),
-    PropertyId.OCEP: (_delta_row_shells, _check_window_rows),
-}
-
-
 def _checker(cert: Certificate):
-    """The table entry for ``cert``.  The table form of OULS is a continuity
-    table without a tau axis, so it is checked as OCEP is."""
-    prop = PropertyId.OCEP if "delta_table" in cert.params else cert.property
-    if prop not in _CHECKERS:
-        raise CertificateError(f"no checker for property {cert.property.value}")
-    return _CHECKERS[prop]
+    """(probe source, checker) for ``cert``, read off its parameter keys."""
+    return _form_checker(cert.property, cert.params)
+
+
+def _form_checker(prop: PropertyId, form: dict):
+    """The one rule that picks a check from the keys of a certificate form,
+    as ``estimate_gain`` picks its fit: a ``delta_table`` checks continuity
+    rows on delta shells, a ``bound`` the window sup of a reachability ball,
+    a ``beta``, ``sigma`` or ``sigma1`` bound every grid time, and a bare
+    gain its levels, on initial-output shells for the notions in
+    ``_BY_OUTPUT`` and on the plan probes for every other."""
+    if "delta_table" in form:
+        return _delta_row_shells, _check_window_rows
+    if "bound" in form:
+        return _plan_probes, _check_sup_bound
+    if form.keys() & {"beta", "sigma", "sigma1"}:
+        return _plan_probes, _check_pointwise
+    return (_initial_output_shells if prop in _BY_OUTPUT else _plan_probes), _check_levels
+
+
+# property -> (probe source, checker) of its function form
+_CHECKERS = {prop: _form_checker(prop, _forms(prop)[0]) for prop in _SCHEMAS}
 
 
 # ---------------------------------------------------------------------------
@@ -1352,10 +1330,10 @@ def _probe_set(sys: SystemModel, plan: SamplingPlan, probe_set: ProbeSet | None)
 
 def verify(sys: SystemModel, cert: Certificate, plan: SamplingPlan,
            probe_set: ProbeSet | None = None) -> Verdict:
-    """Check the certificate's defining inequality over the probes its
-    table entry draws: the plan's, or shells of its own balls.  A fresh
-    ``probe_set`` simulates its continuity shells with the plan probes
-    (``_prefetch``)."""
+    """Check the certificate's defining inequality over the probes of the
+    check its form's keys pick (``_checker``): the plan's, or shells of its
+    own balls.  A fresh ``probe_set`` simulates its continuity shells with
+    the plan probes (``_prefetch``)."""
     source, check = _checker(cert)
     ps = _probe_set(sys, plan, probe_set)
     if probe_set is not None and source is _plan_probes:
@@ -1644,12 +1622,18 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
     ``gamma`` alone, an asymptotic gain with its tau table.  An input gain
     is fitted to the margins the checker reports for the certificate with
     that gain set to zero (the output-map bounds' gamma1 per input value),
-    so the result verifies on the same plan.  OAG and a form no fit follows
-    are refused with ``EstimationError`` before any simulation.  A fresh
-    ``probe_set`` simulates its continuity shells with the plan probes
-    (``_prefetch``).
+    so the result verifies on the same plan.  Before any simulation, OAG
+    and a form no fit follows are refused with ``EstimationError``, and a
+    ``radius`` or ``table_form`` the form cannot use with ``DomainError``.
+    A fresh ``probe_set`` simulates its continuity shells with the plan
+    probes (``_prefetch``).
     """
-    form = (_forms(prop) or ({},))[-1 if table_form else 0]
+    forms = _forms(prop) or ({},)
+    if table_form and len(forms) == 1:
+        raise DomainError(f"{prop.value} has no table form")
+    form = forms[-1 if table_form else 0]
+    if radius is not None and "radius" not in form:
+        raise DomainError(f"{prop.value}: the certificate form has no radius")
     if prop == PropertyId.OAG:
         raise EstimationError(
             "per-trajectory visit times over unbounded inputs are not estimable "
@@ -1670,7 +1654,7 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
     if not form.keys() & {"sigma1", "sigma", "beta"}:
         params = {"gamma": _fit_asymptotic_gain(live, plan)}
         if "tau_table" in form:
-            mode = "uag" if prop in (PropertyId.OUAG, PropertyId.OGUAG) else "lim"
+            mode = "uag" if prop in _CONVERGENCE else "lim"
             by_output = prop in _BY_OUTPUT
             s_grid = None if by_output or form["tau_table"] == "tau_table_r" else plan.s_levels
             table = params["tau_table"] = build_tau_table(

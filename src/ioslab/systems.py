@@ -388,15 +388,18 @@ def check_axioms(sys: SystemModel, samples, plan: SimPlan) -> AxiomReport:
 
 
 def full_state_wrap(sys: SystemModel) -> SystemModel:
-    """Re-output the state itself: h(x, u) = x."""
+    """Re-output the state through its norm: h(x, u) = state_norm(x), one
+    output coordinate.  |y| then equals the norm the stability definitions
+    quantify over, also for states stored in non-Euclidean coordinates, so
+    an IOS check on the wrap is the ISS check of ``sys``."""
     return SystemModel(
         name=f"{sys.name}_full_state",
         time_set=sys.time_set,
         state_dim=sys.state_dim,
         input_dim=sys.input_dim,
         rhs=sys.rhs,
-        output=lambda x, u: np.asarray(x, dtype=float),
-        output_dim=sys.state_dim,
+        output=lambda x, u: np.asarray(sys.state_norm(x), dtype=float)[..., None],
+        output_dim=1,
         analytic_flow=sys.analytic_flow,
         state_norm=sys.state_norm,
         embed=sys.embed,

@@ -183,6 +183,26 @@ def test_l_class_decreasing_limit_zero():
     assert f(1e3) <= 1e-12
 
 
+def test_l_declarations_are_checked():
+    with pytest.raises(ClassError, match="increasing somewhere"):
+        cf.declare(cf.identity(), "L")
+    with pytest.raises(ClassError, match="tail value 1 does not vanish"):
+        cf.declare(cf.constant(1.0), "L")
+    assert cf.declare(cf.compose(cf.exp_decay(), cf.scale(2.0)), "L").fn_class == "L"
+
+
+def test_compose_with_an_inner_l_or_constant_function():
+    """K after L is L; an increasing function that is not K after L, and
+    anything after a constant, has no class the closure rules know."""
+    f = cf.compose(cf.scale(2.0), cf.exp_decay())
+    assert f.fn_class == "L"
+    assert f(0.0) == 2.0
+    with pytest.raises(ClassError, match="cannot compose increasing with inner L"):
+        cf.compose(cf.sat(), cf.exp_decay())
+    with pytest.raises(ClassError, match="inner class constant"):
+        cf.compose(cf.scale(2.0), cf.constant(1.0))
+
+
 # ---------------------------------------------------------------------------
 # piecewise-exponential KL builder
 # ---------------------------------------------------------------------------

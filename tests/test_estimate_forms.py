@@ -69,6 +69,30 @@ def test_refused_notions_make_no_kernel_call(lin_sys, lin_plan, kernel_calls, pr
     assert not ps._cache
 
 
+@pytest.mark.parametrize("prop, kwargs, match", [
+    (PropertyId.OUGS, {"radius": 0.01}, "has no radius"),
+    (PropertyId.IOS, {"radius": 1.0}, "has no radius"),
+    (PropertyId.OULS, {"radius": 0.5, "table_form": True}, "has no radius"),
+    (PropertyId.OUGS, {"table_form": True}, "has no table form"),
+    (PropertyId.OUGS, {"radius": 0.01, "table_form": True}, "has no table form"),
+    (PropertyId.OCEP, {"table_form": True}, "has no table form"),
+])
+def test_arguments_the_form_cannot_use_are_refused_before_any_simulation(
+        lin_sys, lin_plan, kernel_calls, prop, kwargs, match):
+    """A radius for a form without one, or the table form of a notion with
+    one form, used to be dropped: the fit came back as if never asked."""
+    ps = ProbeSet(lin_sys, lin_plan)
+    with pytest.raises(DomainError, match=match):
+        estimate_gain(lin_sys, prop, lin_plan, probe_set=ps, **kwargs)
+    assert kernel_calls == []
+    assert not ps._cache
+
+
+def test_a_radius_the_form_has_is_fitted_on(lin_sys, lin_plan):
+    cert = estimate_gain(lin_sys, PropertyId.OULS, lin_plan, radius=1.0)
+    assert cert["radius"] == 1.0
+
+
 @pytest.mark.parametrize("prop, table_form", [(PropertyId.OCEP, False), (PropertyId.OULS, True)])
 def test_standalone_delta_forms_request_only_their_shells(lin_sys, lin_plan, monkeypatch, prop,
                                                           table_form):

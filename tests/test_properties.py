@@ -591,6 +591,22 @@ def test_full_state_reduction_ios_equals_iss(lin_sys, lin_plan):
     assert v_ios.samples == v_iss.samples
 
 
+@pytest.mark.parametrize("zid", zoo_ids())
+def test_full_state_wrap_reads_the_state_norm_on_every_zoo_entry(zid):
+    """The ISS special case of IOS: on the wrap |y| is the state norm bit for
+    bit, so IOS and ISS certificates with equal parameters check alike, also
+    for states stored in polar coordinates."""
+    entry = get_entry(zid)
+    wrapped, plan = full_state_wrap(entry.factory()), entry.default_plan()
+    ps = ProbeSet(wrapped, plan)
+    for data in ps.all_data():
+        np.testing.assert_array_equal(data.ynorm, data.xnorm)
+    params = {"beta": cf.kl_exp(), "gamma": cf.identity()}
+    v_ios = verify(wrapped, Certificate(PropertyId.IOS, params), plan, probe_set=ps)
+    v_iss = verify(wrapped, Certificate(PropertyId.ISS, params), plan, probe_set=ps)
+    assert (v_ios.status, v_ios.min_slack) == (v_iss.status, v_iss.min_slack)
+
+
 def test_eps_delta_ouls_equivalence():
     """Function-form and table-form local stability checkers agree.
 
