@@ -223,7 +223,7 @@ def kl_at_zero(beta: KLFn) -> ScalarFn:
     raise DomainError(f"no zero-slice rule for KL node {k!r}")
 
 
-def tau_bar(table: ConvergenceTimeTable, eps: float, r: float, s: float | None = None) -> float:
+def tau_bar(table: ConvergenceTimeTable, eps: float, r: float) -> float:
     """Integral mean (1/r) int_r^2r tau(q) dq: a continuous majorant of tau.
 
     For any nondecreasing tau the mean over [r, 2r] dominates tau(r).
@@ -232,7 +232,7 @@ def tau_bar(table: ConvergenceTimeTable, eps: float, r: float, s: float | None =
     if r <= 0:
         raise DomainError("radius must be positive")
     qs = np.linspace(r, 2.0 * r, 33)
-    vals = [table.eval(eps, q, s) for q in qs]
+    vals = [table.eval(eps, q) for q in qs]
     return float(np.trapezoid(vals, qs) / r)
 
 

@@ -618,7 +618,8 @@ class SamplingPlan:
         if self.sim is None:
             object.__setattr__(self, "sim", SimPlan(self.horizon))
         elif abs(self.sim.horizon - self.horizon) > 1e-12:
-            object.__setattr__(self, "sim", replace(self.sim, horizon=self.horizon))
+            raise DomainError(f"plan horizon {self.horizon} differs from its sim's "
+                              f"{self.sim.horizon}")
 
     @property
     def s_max(self) -> float:
@@ -1514,32 +1515,35 @@ def estimate_tau(sys: SystemModel, eps: float, r: float, s: float, mode: str,
 
 
 def build_tau_table(sys: SystemModel, plan: SamplingPlan, mode: str,
-                    gamma_ref: ScalarFn, eps_grid=None, r_grid=None, s_grid=None,
-                    probe_set: ProbeSet | None = None,
+                    gamma_ref: ScalarFn, s_grid=None, probe_set: ProbeSet | None = None,
                     over_initial_output: bool = False) -> ConvergenceTimeTable:
     """Tabulate empirical times over plan grids; unreachable cells become inf."""
     _check_tau_mode(mode)
     ps = _probe_set(sys, plan, probe_set)
-    eps_grid = tuple(eps_grid if eps_grid is not None else plan.eps_grid)
-    r_grid = tuple(r_grid if r_grid is not None else plan.radii)
     s_levels = tuple(s_grid) if s_grid is not None else plan.s_levels
-    shells = ps.shells([(r, s) for r in r_grid for s in s_levels], by_output=over_initial_output)
-    if over_initial_output:
-        # the check reads a probe in the row its own |y(0)| snaps up to, so row
-        # r_y is fitted on every drawn probe, from any shell, that snaps to r_y or below
-        n_s = len(s_levels)
-        drawn = [[data for shell in shells[k::n_s] for data in shell] for k in range(n_s)]
-        shells = [[data for data in drawn[k] if data.y0 - 1e-12 <= r]
-                  for r in r_grid for k in range(n_s)]
-    taus = [_shell_tau(shell, eps, mode, gamma_ref)[0] for eps in eps_grid for shell in shells]
+    shells = _table_shells(ps, s_levels, over_initial_output)
+    taus = [_shell_tau(shell, eps, mode, gamma_ref)[0] for eps in plan.eps_grid for shell in shells]
     vals = np.array([math.inf if tau is None else tau for tau in taus]).reshape(
-        len(eps_grid), len(r_grid), len(s_levels))
+        len(plan.eps_grid), len(plan.radii), len(s_levels))
     if s_grid is None:
-        return ConvergenceTimeTable(eps_grid, r_grid, None, vals.max(axis=2), mode=mode)
-    return ConvergenceTimeTable(eps_grid, r_grid, s_levels, vals, mode=mode)
+        return ConvergenceTimeTable(plan.eps_grid, plan.radii, None, vals.max(axis=2), mode=mode)
+    return ConvergenceTimeTable(plan.eps_grid, plan.radii, s_levels, vals, mode=mode)
 
 
-def _fit_decay_rate(series_list, horizon: float, floor: float = 5e-3) -> float:
+def _table_shells(ps: ProbeSet, s_levels, over_initial_output: bool) -> list[list[ProbeData]]:
+    """The probes behind each (r, s) cell of a table over the plan's radii,
+    r-major.  Over initial output, the checks read a probe in the row its own
+    |y(0)| snaps up to, so row r_y holds every drawn probe of level s, from
+    any shell, whose |y(0)| is r_y or below."""
+    radii, n_s = ps.plan.radii, len(s_levels)
+    shells = ps.shells([(r, s) for r in radii for s in s_levels], by_output=over_initial_output)
+    if not over_initial_output:
+        return shells
+    drawn = [[data for shell in shells[k::n_s] for data in shell] for k in range(n_s)]
+    return [[data for data in drawn[k] if data.y0 - 1e-12 <= r] for r in radii for k in range(n_s)]
+
+
+def _fit_decay_rate(series_list, horizon: float) -> float:
     """Shared exponential rate read off the late-time window of each probe.
 
     A probe that has already converged below numerical noise does not
@@ -1557,7 +1561,7 @@ def _fit_decay_rate(series_list, horizon: float, floor: float = 5e-3) -> float:
     if not rates:
         return 1.0
     a = 0.9 * min(rates)
-    if a <= floor:
+    if a <= 5e-3:
         raise EstimationError(
             "output profiles do not decay within the horizon: no separable "
             "decay envelope exists on this data"
@@ -1778,17 +1782,15 @@ def build_reachability_bound(sys: SystemModel, plan: SamplingPlan,
                              probe_set: ProbeSet | None = None) -> ReachabilityBound:
     """Empirical sup-output table with monotone rectification."""
     ps = _probe_set(sys, plan, probe_set)
-    r_grid = tuple(plan.radii)
-    s_grid = plan.s_levels
     t_grid = tuple(np.linspace(0.0, plan.horizon, 9)[1:])
 
     def worst(datas, t_cap):
         return max((float(_window_sup(data, t_cap)[1]) for data in datas), default=0.0)
 
-    shells = ps.shells([(r, s) for r in r_grid for s in s_grid], by_output=over_initial_output)
+    shells = _table_shells(ps, plan.s_levels, over_initial_output)
     values = np.array([[worst(datas, t_cap) for t_cap in t_grid] for datas in shells]).reshape(
-        len(r_grid), len(s_grid), len(t_grid))
-    return ReachabilityBound(r_grid, s_grid, t_grid, values, over_initial_output)
+        len(plan.radii), len(plan.s_levels), len(t_grid))
+    return ReachabilityBound(plan.radii, plan.s_levels, t_grid, values, over_initial_output)
 
 
 def first_crossing_time(sys: SystemModel, x0, u: InputSignal, target_radius: float,

@@ -1,13 +1,16 @@
 """Built-in example systems with known verdicts and falsification witnesses.
 
 Every entry couples a system factory with
-  * expected property verdicts (holds / fails / unknown),
-  * witness recipes for each expected failure, replayable through the
-    simulator,
   * analytic certificates for the properties known to hold in closed form,
     given as {notion: parameters} rows, so each notion is named once and a
     parameter set that several notions share is written once,
+  * witness recipes for the properties known to fail, replayable through
+    the simulator,
+  * the statuses nothing else implies ("holds" known by argument, or
+    "unknown"),
   * a default sampling plan sized so the interesting behaviour is visible.
+Each status is stated once: an entry's ``expected`` map (holds / fails /
+unknown) is derived from the three, see ``ZooEntry``.
 
 Systems
 -------
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -113,14 +117,41 @@ class WitnessRecipe:
 
 @dataclass(frozen=True)
 class ZooEntry:
+    """A zoo system with its known statuses and the evidence behind them.
+
+    ``expected`` is derived once per entry: "holds" for each notion with an
+    analytic certificate, "fails" for each notion with a witness recipe, then
+    ``stated``, which holds only what nothing else implies.  So a failure
+    cannot be stated without its recipe.  Reading ``expected`` raises
+    ``DomainError`` when ``stated`` holds a status other than "holds" or
+    "unknown", or one for a notion with a certificate or a recipe, or when a
+    notion has both.
+    """
+
     id: str
     factory: Callable[..., SystemModel]
-    expected: dict = field(default_factory=dict)
+    stated: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
     certificates: Callable[[], dict] = lambda: {}
     default_plan: Callable[[], SamplingPlan] = None
     estimable: tuple = ()
     notes: str = ""
+
+    @cached_property
+    def expected(self) -> dict:
+        holds, fails = self.certificates().keys(), self.witnesses.keys()
+        stated = self.stated.keys()
+        refused = {
+            "both a certificate and a witness recipe": holds & fails,
+            "a stated status beside a certificate or a recipe": stated & (holds | fails),
+            "a stated status other than holds or unknown (a failure is stated by its recipe)":
+                {p for p in stated if self.stated[p] not in ("holds", "unknown")},
+        }
+        for why, notions in refused.items():
+            if notions:
+                names = ", ".join(sorted(p.value for p in notions))
+                raise DomainError(f"{self.id}: {names}: {why}")
+        return {**dict.fromkeys(holds, "holds"), **dict.fromkeys(fails, "fails"), **self.stated}
 
     def describe(self) -> dict:
         return {
@@ -417,27 +448,9 @@ def _sin_output_entry() -> ZooEntry:
     return ZooEntry(
         id="sin_output",
         factory=lambda **kw: _sin_output(),
-        expected={
-            PropertyId.IOS: "holds",
-            PropertyId.ISS: "holds",
-            PropertyId.OUGS: "holds",
-            PropertyId.OULS: "holds",
-            PropertyId.OCEP: "holds",
-            PropertyId.OUAG: "holds",
-            PropertyId.OGUAG: "holds",
-            PropertyId.OCAG: "holds",
-            PropertyId.IOPS: "holds",
-            PropertyId.OUGB: "holds",
-            PropertyId.BORS: "holds",
-            PropertyId.H_BOUNDED: "holds",
-            PropertyId.H_K_BOUNDED: "holds",
-            PropertyId.OULIM: "holds",
-            PropertyId.OGULIM: "holds",
-            PropertyId.OLIM: "holds",
-            PropertyId.IOSS: "holds",
-            PropertyId.LOCAL_OL: "holds",
-            PropertyId.OL: "fails",
-        },
+        stated=dict.fromkeys((PropertyId.OCEP, PropertyId.OGUAG, PropertyId.OCAG, PropertyId.IOPS,
+                              PropertyId.OUGB, PropertyId.BORS, PropertyId.OULIM,
+                              PropertyId.OGULIM, PropertyId.OLIM), "holds"),
         witnesses={
             PropertyId.OL: WitnessRecipe(
                 x0=(math.pi,),
@@ -474,23 +487,8 @@ def _rotation_entry() -> ZooEntry:
     return ZooEntry(
         id="rotation",
         factory=lambda **kw: _rotation(),
-        expected={
-            PropertyId.OUGS: "holds",
-            PropertyId.OULS: "holds",
-            PropertyId.OCEP: "holds",
-            PropertyId.OUGB: "holds",
-            PropertyId.BORS: "holds",
-            PropertyId.H_BOUNDED: "holds",
-            PropertyId.H_K_BOUNDED: "holds",
-            PropertyId.OULIM: "holds",
-            PropertyId.OGULIM: "holds",
-            PropertyId.OOULIM: "holds",
-            PropertyId.OLIM: "holds",
-            PropertyId.IOSS: "holds",
-            PropertyId.IOS: "fails",
-            PropertyId.OL: "fails",
-            PropertyId.ISS: "fails",
-        },
+        stated=dict.fromkeys((PropertyId.OCEP, PropertyId.BORS, PropertyId.OULIM,
+                              PropertyId.OGULIM, PropertyId.OOULIM, PropertyId.OLIM), "holds"),
         witnesses={
             PropertyId.IOS: WitnessRecipe(
                 x0=(0.0, 1.0),
@@ -541,21 +539,8 @@ def _sat_polar_entry() -> ZooEntry:
     return ZooEntry(
         id="sat_polar",
         factory=lambda **kw: _sat_polar(),
-        expected={
-            PropertyId.LOCAL_OL: "holds",
-            PropertyId.OULS: "holds",
-            PropertyId.OCEP: "holds",
-            PropertyId.OUGS: "holds",
-            PropertyId.BORS: "holds",
-            PropertyId.OBORS: "holds",
-            PropertyId.OGULIM: "holds",
-            PropertyId.OULIM: "holds",
-            PropertyId.OLIM: "holds",
-            PropertyId.IOS: "holds",
-            PropertyId.H_BOUNDED: "holds",
-            PropertyId.OL: "fails",
-            PropertyId.OOULIM: "fails",
-        },
+        stated=dict.fromkeys((PropertyId.OCEP, PropertyId.OGULIM, PropertyId.OULIM,
+                              PropertyId.OLIM, PropertyId.IOS), "holds"),
         witnesses={
             PropertyId.OL: WitnessRecipe(
                 x0=(0.5 * math.pi, c),
@@ -602,15 +587,7 @@ def _l2_blowup_entry() -> ZooEntry:
     return ZooEntry(
         id="l2_blowup",
         factory=lambda n=64, **kw: _l2_blowup(n),
-        expected={
-            PropertyId.OULS: "holds",
-            PropertyId.OCEP: "holds",
-            PropertyId.H_BOUNDED: "holds",
-            PropertyId.BORS: "fails",
-            PropertyId.IOS: "fails",
-            PropertyId.ISS: "fails",
-            PropertyId.FC: "unknown",
-        },
+        stated={PropertyId.OCEP: "holds", PropertyId.FC: "unknown"},
         witnesses={
             PropertyId.BORS: WitnessRecipe(
                 x0=(),  # built per truncation width, see seed_state
@@ -659,15 +636,7 @@ def _l2_timewarp_entry() -> ZooEntry:
     return ZooEntry(
         id="l2_timewarp",
         factory=lambda n=16, **kw: _l2_timewarp(n),
-        expected={
-            PropertyId.OULS: "holds",
-            PropertyId.OCEP: "holds",
-            PropertyId.H_BOUNDED: "holds",
-            PropertyId.OUAG: "holds",
-            PropertyId.OULIM: "holds",
-            PropertyId.OGUAG: "fails",
-            PropertyId.BORS: "fails",
-        },
+        stated=dict.fromkeys((PropertyId.OCEP, PropertyId.OUAG, PropertyId.OULIM), "holds"),
         witnesses={
             PropertyId.OGUAG: WitnessRecipe(
                 x0=(),
@@ -704,30 +673,8 @@ def _lin_scalar_entry() -> ZooEntry:
     return ZooEntry(
         id="lin_scalar",
         factory=lambda **kw: _lin_scalar(),
-        expected={
-            PropertyId.IOS: "holds",
-            PropertyId.ISS: "holds",
-            PropertyId.OL: "holds",
-            PropertyId.LOCAL_OL: "holds",
-            PropertyId.OUGS: "holds",
-            PropertyId.OULS: "holds",
-            PropertyId.OUGB: "holds",
-            PropertyId.OOUGB: "holds",
-            PropertyId.OCEP: "holds",
-            PropertyId.OUAG: "holds",
-            PropertyId.OGUAG: "holds",
-            PropertyId.OCAG: "holds",
-            PropertyId.IOPS: "holds",
-            PropertyId.BORS: "holds",
-            PropertyId.OBORS: "holds",
-            PropertyId.H_BOUNDED: "holds",
-            PropertyId.H_K_BOUNDED: "holds",
-            PropertyId.OULIM: "holds",
-            PropertyId.OGULIM: "holds",
-            PropertyId.OOULIM: "holds",
-            PropertyId.OLIM: "holds",
-            PropertyId.IOSS: "holds",
-        },
+        stated=dict.fromkeys((PropertyId.OCEP, PropertyId.OULIM, PropertyId.OGULIM,
+                              PropertyId.OOULIM, PropertyId.OLIM), "holds"),
         witnesses={},
         certificates=_lin_scalar_certs,
         default_plan=lambda: SamplingPlan(

@@ -1,7 +1,8 @@
 """No unused symbols in ``src/ioslab``: every module-level ``_name`` must be
 mentioned somewhere in ``src/``, ``tests/`` or ``iosbench/`` besides its own
-definition, and every non-dunder method of a class must be accessed there as
-an attribute ``.name``."""
+definition, every non-dunder method of a class must be accessed there as
+an attribute ``.name``, and every defaulted parameter must be set by some
+call there."""
 
 import ast
 import re
@@ -59,3 +60,42 @@ def test_every_method_is_accessed():
                        and not (fn.name.startswith("__") and fn.name.endswith("__"))
                        and fn.name not in accessed]
     assert unused == []
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function name, parameter name, its position or None when keyword-only)
+    for every defaulted parameter of a named function; the position does
+    not count ``self`` or ``cls``."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        skip = 1 if positional[:1] in (["self"], ["cls"]) else 0
+        for k, a in enumerate(positional[len(positional) - len(args.defaults):]):
+            yield fn.name, a, len(positional) - len(args.defaults) + k - skip
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield fn.name, a.arg, None
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    """A call to a function of the same name sets a defaulted parameter when
+    it passes it by keyword, passes more positional arguments than its
+    position, or splats ``**kwargs``."""
+    calls: dict = {}  # function name -> [(positional count, keywords, splats)]
+    for text in _corpus():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (len(node.args), keywords - {None}, None in keywords))
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, param, pos in _defaulted_parameters(ast.parse(path.read_text())):
+            if not any(param in keywords or splat or (pos is not None and count > pos)
+                       for count, keywords, splat in calls.get(name, [])):
+                unset.append(f"{path.name}:{name}({param})")
+    assert unset == []

@@ -1153,3 +1153,29 @@ def test_a_probe_set_draws_each_direction_list_and_input_family_once(lin_sys, li
     assert len(draws) == len(set(draws))
     assert sum(d[0] == "_directions" for d in draws) == 2
     assert sum(d[0] == "_inputs_at_norm" for d in draws) == 2 * len(lin_plan.s_levels) + 2
+
+
+def test_plan_refuses_a_sim_with_another_horizon():
+    """The plan's horizon is the one the probes integrate to: a sim plan
+    with another horizon is refused, not overwritten."""
+    with pytest.raises(DomainError, match="horizon"):
+        SamplingPlan(radii=(1.0,), sim=SimPlan(20.0))
+    assert SamplingPlan(radii=(1.0,), horizon=20.0, sim=SimPlan(20.0)).sim.horizon == 20.0
+
+
+@pytest.mark.parametrize("zid", ["rotation", "sat_polar"])
+def test_output_reachability_bound_covers_every_drawn_output_shell_probe(zid):
+    """Every probe drawn for the output-axis table stays, at each tabulated
+    t, below the cell its own |y(0)| and input norm snap up to, as the
+    OBORS check reads it."""
+    entry = get_entry(zid)
+    sys, plan = entry.factory(), entry.default_plan()
+    ps = ProbeSet(sys, plan)
+    mu = build_reachability_bound(sys, plan, over_initial_output=True, probe_set=ps)
+    shells = ps.shells([(r, s) for r in plan.radii for s in plan.s_levels], by_output=True)
+    drawn = [data for shell in shells for data in shell]
+    assert drawn
+    for data in drawn:
+        for t in mu.t_grid:
+            sup = float(np.max(data.ynorm[data.times <= t + 1e-12]))
+            assert sup <= mu.eval(data.y0, data.probe.s, t) + 1e-12, (data.probe.tag, t)

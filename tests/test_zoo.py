@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,3 +291,35 @@ def test_l2_rhs_equals_the_one_expression_bit_for_bit(n):
             assert np.array_equal(np.isnan(got), nan)
             assert np.array_equal(got[~finite & ~nan], want[~finite & ~nan])  # signed infs
             assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# derived statuses: certificates say what holds, witness recipes what fails
+# ---------------------------------------------------------------------------
+
+def _restated(zoo_id: str, **fields) -> zoo.ZooEntry:
+    return replace(zoo.get_entry(zoo_id), **fields)
+
+
+def test_a_stated_failure_is_refused():
+    # l2_blowup's FC is "unknown"; stating it as a failure needs a recipe
+    entry = _restated("l2_blowup", stated={P.OCEP: "holds", P.FC: "fails"})
+    with pytest.raises(DomainError, match="FC.*stated by its recipe"):
+        entry.expected
+
+
+@pytest.mark.parametrize("prop, status", [(P.OULS, "holds"), (P.BORS, "unknown")])
+def test_a_stated_status_beside_a_certificate_or_recipe_is_refused(prop, status):
+    # l2_blowup has a certificate for OULS and a witness recipe for BORS
+    entry = _restated("l2_blowup", stated={P.OCEP: "holds", prop: status})
+    with pytest.raises(DomainError, match=f"{prop.value}: a stated status beside"):
+        entry.expected
+
+
+def test_a_notion_with_a_certificate_and_a_recipe_is_refused():
+    # sat_polar certifies OULS; a recipe for it would say it fails too
+    base = zoo.get_entry("sat_polar")
+    entry = _restated("sat_polar", witnesses={**base.witnesses,
+                                              P.OULS: base.witnesses[P.OL]})
+    with pytest.raises(DomainError, match="OULS: both a certificate and a witness recipe"):
+        entry.expected
