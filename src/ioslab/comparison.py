@@ -22,11 +22,16 @@ are validated on demand (:func:`check_kl`) rather than per node, because
 useful intermediate nodes (e.g. the time profile ``1 + exp(-t)``) are not KL
 on their own even though enclosing min-expressions are.
 
+The one piecewise-exponential node, ``kl_grid_pw_exp``, holds one knot row
+per grid radius and decays by a factor e between consecutive knots.  It
+reads its radius cell by the tables' ball-axis rule (:func:`snap_up`), so a
+profile built from a table answers exactly the radii the table answers.
+
 All nodes are immutable and hashable, so certificates built from them can be
 shared freely between concurrent evaluations.  Evaluation is vectorised over
 numpy arrays.  Serialisation uses plain dicts with field names ``kind``,
-``class``, ``children``, ``knots``, ``values`` plus scalar parameters, and
-round-trips closed forms bit-exactly.
+``class``, ``children``, ``knots``, ``values``, ``r_grid``, ``knot_rows``
+plus scalar parameters, and round-trips closed forms bit-exactly.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ __all__ = [
     "kl_time_scale",
     "build_piecewise_kl",
     "grid_piecewise_kl",
+    "snap_up",
     "kl_eval",
     "check_class",
     "declare",
@@ -508,13 +514,22 @@ def fit_monotone_envelope(
 # KL candidates
 # ---------------------------------------------------------------------------
 
+def snap_up(grid: np.ndarray, x):
+    """The ball-axis cell rule shared by tables and knot-row profiles: the
+    index of the first grid point at or above x - 1e-12, whose entry covers
+    the whole ball below it; ``len(grid)`` when x lies beyond the grid.
+    Elementwise on an array of queries."""
+    return grid.searchsorted(x - 1e-12, side="left")
+
+
 @dataclass(frozen=True)
 class KnotSequence:
-    """Strictly increasing times starting at 0 plus a Kinf amplitude profile."""
+    """One knot row: strictly increasing times tau_0 = 0 < tau_1 < ..., plus
+    a Kinf amplitude profile eps0; the constructions put at tau_n the time
+    by which the level e**-n eps0(r) is reached."""
 
     taus: tuple
     eps0: ScalarFn
-    decay_base: float = math.e
 
     def __post_init__(self):
         taus = tuple(float(t) for t in self.taus)
@@ -527,8 +542,6 @@ class KnotSequence:
             raise DomainError("knots must be strictly increasing")
         if self.eps0.fn_class != "Kinf":
             raise ClassError("amplitude profile must be class Kinf")
-        if self.decay_base <= 1.0:
-            raise DomainError("decay base must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -538,10 +551,9 @@ class KLFn:
     kind: str
     children: tuple = ()          # KLFn children
     fns: tuple = ()               # ScalarFn children, role fixed by kind
-    knots: tuple = ()
     r_grid: tuple = ()
     knot_rows: tuple = ()
-    param: float | None = None    # time-scale factor / decay base
+    param: float | None = None    # time-scale factor; e for a profile
 
     def __call__(self, r, t):
         scalar_in = np.isscalar(r) and np.isscalar(t)
@@ -568,24 +580,14 @@ class KLFn:
             return self.children[0]._eval(self.fns[0]._eval(r), t)
         if k == "kl_time_scale":
             return self.children[0]._eval(r, self.param * t)
-        if k == "kl_pw_exp":
-            return self._eval_pw(np.asarray(self.knots), r, t)
         if k == "kl_grid_pw_exp":
             return self._eval_grid_pw(r, t)
         raise ValueError(f"unknown KL node kind {k!r}")
 
-    def _eval_pw(self, knots, r, t):
-        base = self.param
-        idx = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
-        lo = knots[idx]
-        width = knots[idx + 1] - knots[idx]
-        expo = -(idx - 1.0) - (t - lo) / width
-        return base ** expo * self.fns[0]._eval(r)
-
     def _eval_grid_pw(self, r, t):
         grid = np.asarray(self.r_grid)
         r, t = np.broadcast_arrays(r, t)
-        cell = np.searchsorted(grid, r, side="left")
+        cell = snap_up(grid, r)
         if np.any(cell >= len(grid)):
             raise TableGapError(
                 f"radius {np.max(r):g} beyond certified grid end {grid[-1]:g}"
@@ -593,7 +595,10 @@ class KLFn:
         out = np.empty(r.shape)
         for i in np.unique(cell):  # one knot row per radius cell
             mask = cell == i
-            out[mask] = self._eval_pw(np.asarray(self.knot_rows[i]), r[mask], t[mask])
+            knots, tm = np.asarray(self.knot_rows[i]), t[mask]
+            idx = np.clip(np.searchsorted(knots, tm, side="right") - 1, 0, len(knots) - 2)
+            expo = -(idx - 1.0) - (tm - knots[idx]) / (knots[idx + 1] - knots[idx])
+            out[mask] = math.e ** expo * self.fns[0]._eval(r[mask])
         return out
 
     def to_dict(self) -> dict:
@@ -640,38 +645,31 @@ def kl_time_scale(beta: KLFn, a: float) -> KLFn:
 
 
 def build_piecewise_kl(knot_seq: KnotSequence) -> KLFn:
-    """Knot-anchored exponential decay profile.
-
-    On [tau_n, tau_{n+1}) the value is
-    ``base**(-(n-1) - (t - tau_n)/(tau_{n+1} - tau_n)) * eps0(r)``, which is
-    continuous at every knot and equals ``base**(-(n-1)) * eps0(r)`` there.
-    Beyond the last knot the final segment's rate keeps going, so the profile
-    still decays to zero.
-    """
-    return KLFn(
-        "kl_pw_exp",
-        fns=(knot_seq.eps0,),
-        knots=knot_seq.taus,
-        param=float(knot_seq.decay_base),
-    )
+    """The profile of one knot row for every radius:
+    ``grid_piecewise_kl((inf,), (knot_seq.taus,), knot_seq.eps0)``."""
+    return grid_piecewise_kl((math.inf,), (knot_seq.taus,), knot_seq.eps0)
 
 
-def grid_piecewise_kl(r_grid, knot_rows, eps0: ScalarFn, base: float = math.e) -> KLFn:
-    """Piecewise-exponential decay with radius-dependent knot sequences.
+def grid_piecewise_kl(r_grid, knot_rows, eps0: ScalarFn) -> KLFn:
+    """Piecewise-exponential decay with one knot row per grid radius.
 
-    ``knot_rows[i]`` is the knot sequence valid for all radii up to
-    ``r_grid[i]``; evaluation snaps the radius argument up to the next grid
-    point, which only ever delays the decay and therefore keeps any bound
-    built from the rows valid.  Queries beyond the last grid radius raise
-    ``TableGapError``.
+    On [tau_n, tau_{n+1}) of a row the value is
+    ``e**(-(n-1) - (t - tau_n)/(tau_{n+1} - tau_n)) * eps0(r)``, which is
+    continuous at every knot and equals ``e**(-(n-1)) * eps0(r)`` there.
+    Beyond the last knot the final segment's rate keeps going, so the
+    profile still decays to zero.  ``knot_rows[i]`` is valid for all radii
+    up to ``r_grid[i]``: a radius reads its row by the tables' ball-axis
+    rule (:func:`snap_up`), which only ever delays the decay and therefore
+    keeps any bound built from the rows valid.  Radii beyond the last grid
+    point raise ``TableGapError``; a last grid point of inf covers them all.
     """
     rg = tuple(float(x) for x in r_grid)
     rows = tuple(tuple(float(t) for t in row) for row in knot_rows)
     if len(rg) != len(rows) or not rg:
         raise DomainError("need one knot row per grid radius")
     for row in rows:
-        KnotSequence(row, eps0, base)  # validates shape
-    return KLFn("kl_grid_pw_exp", fns=(eps0,), r_grid=rg, knot_rows=rows, param=float(base))
+        KnotSequence(row, eps0)  # validates shape
+    return KLFn("kl_grid_pw_exp", fns=(eps0,), r_grid=rg, knot_rows=rows, param=math.e)
 
 
 def kl_eval(beta: KLFn, r, t):
@@ -737,8 +735,6 @@ def fn_to_dict(fn) -> dict:
             d["children"] = [fn_to_dict(c) for c in fn.children]
         if fn.fns:
             d["fns"] = [fn_to_dict(c) for c in fn.fns]
-        if fn.knots:
-            d["knots"] = list(fn.knots)
         if fn.r_grid:
             d["r_grid"] = list(fn.r_grid)
             d["knot_rows"] = [list(row) for row in fn.knot_rows]
@@ -756,12 +752,6 @@ _SCALAR_LEAVES = {
     "exp_decay": lambda d: exp_decay(),
     "pwl": lambda d: pwl(d["knots"], d["values"], d["class"]),
 }
-_KL_LEAVES = {
-    "kl_pw_exp": lambda d, fns: build_piecewise_kl(
-        KnotSequence(tuple(d["knots"]), fns[0], d["param"])),
-    "kl_grid_pw_exp": lambda d, fns: grid_piecewise_kl(d["r_grid"], d["knot_rows"], fns[0],
-                                                       d["param"]),
-}
 _SCALAR_COMPOSITES = ("add", "max", "min", "compose")
 _KL_COMPOSITES = ("kl_separable", "kl_min", "kl_max", "kl_sum", "kl_outer", "kl_inner",
                   "kl_time_scale")
@@ -776,7 +766,8 @@ def fn_from_dict(d: dict):
     sampled check refutes raise.  Composite nodes keep their stored class
     unchecked: the structural closure rules tagged them, and some valid
     structural tags do not survive the sampled check.  An unknown node,
-    kind or class raises ``DomainError``.
+    kind or class, or a profile whose decay base is not e, raises
+    ``DomainError``.
     """
     node, kind = d.get("node", "scalar"), d.get("kind")
     children = tuple(fn_from_dict(c) for c in d.get("children", ()))
@@ -788,8 +779,10 @@ def fn_from_dict(d: dict):
             return ScalarFn(kind, d["class"], children, d.get("param"))
     if node == "kl":
         fns = tuple(fn_from_dict(c) for c in d.get("fns", ()))
-        if kind in _KL_LEAVES:
-            return _KL_LEAVES[kind](d, fns)
+        if kind == "kl_grid_pw_exp":
+            if d.get("param") != math.e:
+                raise DomainError(f"a profile decays in base e, not {d.get('param')!r}")
+            return grid_piecewise_kl(d["r_grid"], d["knot_rows"], fns[0])
         if kind in _KL_COMPOSITES:
             return KLFn(kind, children, fns, param=d.get("param"))
     raise DomainError(f"unknown comparison-function node {node!r}, kind {kind!r} "

@@ -206,8 +206,8 @@ def kl_at_zero(beta: KLFn) -> ScalarFn:
         if lam0 == 0.0:
             return cf.zero()
         return cf.scale_val(beta.fns[0], lam0)
-    if k in ("kl_pw_exp", "kl_grid_pw_exp"):
-        return cf.scale_val(beta.fns[0], beta.param)  # base**(0-(-1)) at t = 0
+    if k == "kl_grid_pw_exp":
+        return cf.scale_val(beta.fns[0], math.e)  # e**(0-(-1)) at t = 0
     if k == "kl_min":
         return cf.fmin(kl_at_zero(beta.children[0]), kl_at_zero(beta.children[1]))
     if k == "kl_max":

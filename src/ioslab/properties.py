@@ -148,16 +148,24 @@ _CONVERGENCE = frozenset({PropertyId.OUAG, PropertyId.OGUAG})
 _BALL, _LEVEL = "ball", "level"
 
 
+def _snap_down(grid: np.ndarray, x):
+    """The level-axis cell rule: the index of the last grid point at or
+    below x + 1e-12; -1 when x lies below the grid.  Elementwise on an
+    array of queries."""
+    return grid.searchsorted(x + 1e-12, side="right") - 1
+
+
 class _GridTable:
     """A frozen table of monotone data over ball and level axes, with one
     lookup rule.  A ball axis (r, s, a horizon) snaps a query up to the next
     grid point, whose entry covers the whole ball below it; a level axis
     (eps) snaps down to the next tighter level, whose claim implies the
-    queried one.  Raw values are rectified on construction so that each
-    cell holds the worse (``_worse``) of itself and every cell it answers
-    for.  Queries beyond the grids and non-finite cells raise
-    ``TableGapError``: constructions built from a table are only valid
-    inside the certified region.
+    queried one.  The ball rule is ``comparison.snap_up``, by which
+    knot-row decay profiles read their radius cell as well.  Raw values are
+    rectified on construction so that each cell holds the worse
+    (``_worse``) of itself and every cell it answers for.  Queries beyond
+    the grids and non-finite cells raise ``TableGapError``: constructions
+    built from a table are only valid inside the certified region.
 
     A subclass declares ``_axes``, its (grid field, ``_BALL`` or ``_LEVEL``)
     pairs in value order, and ``_worse``.  A grid may be None: a lookup
@@ -187,32 +195,25 @@ class _GridTable:
             if not all(0.0 <= a < b for a, b in zip(grid, grid[1:] + (math.inf,))):
                 raise DomainError(f"{field} must be finite, >= 0 and strictly increasing")
             object.__setattr__(self, field, grid)
-            lookup.append((k, kind == _BALL, np.array(grid), field.removesuffix("_grid")))
+            snap = cf.snap_up if kind == _BALL else _snap_down
+            lookup.append((k, snap, np.array(grid), field.removesuffix("_grid")))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         # kept outside the dataclass fields: equality, hash and dicts skip it
         object.__setattr__(self, "_lookup_axes", tuple(lookup))
 
-    @staticmethod
-    def _snap(ball: bool, grid: np.ndarray, x):
-        """Grid index a query reads on one axis; outside [0, len(grid)) it
-        lies beyond the grid.  Elementwise on an array of queries."""
-        if ball:
-            return grid.searchsorted(x - 1e-12, side="left")
-        return grid.searchsorted(x + 1e-12, side="right") - 1
-
     def _lookup(self, *coords) -> float:
         """The rectified cell a query reads: one coordinate per declared axis."""
         idx = []
-        for k, ball, grid, name in self._lookup_axes:
+        for k, snap, grid, name in self._lookup_axes:
             x = coords[k]
             if x is None:
                 names = ", ".join(axis[3] for axis in self._lookup_axes)
                 raise DomainError(f"this table is indexed by ({names})")
-            i = int(self._snap(ball, grid, x))
+            i = int(snap(grid, x))
             if not 0 <= i < len(grid):
                 raise TableGapError(f"{name} query {x:g} " + (
-                    f"beyond table axis end {grid[-1]:g}" if ball
+                    f"beyond table axis end {grid[-1]:g}" if i >= len(grid)
                     else f"below table axis start {grid[0]:g}"))
             idx.append(i)
         idx = tuple(idx)
@@ -225,8 +226,8 @@ class _GridTable:
         """``_lookup`` of arrays of queries broadcast together, with NaN
         wherever ``_lookup`` raises ``TableGapError``."""
         idx, inside = [], True
-        for k, ball, grid, _ in self._lookup_axes:
-            i = self._snap(ball, grid, np.asarray(coords[k], dtype=float))
+        for k, snap, grid, _ in self._lookup_axes:
+            i = snap(grid, np.asarray(coords[k], dtype=float))
             inside = inside & (i >= 0) & (i < len(grid))
             idx.append(np.clip(i, 0, len(grid) - 1))
         v = self.values[tuple(idx)]
@@ -546,7 +547,8 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 def _directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
-    """Signed axis directions first, then seeded random unit vectors."""
+    """Signed axis directions first, then seeded random unit vectors; in one
+    dimension the two signed axes are every unit vector there is."""
     dirs: list[np.ndarray] = []
     for i in range(dim):
         e = np.zeros(dim)
@@ -555,7 +557,7 @@ def _directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
         e[i] = -1.0
         dirs.append(e.copy())
     rng = np.random.default_rng(seed)
-    while len(dirs) < count:
+    while dim > 1 and len(dirs) < count:
         v = rng.normal(size=dim)
         n = np.linalg.norm(v)
         if n > 1e-9:
@@ -574,7 +576,7 @@ class SamplingPlan:
     since the tables estimated from the plan use them as axes.  Each input
     norm s is probed by one fixed family: the constant s, a step of height
     s switched off at half the horizon, and a 4-piece piecewise-constant
-    input of sup norm s drawn from the seed.  A fixed seed
+    input of sup norm s drawn from the seed, an int >= 0.  A fixed seed
     makes the expansion fully deterministic; checks reduce their samples to
     the worst margin, ties broken by probe index and then by the order the
     checker lists them in (see ``_Outcome``).
@@ -613,6 +615,9 @@ class SamplingPlan:
                 raise DomainError(f"plan needs strictly increasing {what}")
         if not (isinstance(self.directions, int) and self.directions >= 1):
             raise DomainError("plan needs at least one direction")
+        # it seeds the NumPy generators that draw directions and pw inputs
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise DomainError(f"plan needs an integer seed >= 0, not {self.seed!r}")
         # the zero input is always probed, so an input norm of 0 adds nothing
         object.__setattr__(self, "input_norms", tuple(s for s in norms if s > 0.0))
         if self.sim is None:

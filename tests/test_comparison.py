@@ -498,3 +498,53 @@ def test_from_dict_keeps_a_weaker_stored_class():
     d = cf.fn_to_dict(cf.scale(2.0)) | {"class": "K"}
     back = cf.fn_from_dict(d)
     assert back.fn_class == "K" and back(3.0) == 6.0
+
+
+# ---------------------------------------------------------------------------
+# the one piecewise-exponential node
+# ---------------------------------------------------------------------------
+
+def test_grid_profile_reads_its_radius_cell_as_the_table_does():
+    """r = 0.1 + 0.2 lies 5.6e-17 above the grid point 0.3: the table's
+    ball-axis rule reads the 0.3 cell, and so does a profile over that grid."""
+    from ioslab.properties import ConvergenceTimeTable
+
+    r = 0.1 + 0.2
+    assert r > 0.3
+    table = ConvergenceTimeTable((0.5,), (0.3,), None, np.array([[2.0]]))
+    assert table.eval(0.5, r) == 2.0
+    beta = cf.grid_piecewise_kl((0.3,), ((0.0, 2.0),), cf.identity())
+    one_row = cf.build_piecewise_kl(cf.KnotSequence((0.0, 2.0), cf.identity()))
+    for t in (0.0, 1.0, 2.0, 7.5):
+        assert beta(r, t) == one_row(r, t)
+    with pytest.raises(TableGapError):
+        table.eval(0.5, 0.3 + 1e-9)
+    with pytest.raises(TableGapError):
+        beta(0.3 + 1e-9, 1.0)
+
+
+def test_one_knot_row_is_the_grid_profile_over_every_radius():
+    seq = cf.KnotSequence((0.0, 0.7, 1.9, 4.0), cf.power(2))
+    beta = cf.build_piecewise_kl(seq)
+    assert beta == cf.grid_piecewise_kl((math.inf,), (seq.taus,), seq.eps0)
+    assert beta.kind == "kl_grid_pw_exp" and beta.param == math.e
+    r = np.concatenate(([0.0], np.logspace(-3, 6, 40)))[:, None]
+    t = np.linspace(0.0, 12.0, 61)[None, :]
+    vals = beta(r, t)
+    # the closed form on [tau_n, tau_n+1), the last segment's rate beyond
+    taus = np.asarray(seq.taus)
+    n = np.clip(np.searchsorted(taus, t, side="right") - 1, 0, len(taus) - 2)
+    expo = -(n - 1.0) - (t - taus[n]) / (taus[n + 1] - taus[n])
+    assert vals.shape == (41, 61) and np.array_equal(vals, math.e ** expo * r ** 2.0)
+    back = cf.fn_from_dict(json.loads(json.dumps(cf.fn_to_dict(beta))))
+    assert back == beta
+    assert np.array_equal(back(r, t), vals)
+
+
+@pytest.mark.parametrize("param", [2.0, None, "e"])
+def test_from_dict_refuses_a_profile_of_another_decay_base(param):
+    d = cf.fn_to_dict(cf.grid_piecewise_kl((1.0, 2.0), ((0.0, 1.0), (0.0, 2.0)), cf.identity()))
+    assert d["param"] == math.e and cf.fn_from_dict(d) is not None
+    d["param"] = param
+    with pytest.raises(DomainError, match="base e"):
+        cf.fn_from_dict(d)

@@ -1179,3 +1179,26 @@ def test_output_reachability_bound_covers_every_drawn_output_shell_probe(zid):
         for t in mu.t_grid:
             sup = float(np.max(data.ynorm[data.times <= t + 1e-12]))
             assert sup <= mu.eval(data.y0, data.probe.s, t) + 1e-12, (data.probe.tag, t)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "7", None])
+def test_plan_refuses_a_seed_that_is_not_an_int_from_zero(seed, lin_sys):
+    """The seed drives NumPy generators, which take only ints >= 0: a plan
+    refuses any other seed when it is made, not at its first probe set."""
+    with pytest.raises(DomainError, match="seed"):
+        SamplingPlan(radii=(1.0,), input_norms=(1.0,), seed=seed)
+    assert ProbeSet(lin_sys, SamplingPlan(radii=(1.0,), input_norms=(1.0,), seed=0)).probes
+
+
+@pytest.mark.parametrize("zid", ["lin_scalar", "sin_output"])
+def test_one_dimensional_output_shells_hold_distinct_probes(zid):
+    """In one dimension the two signed axes are all the directions there
+    are: no (x0, u) of an output shell repeats, so none counts twice."""
+    entry = get_entry(zid)
+    sys, plan = entry.factory(), entry.default_plan()
+    ps = ProbeSet(sys, plan)
+    for r in plan.radii:
+        for s in plan.s_levels:
+            shell = ps._output_shell(r, s)
+            assert shell
+            assert len({(p.x0, p.u) for p in shell}) == len(shell), (r, s)
