@@ -20,12 +20,16 @@ violation found on the grid".
 Two-argument decay functions beta(r, t) are expression trees as well.  They
 are validated on demand (:func:`check_kl`) rather than per node, because
 useful intermediate nodes (e.g. the time profile ``1 + exp(-t)``) are not KL
-on their own even though enclosing min-expressions are.
+on their own even though enclosing min-expressions are.  This module alone
+knows what each KL node kind means: its value (``KLFn._eval``), its zero
+slice beta(., 0) (:func:`kl_at_zero`), its radius cap (``_kl_radius_cap``)
+and, through the cap, its class-check grid (:func:`check_kl`).
 
 The one piecewise-exponential node, ``kl_grid_pw_exp``, holds one knot row
 per grid radius and decays by a factor e between consecutive knots.  It
 reads its radius cell by the tables' ball-axis rule (:func:`snap_up`), so a
-profile built from a table answers exactly the radii the table answers.
+profile built from a table answers exactly the radii the table answers, and
+its last grid radius is the largest radius it answers.
 
 All nodes are immutable and hashable, so certificates built from them can be
 shared freely between concurrent evaluations.  Evaluation is vectorised over
@@ -76,6 +80,7 @@ __all__ = [
     "grid_piecewise_kl",
     "snap_up",
     "kl_eval",
+    "kl_at_zero",
     "check_class",
     "declare",
     "check_kl",
@@ -605,6 +610,58 @@ class KLFn:
         return fn_to_dict(self)
 
 
+def kl_at_zero(beta: KLFn) -> ScalarFn:
+    """The radial slice beta(., 0) as a scalar function, built structurally."""
+    k, kids = beta.kind, beta.children
+    if k == "kl_separable":
+        lam0 = float(beta.fns[1](0.0))
+        return zero() if lam0 == 0.0 else scale_val(beta.fns[0], lam0)
+    if k == "kl_grid_pw_exp":
+        return scale_val(beta.fns[0], math.e)  # e**(0-(-1)) at t = 0
+    if k in ("kl_min", "kl_max", "kl_sum"):
+        merge = {"kl_min": fmin, "kl_max": fmax, "kl_sum": add}[k]
+        return merge(kl_at_zero(kids[0]), kl_at_zero(kids[1]))
+    if k == "kl_outer":
+        return compose(beta.fns[0], kl_at_zero(kids[0]))
+    if k == "kl_inner":
+        return compose(kl_at_zero(kids[0]), beta.fns[0])
+    if k == "kl_time_scale":
+        return kl_at_zero(kids[0])
+    raise DomainError(f"no zero-slice rule for KL node {k!r}")
+
+
+def _kl_radius_cap(beta: KLFn) -> float:
+    """Largest radius the tree answers: a profile's last grid radius, pulled
+    back through inner radius maps; inf for a tree without a profile."""
+    if beta.kind == "kl_grid_pw_exp":
+        return beta.r_grid[-1]
+    if beta.kind == "kl_inner":
+        cap = _kl_radius_cap(beta.children[0])
+        return cap if math.isinf(cap) else _monotone_cap_solve(beta.fns[0], cap)
+    return min((_kl_radius_cap(c) for c in beta.children), default=math.inf)
+
+
+def _monotone_cap_solve(g: ScalarFn, cap: float) -> float:
+    """Largest r with g(r) <= cap for a monotone map g (bisection)."""
+    if float(g(0.0)) > cap:
+        return 0.0
+    hi = 1.0
+    for _ in range(200):
+        if float(g(hi)) > cap:
+            break
+        hi *= 2.0
+        if hi > 1e30:
+            return math.inf
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if float(g(mid)) <= cap:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def kl_separable(radial: ScalarFn, temporal: ScalarFn) -> KLFn:
     """beta(r, t) = radial(r) * temporal(t)."""
     return KLFn("kl_separable", fns=(radial, temporal))
@@ -662,11 +719,14 @@ def grid_piecewise_kl(r_grid, knot_rows, eps0: ScalarFn) -> KLFn:
     rule (:func:`snap_up`), which only ever delays the decay and therefore
     keeps any bound built from the rows valid.  Radii beyond the last grid
     point raise ``TableGapError``; a last grid point of inf covers them all.
+    The grid radii must be >= 0 and strictly increasing (``DomainError``).
     """
     rg = tuple(float(x) for x in r_grid)
     rows = tuple(tuple(float(t) for t in row) for row in knot_rows)
     if len(rg) != len(rows) or not rg:
         raise DomainError("need one knot row per grid radius")
+    if not (rg[0] >= 0.0 and all(a < b for a, b in zip(rg, rg[1:]))):
+        raise DomainError(f"grid radii must be >= 0 and strictly increasing, not {rg}")
     for row in rows:
         KnotSequence(row, eps0)  # validates shape
     return KLFn("kl_grid_pw_exp", fns=(eps0,), r_grid=rg, knot_rows=rows, param=math.e)
@@ -685,10 +745,16 @@ def check_kl(
 
     For every fixed t the r-marginal must vanish at 0 and strictly increase;
     for every fixed r > 0 the t-marginal must be nonincreasing with a
-    vanishing tail.
+    vanishing tail.  The default grids are t in ``linspace(0, 50, 24)`` and
+    r = 0 plus 24 geometric points from top * 1e-5 up to top = 100, or, for
+    a tree that reads a profile, top = 0.999 times its radius cap
+    (``_kl_radius_cap``; both ends at least 1e-6), so the tree answers every
+    sampled radius.
     """
     if r_grid is None:
-        r_grid = np.concatenate(([0.0], np.logspace(-3, 2, 24)))
+        cap = _kl_radius_cap(beta)
+        top = 100.0 if math.isinf(cap) else max(cap * 0.999, 1e-6)
+        r_grid = np.concatenate(([0.0], np.geomspace(max(top * 1e-5, 1e-6), top, 24)))
     if t_grid is None:
         t_grid = np.linspace(0.0, 50.0, 24)
     r_grid = np.asarray(r_grid, dtype=float)

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import comparison as cf
-from .comparison import KLFn, ScalarFn
+from .comparison import ScalarFn, kl_at_zero
 from .errors import CertificateError, DomainError
 from .properties import (
     Certificate,
@@ -196,31 +196,6 @@ def _merge_gains(a: ScalarFn, b: ScalarFn) -> ScalarFn:
     if a == b:
         return a
     return cf.declare(cf.fmax(a, b), "Kinf")
-
-
-def kl_at_zero(beta: KLFn) -> ScalarFn:
-    """The radial slice beta(., 0) as a scalar function, built structurally."""
-    k = beta.kind
-    if k == "kl_separable":
-        lam0 = float(beta.fns[1](0.0))
-        if lam0 == 0.0:
-            return cf.zero()
-        return cf.scale_val(beta.fns[0], lam0)
-    if k == "kl_grid_pw_exp":
-        return cf.scale_val(beta.fns[0], math.e)  # e**(0-(-1)) at t = 0
-    if k == "kl_min":
-        return cf.fmin(kl_at_zero(beta.children[0]), kl_at_zero(beta.children[1]))
-    if k == "kl_max":
-        return cf.fmax(kl_at_zero(beta.children[0]), kl_at_zero(beta.children[1]))
-    if k == "kl_sum":
-        return cf.add(kl_at_zero(beta.children[0]), kl_at_zero(beta.children[1]))
-    if k == "kl_outer":
-        return cf.compose(beta.fns[0], kl_at_zero(beta.children[0]))
-    if k == "kl_inner":
-        return cf.compose(kl_at_zero(beta.children[0]), beta.fns[0])
-    if k == "kl_time_scale":
-        return kl_at_zero(beta.children[0])
-    raise DomainError(f"no zero-slice rule for KL node {k!r}")
 
 
 def tau_bar(table: ConvergenceTimeTable, eps: float, r: float) -> float:

@@ -419,60 +419,15 @@ def _forms(prop: PropertyId) -> tuple:
     return forms if isinstance(forms, tuple) else (forms,)
 
 
-def _monotone_cap_solve(g: ScalarFn, cap: float) -> float:
-    """Largest r with g(r) <= cap for a monotone map g (bisection)."""
-    if float(g(0.0)) > cap:
-        return 0.0
-    hi = 1.0
-    for _ in range(200):
-        if float(g(hi)) > cap:
-            break
-        hi *= 2.0
-        if hi > 1e30:
-            return math.inf
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(g(mid)) <= cap:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _kl_radius_cap(beta: KLFn) -> float:
-    """Largest safely evaluable radius, pushed through inner radius maps."""
-    k = beta.kind
-    if k == "kl_grid_pw_exp":
-        return beta.r_grid[-1]
-    if k == "kl_inner":
-        inner_cap = _kl_radius_cap(beta.children[0])
-        if math.isinf(inner_cap):
-            return math.inf
-        return _monotone_cap_solve(beta.fns[0], inner_cap)
-    if k in ("kl_min", "kl_max", "kl_sum"):
-        return min(_kl_radius_cap(c) for c in beta.children)
-    if beta.children:
-        return _kl_radius_cap(beta.children[0])
-    return math.inf
-
-
-def _kl_check_grids(beta: KLFn):
-    """Class-check grids for a KL tree, respecting table-backed radius caps."""
-    cap = _kl_radius_cap(beta)
-    top = 100.0 if math.isinf(cap) else max(cap * 0.999, 1e-6)
-    r_grid = np.concatenate(([0.0], np.geomspace(max(top * 1e-5, 1e-6), top, 24)))
-    return r_grid, np.linspace(0.0, 50.0, 24)
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Property tag plus the parameter bundle its definition demands.
 
     Scalar parameters are validated against the class the definition asks
     for; decay candidates run the sampled KL marginal checks on
-    construction.  The zero function is accepted wherever a gain is
-    demanded: a zero gain only strengthens the claimed bound.
+    construction, on ``check_kl``'s default grids (one rule: r up to 100 or
+    to the tree's radius cap).  The zero function is accepted wherever a
+    gain is demanded: a zero gain only strengthens the claimed bound.
     """
 
     property: PropertyId
@@ -500,8 +455,7 @@ class Certificate:
                 raise CertificateError(f"{self.property.value}: missing parameter {name!r}")
         for name, value in self.params.items():
             if isinstance(value, KLFn):
-                r_grid, t_grid = _kl_check_grids(value)
-                problems = cf.check_kl(value, r_grid, t_grid)
+                problems = cf.check_kl(value)
                 if problems:
                     raise CertificateError(
                         f"{self.property.value}: parameter {name!r} fails KL checks: "
@@ -589,7 +543,8 @@ class SamplingPlan:
     sim: SimPlan = None
     directions: int = 3
     seed: int = 2024
-    delta_margin: float = 1e-4
+    # a violation of at most delta_margin neither falsifies nor blocks "certified"
+    delta_margin = 1e-4
 
     def __post_init__(self):
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
@@ -604,8 +559,7 @@ class SamplingPlan:
         for ok, what in ((all(0.0 <= r < math.inf for r in self.radii), "radii >= 0"),
                          (all(0.0 <= s < math.inf for s in norms), "input norms >= 0"),
                          (all(0.0 < e < math.inf for e in self.eps_grid), "eps levels > 0"),
-                         (0.0 < self.horizon < math.inf, "a horizon > 0"),
-                         (0.0 <= self.delta_margin < math.inf, "a delta margin >= 0")):
+                         (0.0 < self.horizon < math.inf, "a horizon > 0")):
             if not ok:
                 raise DomainError(f"plan needs finite {what}")
         # the grids become table axes (reachability, tau and delta tables)

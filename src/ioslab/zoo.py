@@ -42,10 +42,11 @@ import time rather than hard-coded.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -106,13 +107,11 @@ class WitnessRecipe:
     x0: tuple
     t: float
     output_floor: float
-    input_value: Optional[tuple] = None
     note: str = ""
 
     def signal(self, input_dim: int) -> InputSignal:
-        if self.input_value is None:
-            return InputSignal.zero(input_dim)
-        return InputSignal.constant(self.input_value)
+        """The input of the replay: every recipe replays the zero input."""
+        return InputSignal.zero(input_dim)
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,6 @@ class ZooEntry:
                     "x0": list(w.x0),
                     "t": w.t,
                     "output_floor": w.output_floor,
-                    "input_value": list(w.input_value) if w.input_value else None,
                     "note": w.note,
                 }
                 for k, w in self.witnesses.items()
@@ -278,7 +276,7 @@ def _l2_rhs(n_coords: int):
     return rhs
 
 
-def _l2_blowup(n: int = 64) -> SystemModel:
+def _l2_blowup(n: int) -> SystemModel:
     if n < 2:
         raise DomainError("truncation width must be at least 2")
     return SystemModel(
@@ -293,7 +291,7 @@ def _l2_blowup(n: int = 64) -> SystemModel:
     )
 
 
-def _l2_timewarp(n: int = 16) -> SystemModel:
+def _l2_timewarp(n: int) -> SystemModel:
     blowup = _l2_blowup(n)
     base = blowup.rhs
 
@@ -447,7 +445,7 @@ def _lin_scalar_certs() -> dict:
 def _sin_output_entry() -> ZooEntry:
     return ZooEntry(
         id="sin_output",
-        factory=lambda **kw: _sin_output(),
+        factory=_sin_output,
         stated=dict.fromkeys((PropertyId.OCEP, PropertyId.OGUAG, PropertyId.OCAG, PropertyId.IOPS,
                               PropertyId.OUGB, PropertyId.BORS, PropertyId.OULIM,
                               PropertyId.OGULIM, PropertyId.OLIM), "holds"),
@@ -486,7 +484,7 @@ def _sin_output_entry() -> ZooEntry:
 def _rotation_entry() -> ZooEntry:
     return ZooEntry(
         id="rotation",
-        factory=lambda **kw: _rotation(),
+        factory=_rotation,
         stated=dict.fromkeys((PropertyId.OCEP, PropertyId.BORS, PropertyId.OULIM,
                               PropertyId.OGULIM, PropertyId.OOULIM, PropertyId.OLIM), "holds"),
         witnesses={
@@ -538,7 +536,7 @@ def _sat_polar_entry() -> ZooEntry:
     t_star = c * (1.0 - math.exp(-0.5 * math.pi))
     return ZooEntry(
         id="sat_polar",
-        factory=lambda **kw: _sat_polar(),
+        factory=_sat_polar,
         stated=dict.fromkeys((PropertyId.OCEP, PropertyId.OGULIM, PropertyId.OULIM,
                               PropertyId.OLIM, PropertyId.IOS), "holds"),
         witnesses={
@@ -586,7 +584,7 @@ def _sat_polar_entry() -> ZooEntry:
 def _l2_blowup_entry() -> ZooEntry:
     return ZooEntry(
         id="l2_blowup",
-        factory=lambda n=64, **kw: _l2_blowup(n),
+        factory=lambda n=64: _l2_blowup(n),
         stated={PropertyId.OCEP: "holds", PropertyId.FC: "unknown"},
         witnesses={
             PropertyId.BORS: WitnessRecipe(
@@ -635,8 +633,9 @@ def _l2_blowup_entry() -> ZooEntry:
 def _l2_timewarp_entry() -> ZooEntry:
     return ZooEntry(
         id="l2_timewarp",
-        factory=lambda n=16, **kw: _l2_timewarp(n),
-        stated=dict.fromkeys((PropertyId.OCEP, PropertyId.OUAG, PropertyId.OULIM), "holds"),
+        factory=lambda n=16: _l2_timewarp(n),
+        stated=dict.fromkeys((PropertyId.OCEP, PropertyId.OUAG, PropertyId.OULIM,
+                              PropertyId.OGULIM), "holds"),
         witnesses={
             PropertyId.OGUAG: WitnessRecipe(
                 x0=(),
@@ -672,7 +671,7 @@ def _l2_timewarp_entry() -> ZooEntry:
 def _lin_scalar_entry() -> ZooEntry:
     return ZooEntry(
         id="lin_scalar",
-        factory=lambda **kw: _lin_scalar(),
+        factory=_lin_scalar,
         stated=dict.fromkeys((PropertyId.OCEP, PropertyId.OULIM, PropertyId.OGULIM,
                               PropertyId.OOULIM, PropertyId.OLIM), "holds"),
         witnesses={},
@@ -733,11 +732,16 @@ def get_entry(zoo_id: str) -> ZooEntry:
 
 
 def make_example(zoo_id: str, **params) -> SystemModel:
-    """Instantiate a zoo system; 'full_state' wraps a base entry."""
+    """Instantiate a zoo system; 'full_state' wraps a base entry, passing the
+    other parameters on.  A parameter the factory lacks is a ``DomainError``."""
     if zoo_id == "full_state":
         base = params.pop("base", "lin_scalar")
         return full_state_wrap(make_example(base, **params))
-    return get_entry(zoo_id).factory(**params)
+    factory = get_entry(zoo_id).factory
+    unknown = sorted(set(params) - set(inspect.signature(factory).parameters))
+    if unknown:
+        raise DomainError(f"{zoo_id} takes no parameter {', '.join(unknown)}")
+    return factory(**params)
 
 
 def known_witness(zoo_id: str, prop: PropertyId) -> WitnessRecipe:

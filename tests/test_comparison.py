@@ -548,3 +548,59 @@ def test_from_dict_refuses_a_profile_of_another_decay_base(param):
     d["param"] = param
     with pytest.raises(DomainError, match="base e"):
         cf.fn_from_dict(d)
+
+
+@pytest.mark.parametrize("r_grid", [(2.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
+                                    (math.inf, 5.0)])
+def test_a_profile_refuses_a_grid_that_is_not_nonnegative_and_increasing(r_grid):
+    """An unsorted grid misreads its radius cells: over (2, 1) the radius 1.5
+    raised "beyond certified grid end 1" although the grid holds 2."""
+    rows = ((0.0, 1.0), (0.0, 5.0))
+    with pytest.raises(DomainError, match="strictly increasing"):
+        cf.grid_piecewise_kl(r_grid, rows, cf.identity())
+    d = cf.fn_to_dict(cf.grid_piecewise_kl((1.0, 2.0), rows, cf.identity()))
+    d["r_grid"] = list(r_grid)
+    with pytest.raises(DomainError, match="strictly increasing"):
+        cf.fn_from_dict(d)
+
+
+def test_a_profile_grid_may_end_at_inf():
+    beta = cf.grid_piecewise_kl((0.0, 1.0, math.inf), ((0.0, 1.0),) * 3, cf.identity())
+    assert beta(1e9, 0.0) == math.e * 1e9
+
+
+# ---------------------------------------------------------------------------
+# the class-check grid
+# ---------------------------------------------------------------------------
+
+def _checked_grids(monkeypatch, beta):
+    """The (r, t) grids ``check_kl(beta)`` evaluates beta on."""
+    seen, call = [], cf.KLFn.__call__
+
+    def spy(self, r, t):
+        seen.append((r, t))
+        return call(self, r, t)
+
+    monkeypatch.setattr(cf.KLFn, "__call__", spy)
+    cf.check_kl(beta)
+    r, t = seen[0]
+    return np.asarray(r, dtype=float)[:, 0], np.asarray(t, dtype=float)[0]
+
+
+def test_an_analytic_tree_is_checked_on_the_fixed_grids(monkeypatch):
+    beta = cf.kl_min(cf.kl_exp(), cf.kl_inner(cf.kl_exp(), cf.power(2)))
+    r, t = _checked_grids(monkeypatch, beta)
+    assert r.tobytes() == np.concatenate(([0.0], np.logspace(-3, 2, 24))).tobytes()
+    assert t.tobytes() == np.linspace(0.0, 50.0, 24).tobytes()
+
+
+def test_a_profile_tree_is_checked_below_its_radius_cap(monkeypatch):
+    """The cap of a profile over radii up to 4, read through r -> 2r, is 2."""
+    profile = cf.grid_piecewise_kl((1.0, 4.0), ((0.0, 1.0), (0.0, 2.0)), cf.identity())
+    beta = cf.kl_min(cf.kl_exp(), cf.kl_inner(profile, cf.scale(2.0)))
+    assert cf._kl_radius_cap(beta) == pytest.approx(2.0, rel=1e-12)
+    r, _ = _checked_grids(monkeypatch, beta)
+    assert r[0] == 0.0 and len(r) == 25
+    assert r[-1] == pytest.approx(0.999 * 2.0, rel=1e-12)
+    assert r[1] == pytest.approx(0.999 * 2.0 * 1e-5, rel=1e-12)
+    assert cf.check_kl(beta) == []

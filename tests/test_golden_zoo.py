@@ -279,6 +279,35 @@ def test_golden_certificates_round_trip(matrix):
         assert Certificate.from_dict(json.loads(json.dumps(cert.to_dict()))) == cert
 
 
+def _cap_grids(beta):
+    """The class-check grid rule written out: r up to 100, or up to 0.999
+    times a table-backed tree's radius cap, and t up to 50."""
+    cap = cf._kl_radius_cap(beta)
+    top = 100.0 if math.isinf(cap) else max(cap * 0.999, 1e-6)
+    r_grid = np.concatenate(([0.0], np.geomspace(max(top * 1e-5, 1e-6), top, 24)))
+    return r_grid, np.linspace(0.0, 50.0, 24)
+
+
+def test_golden_certificates_are_checked_on_their_cap_grids(matrix, monkeypatch):
+    _, certs = matrix
+    betas = [v for cert in certs for v in cert.params.values() if isinstance(v, cf.KLFn)]
+    assert any(math.isfinite(cf._kl_radius_cap(beta)) for beta in betas)
+    seen, call = [], cf.KLFn.__call__
+
+    def spy(self, r, t):
+        seen.append((np.asarray(r, dtype=float), np.asarray(t, dtype=float)))
+        return call(self, r, t)
+
+    monkeypatch.setattr(cf.KLFn, "__call__", spy)
+    for beta in betas:
+        r_grid, t_grid = _cap_grids(beta)
+        seen.clear()
+        problems = cf.check_kl(beta)
+        r, t = seen[0]  # the first call samples the whole (r, t) grid
+        assert r[:, 0].tobytes() == r_grid.tobytes() and t[0].tobytes() == t_grid.tobytes()
+        assert problems == cf.check_kl(beta, r_grid, t_grid)
+
+
 if __name__ == "__main__":
     records, _ = build_matrix()
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}

@@ -2,7 +2,7 @@
 mentioned somewhere in ``src/``, ``tests/`` or ``iosbench/`` besides its own
 definition, every non-dunder method of a class must be accessed there as
 an attribute ``.name``, and every defaulted parameter must be set by some
-call there."""
+call there, and every defaulted dataclass field must be set there."""
 
 import ast
 import re
@@ -97,4 +97,42 @@ def test_every_defaulted_parameter_is_set_by_some_call():
             if not any(param in keywords or splat or (pos is not None and count > pos)
                        for count, keywords, splat in calls.get(name, [])):
                 unset.append(f"{path.name}:{name}({param})")
+    assert unset == []
+
+
+def _defaulted_fields(tree: ast.Module):
+    """(class name, field name, its position) for every defaulted field of a
+    dataclass."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            fields = [st for st in cls.body if isinstance(st, ast.AnnAssign)]
+            for pos, st in enumerate(fields):
+                if st.value is not None:
+                    yield cls.name, st.target.id, pos
+
+
+def test_every_defaulted_dataclass_field_is_set_somewhere():
+    """A field is set by a keyword in a call to its class or to ``replace``,
+    by more positional arguments in a call to its class than its position,
+    or by an attribute assignment; a ``**`` splat does not set it."""
+    calls: dict = {}  # class or function name -> [(positional count, keywords)]
+    assigned = set()
+    for text in _corpus():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords} - {None}))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                assigned.add(node.attr)
+    replaced = {k for _, keywords in calls.get("replace", []) for k in keywords}
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls, name, pos in _defaulted_fields(ast.parse(path.read_text())):
+            if not (name in assigned or name in replaced
+                    or any(name in keywords or count > pos
+                           for count, keywords in calls.get(cls, []))):
+                unset.append(f"{path.name}:{cls}.{name}")
     assert unset == []

@@ -903,8 +903,6 @@ def test_blow_up_inside_a_continuity_window_is_a_violation(prop):
     {"horizon": 0.0},
     {"eps_grid": (-0.1,)},
     {"eps_grid": (0.0, 0.5)},
-    {"delta_margin": -1.0},
-    {"delta_margin": math.nan},
     {"directions": 0},
     {"directions": 1.5},
 ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))

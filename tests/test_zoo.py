@@ -187,6 +187,25 @@ def test_full_state_alias():
     assert sys.meta.get("full_state") is True
 
 
+@pytest.mark.parametrize("zoo_id, params, unknown", [
+    ("lin_scalar", {"n": 64}, "n"),
+    ("l2_blowup", {"m": 3}, "m"),
+    ("l2_timewarp", {"n": 8, "width": 8}, "width"),
+    ("full_state", {"base": "rotation", "n": 4}, "n"),
+])
+def test_make_example_refuses_a_parameter_the_factory_does_not_take(zoo_id, params,
+                                                                    unknown):
+    """These used to return the default system without a word."""
+    with pytest.raises(DomainError, match=f"takes no parameter {unknown}$"):
+        zoo.make_example(zoo_id, **params)
+
+
+def test_make_example_passes_the_truncation_width_on():
+    assert zoo.make_example("l2_blowup").state_dim == 64
+    assert zoo.make_example("l2_timewarp").state_dim == 16
+    assert zoo.make_example("full_state", base="l2_blowup", n=8).state_dim == 8
+
+
 # ---------------------------------------------------------------------------
 # audit: every expected map, closed under the recipes' implications
 # ---------------------------------------------------------------------------
@@ -241,7 +260,7 @@ FORCED = {
     "sat_polar": ({}, set()),
     "l2_blowup": ({}, {frozenset({P.OCAG, P.OUGS}),
                        frozenset({P.OULIM, P.OL, P.H_K_BOUNDED})}),
-    "l2_timewarp": ({P.OGULIM: "holds"}, set()),
+    "l2_timewarp": ({}, set()),
 }
 
 
