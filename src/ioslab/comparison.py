@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassError, DomainError, FitError, TableGapError
+from .errors import CertificateError, ClassError, DomainError, FitError, TableGapError
 
 __all__ = [
     "ScalarFn",
@@ -748,13 +748,17 @@ def check_kl(
     vanishing tail.  The default grids are t in ``linspace(0, 50, 24)`` and
     r = 0 plus 24 geometric points from top * 1e-5 up to top = 100, or, for
     a tree that reads a profile, top = 0.999 times its radius cap
-    (``_kl_radius_cap``; both ends at least 1e-6), so the tree answers every
-    sampled radius.
+    (``_kl_radius_cap``), so the tree answers every sampled radius.  For a
+    cap of at least 1e-6 both ends are floored at 1e-6; a cap of 0 answers
+    no positive radius and raises ``CertificateError``.
     """
     if r_grid is None:
         cap = _kl_radius_cap(beta)
-        top = 100.0 if math.isinf(cap) else max(cap * 0.999, 1e-6)
-        r_grid = np.concatenate(([0.0], np.geomspace(max(top * 1e-5, 1e-6), top, 24)))
+        if cap == 0.0:
+            raise CertificateError("beta answers no positive radius (radius cap 0)")
+        floor = 1e-6 if cap >= 1e-6 else 0.0
+        top = 100.0 if math.isinf(cap) else max(cap * 0.999, floor)
+        r_grid = np.concatenate(([0.0], np.geomspace(max(top * 1e-5, floor), top, 24)))
     if t_grid is None:
         t_grid = np.linspace(0.0, 50.0, 24)
     r_grid = np.asarray(r_grid, dtype=float)

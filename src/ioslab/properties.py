@@ -81,7 +81,7 @@ from .errors import (
     TableGapError,
 )
 from .signals import InputSignal
-from .systems import SimPlan, SystemModel, Trajectory, simulate, simulate_batch
+from .systems import BatchRow, SimPlan, SystemModel, Trajectory, simulate, simulate_batch
 
 __all__ = [
     "PropertyId",
@@ -750,10 +750,9 @@ class ProbeSet:
                 ProbeData(p, d.traj, d.ynorm, d.ysup, d.xnorm, d.urestr, d.uval_norm)
                 for d, p in zip(datas, probes)]
 
-    def _probe_data(self, probe: Probe, traj: Trajectory) -> ProbeData:
-        ynorm = traj.output_norms()
+    def _probe_data(self, probe: Probe, traj: BatchRow) -> ProbeData:
+        ynorm, xnorm = traj.y_norms, traj.x_norms
         ysup = np.maximum.accumulate(ynorm)
-        xnorm = np.asarray(self.sys.state_norm(traj.states), dtype=float)
         if probe.u.dim:
             piece = np.linalg.norm(probe.u.values, axis=1)
             run = np.maximum.accumulate(piece)

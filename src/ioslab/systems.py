@@ -7,28 +7,37 @@ integration grid is aligned with its own input signal's breakpoints so that
 each step sees a constant input value, which preserves RK4's order for
 piecewise-constant inputs.
 
-One kernel integrates everything: ``simulate_batch`` advances P trajectories
-in lockstep as one (P, n) state block, and ``simulate`` is its P = 1 call.
-Each row keeps its own grid (grids are padded to the longest row) and its
-own step sizes, so a row performs exactly the floating-point operations of a
-one-trajectory run and rows with different input breakpoints share a block.
+One kernel integrates everything: it advances P trajectories in lockstep as
+one (P, n) state block.  Each row keeps its own grid (grids are padded to the
+longest row) and its own step sizes, so a row performs exactly the
+floating-point operations of a one-trajectory run and rows with different
+input breakpoints share a block.  ``simulate`` runs one row and keeps its
+states and outputs.  ``simulate_batch`` keeps no states: it reduces each
+chunk of steps to the norm series |y(t_k)| and |x(t_k)| of its rows as soon
+as the blow-up guard has read it, so its memory does not grow with the
+truncation width n.  Its rows (``BatchRow``) carry times, input values,
+blow-up and the two series eagerly, and rebuild ``states``/``outputs`` on
+first access by running the row alone, which by the row contract above
+gives the arrays the batch computed.
 Batch contract: ``rhs``, ``output`` and ``state_norm`` take arrays with
 leading batch axes (index a coordinate as ``x[..., i]``, reduce over
-``axis=-1``) and act on each row alone.  The kernel re-evaluates them on
-single rows once per call and raises ``DomainError`` where a batched row
-differs, since a scalar-style ``np.array([-x[0] + u[0]])`` would otherwise
-give every row the first row's derivative.  ``rhs`` and ``state_norm`` may be
-called on non-finite or huge rows and must not raise on them.  Evaluators
+``axis=-1``) and act on each row alone; ``simulate_batch`` evaluates
+``output`` and ``state_norm`` on (steps, P, n) chunk blocks.  The kernel
+re-evaluates them on single rows once per call and raises ``DomainError``
+where a batched row differs, since a scalar-style ``np.array([-x[0] + u[0]])``
+would otherwise give every row the first row's derivative.  ``rhs``,
+``output`` and ``state_norm`` may be called on non-finite or huge rows and
+must not raise on them.  Evaluators
 should compute on whole contiguous rows: at the lockstep sizes (P up to about
 40 rows of up to 64 coordinates) a ufunc on a strided column view such as
 ``x[..., 1:]``, or with a (P, 1) or (n,) broadcast operand, costs about twice
 as much as on two contiguous (P, n) blocks.  The kernel hands ``rhs``
-contiguous states, and multiplies them by RK4 step constants repeated to the
-state's width.
+contiguous states, and multiplies them by RK4 step constants formed per
+chunk and repeated to the state's width.
 
 Blow-up handling: the kernel steps in chunks of ``_CHUNK`` lockstep steps,
 each ending no later than the earliest active row's grid end, and reads the
-guard once per chunk on the states it stored.  For each row, the first step
+guard once per chunk on the chunk's states.  For each row, the first step
 in the chunk whose state is non-finite or has norm above
 ``blow_up_threshold`` decides: the trajectory is truncated there and stamped
 with that step's grid time, and a non-finite step stores the previous state.
@@ -45,6 +54,7 @@ its block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,8 +62,8 @@ import numpy as np
 from .errors import DomainError, IntegrationError
 from .signals import InputSignal
 
-__all__ = ["SystemModel", "SimPlan", "Trajectory", "AxiomReport", "simulate", "simulate_batch",
-           "check_axioms", "full_state_wrap"]
+__all__ = ["SystemModel", "SimPlan", "Trajectory", "BatchRow", "AxiomReport", "simulate",
+           "simulate_batch", "check_axioms", "full_state_wrap"]
 
 _CHUNK = 32  # lockstep steps between two reads of the blow-up guard
 
@@ -122,7 +132,9 @@ class Trajectory:
 
     ``outputs[k]`` is exactly ``h(states[k], input_values[k])`` by
     construction.  ``blow_up`` is the first grid time at which the state norm
-    crossed the threshold, or None.
+    crossed the threshold, or None.  A ``simulate`` trajectory holds every
+    field eagerly; a ``simulate_batch`` row (``BatchRow``) holds the norm
+    series instead of ``states`` and ``outputs`` and rebuilds those on demand.
     """
 
     times: np.ndarray
@@ -155,6 +167,37 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
 
 
+class BatchRow(Trajectory):
+    """One row of a ``simulate_batch`` call, reduced to its norm series.
+
+    Eager: ``times``, ``input_values``, ``blow_up``, ``y_norms`` (|y(t_k)|,
+    also ``output_norms()``) and ``x_norms`` (|x(t_k)| in ``state_norm``).
+    ``states`` and ``outputs`` are rebuilt on first access by running the
+    row alone through ``simulate``, which repeats the row's floating-point
+    operations (the batch contract), so they equal what the batch computed.
+    """
+
+    def __init__(self, times, input_values, blow_up, y_norms, x_norms, rerun):
+        self.times, self.input_values, self.blow_up = times, input_values, blow_up
+        self.y_norms, self.x_norms = y_norms, x_norms
+        self._rerun = rerun
+
+    @cached_property
+    def _lone(self) -> Trajectory:
+        return self._rerun()
+
+    @property
+    def states(self) -> np.ndarray:
+        return self._lone.states
+
+    @property
+    def outputs(self) -> np.ndarray:
+        return self._lone.outputs
+
+    def output_norms(self) -> np.ndarray:
+        return self.y_norms
+
+
 def _time_grid(horizon: float, step: float, breakpoints: np.ndarray) -> np.ndarray:
     """The multiples k * step below the horizon, the breakpoints inside it
     and the horizon itself, near-duplicates dropped.  Every rule reads the
@@ -176,28 +219,35 @@ def simulate(
     plan: SimPlan,
     with_oracle: bool = False,
 ) -> Trajectory:
-    """Run the system from x0 under input u on [0, min(horizon, blow-up)]."""
+    """Run the system from x0 under input u on [0, min(horizon, blow-up)],
+    keeping its states and outputs."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.state_dim,):
         raise DomainError(f"state must have shape ({sys.state_dim},)")
-    traj = simulate_batch(sys, x0[None, :], [u], plan)[0]
+    traj = _run(sys, x0[None, :], [u], plan, True)[0]
     if with_oracle and sys.analytic_flow is not None:
         traj.oracle_states = np.stack([np.asarray(sys.analytic_flow(t, x0, u))
                                        for t in traj.times])
     return traj
 
 
-def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[Trajectory]:
+def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[BatchRow]:
     """Run row i of x0s under input us[i], all rows in lockstep.
 
     Row i is integrated on its own grid with its own step sizes, so it
     performs exactly the floating-point operations of a one-trajectory run.
     A row leaves the block when it blows up or reaches the end of its grid.
+    Each row keeps its norm series, not its states (:class:`BatchRow`).
     """
+    return _run(sys, x0s, us, plan, False)
+
+
+def _run(sys: SystemModel, x0s, us, plan: SimPlan, keep_states: bool) -> list:
+    """The kernel: a ``Trajectory`` per row with ``keep_states``, else a ``BatchRow``."""
     us = list(us)
     if not us:
         return []
-    x0s = np.asarray(x0s, dtype=float)
+    x0s = np.array(x0s, dtype=float)  # a copy: a row's rebuild reads its x0 later
     if x0s.shape != (len(us), sys.state_dim):
         raise DomainError(f"states must have shape ({len(us)}, {sys.state_dim})")
     for u in us:
@@ -217,20 +267,27 @@ def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[Trajectory]
         times[i, len(grid):] = grid[-1]  # padded steps have h = 0
         u_vals[i, : len(grid)] = u.values[np.searchsorted(u.breakpoints, grid, side="right") - 1]
     _batched(sys, "rhs", sys.rhs, (x0s, u_vals[:, 0]), x0s.shape)
-    _batched(sys, "state_norm", sys.state_norm, (x0s,), (len(us),))
+    x0_norms = _batched(sys, "state_norm", sys.state_norm, (x0s,), (len(us),))
+    if keep_states:
+        states = np.empty((len(us), width, sys.state_dim))
+        states[:, 0] = x0s
+    else:
+        # the norm series |x(t_k)| and |y(t_k)|, one row per trajectory
+        x_norms = np.empty((len(us), width))
+        y_norms = np.empty((len(us), width))
+        x_norms[:, 0] = x0_norms
+        y_norms[:, 0] = np.linalg.norm(_batched(sys, "output", sys.output, (x0s, u_vals[:, 0]),
+                                                (len(us), sys.output_dim)), axis=-1)
 
-    # time-major copies, so that a chunk reads contiguous (steps, P, .) slices;
-    # the RK4 step constants 0.5 * h, h and h / 6 are formed once per call
+    # time-major copies, so that a chunk reads contiguous (steps, P, .) slices
     u_steps = np.ascontiguousarray(u_vals.transpose(1, 0, 2))
     h = np.ascontiguousarray(np.diff(times, axis=1).T)[..., None]
-    h_consts = (0.5 * h, h, h / 6.0)
-    # and, for n > 1, repeated per chunk into buffers at the state's width, so
-    # that each stage multiplies two contiguous (P, n) blocks.  The buffers are
-    # made once per call: new arrays per chunk fragmented the heap (a zoo_sweep
-    # benchmark run peaked at 124 MB RSS against 105 MB)
-    wide = [np.empty((_CHUNK, len(us), sys.state_dim)) for _ in h_consts]
-    states = np.empty((len(us), width, sys.state_dim))
-    states[:, 0] = x0s
+    # the RK4 step constants 0.5 * h, h and h / 6 are formed per chunk and, for
+    # n > 1, repeated into buffers at the state's width, so that each stage
+    # multiplies two contiguous (P, n) blocks.  The buffers are made once per
+    # call: new arrays per chunk fragmented the heap (a zoo_sweep benchmark
+    # run peaked at 124 MB RSS against 105 MB)
+    wide = [np.empty((_CHUNK, len(us), sys.state_dim)) for _ in range(3)]
     ends = lengths.copy()
     blow_up = [None] * len(us)
     rows = np.flatnonzero(lengths > 1)  # the active rows
@@ -243,28 +300,43 @@ def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[Trajectory]
             # steps k .. end - 1, the chunk ending no later than an active row's grid
             end = min(k + _CHUNK, int(lengths[rows].min()) - 1)
             sel = slice(None) if rows.size == len(us) else rows
-            consts = [c[k:end, sel] for c in h_consts]
+            h_k = h[k:end, sel]
+            consts = [0.5 * h_k, h_k, h_k / 6.0]
             if sys.state_dim > 1:
                 for buf, c in zip(wide, consts):
                     buf[:end - k, :rows.size] = c
                 consts = [buf[:end - k, :rows.size] for buf in wide]
             block = _steps(sys, x, u_steps[k:end, sel], *consts)
             live = lengths[rows] > end + 1
-            for r, j in _guard(sys, plan.blow_up_threshold, x, block, times, rows, k):
+            hits, norms = _guard(sys, plan.blow_up_threshold, x, block, times, rows, k)
+            for r, j in hits:
                 i = rows[r]
                 blow_up[i] = float(times[i, k + j + 1])
                 ends[i] = k + j + 2
                 live[r] = False
-            states[sel, k + 1:end + 1] = block.swapaxes(0, 1)
+            if keep_states:
+                states[sel, k + 1:end + 1] = block.swapaxes(0, 1)
+            else:
+                # the chunk reduced to its norm series: the output map on the
+                # states after each step, with the input values at their times
+                y = _batched(sys, "output", sys.output, (block, u_steps[k + 1:end + 1, sel]),
+                             block.shape[:2] + (sys.output_dim,), check=k == 0)
+                x_norms[sel, k + 1:end + 1] = norms.T
+                y_norms[sel, k + 1:end + 1] = np.linalg.norm(y, axis=-1).T
             rows, x, k = rows[live], block[-1, live], end
 
     out = []
     for i in range(len(us)):
         n_pts = ends[i]
-        x_i, u_i = states[i, :n_pts], u_vals[i, :n_pts]
-        y_i = _batched(sys, "output", sys.output, (x_i, u_i), (n_pts, sys.output_dim),
-                       check=i == 0)
-        out.append(Trajectory(times[i, :n_pts], x_i, y_i, u_i, blow_up[i]))
+        t_i, u_i = times[i, :n_pts], u_vals[i, :n_pts]
+        if keep_states:
+            x_i = states[i, :n_pts]
+            y_i = _batched(sys, "output", sys.output, (x_i, u_i), (n_pts, sys.output_dim),
+                           check=i == 0)
+            out.append(Trajectory(t_i, x_i, y_i, u_i, blow_up[i]))
+        else:
+            out.append(BatchRow(t_i, u_i, blow_up[i], y_norms[i, :n_pts], x_norms[i, :n_pts],
+                                partial(simulate, sys, x0s[i], us[i], plan)))
     return out
 
 
@@ -286,38 +358,44 @@ def _steps(sys: SystemModel, x, u_chunk, half_h, h, sixth_h) -> np.ndarray:
     return block
 
 
-def _guard(sys: SystemModel, threshold: float, x, block, times, rows, k) -> list:
-    """(r, j) for each row r of the chunk that stops, j its first step (k + j
-    overall) to a non-finite state or a norm above the threshold.
+def _guard(sys: SystemModel, threshold: float, x, block, times, rows, k):
+    """([(r, j)], norms): for each row r of the chunk that stops, j its first
+    step (k + j overall) to a non-finite state or a norm above the threshold;
+    and the state norms of block, shape (steps, P).
 
-    block[j] holds the states after step k + j from the states x.  A
-    non-finite state is replaced in block by the state before it.
+    block[j] holds the states after step k + j from the states x.  A row's
+    first non-finite state is replaced in block by the state before it, and
+    the norms are taken after that.
     """
-    finite = np.isfinite(block).all(axis=-1)
-    stop = ~finite | (sys.state_norm(block) > threshold)
+    bad = ~np.isfinite(block).all(axis=-1)
+    if bad.any():
+        for r in np.flatnonzero(bad.any(axis=0)):
+            j = int(bad[:, r].argmax())
+            block[j, r] = block[j - 1, r] if j else x[r]
+    norms = np.asarray(sys.state_norm(block), dtype=float)
+    stop = bad | (norms > threshold)
     if not stop.any():
-        return []
+        return [], norms
     hits, errors = [], []
     for r in np.flatnonzero(stop.any(axis=0)):
         j = int(stop[:, r].argmax())
-        if not finite[j, r]:
-            block[j, r] = block[j - 1, r] if j else x[r]
-            if sys.state_norm(block[j, r]) < 1e3:
-                errors.append((j, r))  # the earliest step raises, the lowest row first
+        if bad[j, r] and norms[j, r] < 1e3:
+            errors.append((j, r))  # the earliest step raises, the lowest row first
         hits.append((r, j))
     if errors:
         j, r = min(errors)
         raise IntegrationError(f"{sys.name}: non-finite right-hand side at t = "
                                f"{times[rows[r], k + j]:g} with moderate state")
-    return hits
+    return hits, norms
 
 
 def _batched(sys: SystemModel, name: str, fn, args, shape, check: bool = True) -> np.ndarray:
     """fn on a block of rows, as an array of the given shape.
 
-    With ``check`` the first and last rows are re-evaluated alone: a
-    difference means fn does not follow the batch contract, and integrating
-    on would silently give every row the first row's values.
+    With ``check`` the first and last rows (of every leading axis of the
+    state argument) are re-evaluated alone: a difference means fn does not
+    follow the batch contract, and integrating on would silently give every
+    row the first row's values.
     """
     out = np.asarray(fn(*args), dtype=float)
     if out.shape != shape:
@@ -327,7 +405,8 @@ def _batched(sys: SystemModel, name: str, fn, args, shape, check: bool = True) -
             raise DomainError(f"{sys.name}: {name} on a batch returned shape {out.shape}, "
                               f"expected {shape}") from None
     if check:
-        for i in (0, -1):
+        lead = args[0].ndim - 1
+        for i in ((0,) * lead, (-1,) * lead):
             alone = np.asarray(fn(*(a[i] for a in args)), dtype=float)
             if not np.array_equal(alone, out[i], equal_nan=True):
                 raise DomainError(

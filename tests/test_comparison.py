@@ -604,3 +604,29 @@ def test_a_profile_tree_is_checked_below_its_radius_cap(monkeypatch):
     assert r[-1] == pytest.approx(0.999 * 2.0, rel=1e-12)
     assert r[1] == pytest.approx(0.999 * 2.0 * 1e-5, rel=1e-12)
     assert cf.check_kl(beta) == []
+
+
+def test_a_profile_capped_below_1e_6_is_checked_below_its_cap(monkeypatch):
+    """A cap of 1e-9 gives the grid 0 plus 24 points up to 0.999e-9, and the
+    certificate is built instead of raising TableGapError at r = 1e-6."""
+    from ioslab.properties import Certificate, PropertyId
+
+    beta = cf.grid_piecewise_kl((1e-9,), ((0.0, 1.0),), cf.identity())
+    r, _ = _checked_grids(monkeypatch, beta)
+    assert r[0] == 0.0 and len(r) == 25
+    assert r[-1] == pytest.approx(0.999e-9, rel=1e-12)
+    assert r[1] == pytest.approx(0.999e-14, rel=1e-12)
+    monkeypatch.undo()
+    assert cf.check_kl(beta) == []
+    Certificate(PropertyId.IOS, {"beta": beta, "gamma": cf.identity()})
+
+
+def test_a_profile_capped_at_zero_is_refused_by_name():
+    from ioslab.errors import CertificateError
+    from ioslab.properties import Certificate, PropertyId
+
+    beta = cf.grid_piecewise_kl((0.0,), ((0.0, 1.0),), cf.identity())
+    with pytest.raises(CertificateError, match="radius cap 0"):
+        cf.check_kl(beta)
+    with pytest.raises(CertificateError, match="radius cap 0"):
+        Certificate(PropertyId.IOS, {"beta": beta, "gamma": cf.identity()})

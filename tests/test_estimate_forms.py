@@ -37,22 +37,6 @@ def lin_plan():
     return get_entry("lin_scalar").default_plan()
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Row counts of the kernel calls the probe sets make."""
-    import ioslab.properties as props
-
-    calls = []
-    real = props.simulate_batch
-
-    def counting(sys, x0s, us, plan):
-        calls.append(len(us))
-        return real(sys, x0s, us, plan)
-
-    monkeypatch.setattr(props, "simulate_batch", counting)
-    return calls
-
-
 # ---------------------------------------------------------------------------
 # refusals come before any simulation
 # ---------------------------------------------------------------------------

@@ -722,22 +722,6 @@ def test_iss_estimate_fits_the_state_norm(lin_plan):
     assert verify(sys, cert, lin_plan, probe_set=ps).certified
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Row counts of the kernel calls the probe sets make."""
-    import ioslab.properties as props
-
-    calls = []
-    real = props.simulate_batch
-
-    def counting(sys, x0s, us, plan):
-        calls.append(len(us))
-        return real(sys, x0s, us, plan)
-
-    monkeypatch.setattr(props, "simulate_batch", counting)
-    return calls
-
-
 @pytest.mark.parametrize("by_output", [False, True])
 def test_reachability_bound_is_one_kernel_call(lin_sys, lin_plan, kernel_calls, by_output):
     build_reachability_bound(lin_sys, lin_plan, over_initial_output=by_output,
