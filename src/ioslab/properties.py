@@ -631,7 +631,7 @@ class Probe:
 @dataclass
 class ProbeData:
     probe: Probe
-    traj: Trajectory
+    traj: BatchRow | Trajectory  # a simulate_batch row or a simulate run
     ynorm: np.ndarray
     ysup: np.ndarray      # running sup of |y|
     xnorm: np.ndarray     # state norms under the system's norm

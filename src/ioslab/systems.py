@@ -21,19 +21,20 @@ first access by running the row alone, which by the row contract above
 gives the arrays the batch computed.
 Batch contract: ``rhs``, ``output`` and ``state_norm`` take arrays with
 leading batch axes (index a coordinate as ``x[..., i]``, reduce over
-``axis=-1``) and act on each row alone; ``simulate_batch`` evaluates
-``output`` and ``state_norm`` on (steps, P, n) chunk blocks.  The kernel
-re-evaluates them on single rows once per call and raises ``DomainError``
-where a batched row differs, since a scalar-style ``np.array([-x[0] + u[0]])``
-would otherwise give every row the first row's derivative.  ``rhs``,
-``output`` and ``state_norm`` may be called on non-finite or huge rows and
-must not raise on them.  Evaluators
-should compute on whole contiguous rows: at the lockstep sizes (P up to about
-40 rows of up to 64 coordinates) a ufunc on a strided column view such as
-``x[..., 1:]``, or with a (P, 1) or (n,) broadcast operand, costs about twice
-as much as on two contiguous (P, n) blocks.  The kernel hands ``rhs``
-contiguous states, and multiplies them by RK4 step constants formed per
-chunk and repeated to the state's width.
+``axis=-1``) and act on each row alone.  Both entry points evaluate
+``output`` and ``state_norm`` once per chunk, on (steps, P, n) blocks of the
+states after each step.  The kernel re-evaluates them on single rows once
+per call and raises ``DomainError`` where a batched row differs, since a
+scalar-style ``np.array([-x[0] + u[0]])`` would otherwise give every row the
+first row's derivative.  ``rhs`` and ``state_norm`` may be called on
+non-finite or huge rows and must not raise on them; ``output`` sees only
+states a trajectory keeps (the steps of a stopped row after its last kept
+state repeat that state).  Evaluators should compute on whole contiguous
+rows: at the lockstep sizes (P up to about 40 rows of up to 64 coordinates)
+a ufunc on a strided column view such as ``x[..., 1:]``, or with a (P, 1) or
+(n,) broadcast operand, costs about twice as much as on two contiguous
+(P, n) blocks.  The kernel hands ``rhs`` contiguous states, and multiplies them
+by RK4 step constants formed per chunk and repeated to the state's width.
 
 Blow-up handling: the kernel steps in chunks of ``_CHUNK`` lockstep steps,
 each ending no later than the earliest active row's grid end, and reads the
@@ -54,7 +55,7 @@ its block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -167,7 +168,7 @@ class Trajectory:
         np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
 
 
-class BatchRow(Trajectory):
+class BatchRow:
     """One row of a ``simulate_batch`` call, reduced to its norm series.
 
     Eager: ``times``, ``input_values``, ``blow_up``, ``y_norms`` (|y(t_k)|,
@@ -177,22 +178,25 @@ class BatchRow(Trajectory):
     operations (the batch contract), so they equal what the batch computed.
     """
 
+    __slots__ = ("times", "input_values", "blow_up", "y_norms", "x_norms", "_rerun", "_lone")
+
     def __init__(self, times, input_values, blow_up, y_norms, x_norms, rerun):
         self.times, self.input_values, self.blow_up = times, input_values, blow_up
         self.y_norms, self.x_norms = y_norms, x_norms
-        self._rerun = rerun
+        self._rerun, self._lone = rerun, None
 
-    @cached_property
-    def _lone(self) -> Trajectory:
-        return self._rerun()
+    def _lone_run(self) -> Trajectory:
+        if self._lone is None:
+            self._lone = self._rerun()
+        return self._lone
 
     @property
     def states(self) -> np.ndarray:
-        return self._lone.states
+        return self._lone_run().states
 
     @property
     def outputs(self) -> np.ndarray:
-        return self._lone.outputs
+        return self._lone_run().outputs
 
     def output_norms(self) -> np.ndarray:
         return self.y_norms
@@ -268,16 +272,16 @@ def _run(sys: SystemModel, x0s, us, plan: SimPlan, keep_states: bool) -> list:
         u_vals[i, : len(grid)] = u.values[np.searchsorted(u.breakpoints, grid, side="right") - 1]
     _batched(sys, "rhs", sys.rhs, (x0s, u_vals[:, 0]), x0s.shape)
     x0_norms = _batched(sys, "state_norm", sys.state_norm, (x0s,), (len(us),))
+    y0 = _batched(sys, "output", sys.output, (x0s, u_vals[:, 0]), (len(us), sys.output_dim))
     if keep_states:
         states = np.empty((len(us), width, sys.state_dim))
-        states[:, 0] = x0s
+        outputs = np.empty((len(us), width, sys.output_dim))
+        states[:, 0], outputs[:, 0] = x0s, y0
     else:
         # the norm series |x(t_k)| and |y(t_k)|, one row per trajectory
         x_norms = np.empty((len(us), width))
         y_norms = np.empty((len(us), width))
-        x_norms[:, 0] = x0_norms
-        y_norms[:, 0] = np.linalg.norm(_batched(sys, "output", sys.output, (x0s, u_vals[:, 0]),
-                                                (len(us), sys.output_dim)), axis=-1)
+        x_norms[:, 0], y_norms[:, 0] = x0_norms, np.linalg.norm(y0, axis=-1)
 
     # time-major copies, so that a chunk reads contiguous (steps, P, .) slices
     u_steps = np.ascontiguousarray(u_vals.transpose(1, 0, 2))
@@ -314,26 +318,23 @@ def _run(sys: SystemModel, x0s, us, plan: SimPlan, keep_states: bool) -> list:
                 blow_up[i] = float(times[i, k + j + 1])
                 ends[i] = k + j + 2
                 live[r] = False
+                block[j + 1:, r] = block[j, r]  # so the output map sees no discarded state
+            # the output map on the states after each step, with the input values at their times
+            y = _batched(sys, "output", sys.output, (block, u_steps[k + 1:end + 1, sel]),
+                         block.shape[:2] + (sys.output_dim,), check=k == 0)
             if keep_states:
                 states[sel, k + 1:end + 1] = block.swapaxes(0, 1)
+                outputs[sel, k + 1:end + 1] = y.swapaxes(0, 1)
             else:
-                # the chunk reduced to its norm series: the output map on the
-                # states after each step, with the input values at their times
-                y = _batched(sys, "output", sys.output, (block, u_steps[k + 1:end + 1, sel]),
-                             block.shape[:2] + (sys.output_dim,), check=k == 0)
                 x_norms[sel, k + 1:end + 1] = norms.T
                 y_norms[sel, k + 1:end + 1] = np.linalg.norm(y, axis=-1).T
             rows, x, k = rows[live], block[-1, live], end
 
     out = []
-    for i in range(len(us)):
-        n_pts = ends[i]
+    for i, n_pts in enumerate(ends):
         t_i, u_i = times[i, :n_pts], u_vals[i, :n_pts]
         if keep_states:
-            x_i = states[i, :n_pts]
-            y_i = _batched(sys, "output", sys.output, (x_i, u_i), (n_pts, sys.output_dim),
-                           check=i == 0)
-            out.append(Trajectory(t_i, x_i, y_i, u_i, blow_up[i]))
+            out.append(Trajectory(t_i, states[i, :n_pts], outputs[i, :n_pts], u_i, blow_up[i]))
         else:
             out.append(BatchRow(t_i, u_i, blow_up[i], y_norms[i, :n_pts], x_norms[i, :n_pts],
                                 partial(simulate, sys, x0s[i], us[i], plan)))

@@ -2,18 +2,24 @@
 
 The kernel reduces every chunk of lockstep steps to |y(t_k)| and |x(t_k)|
 right after the blow-up guard.  These tests pin that reduction to the lone
-run bit for bit, pin the rows' rebuilt states and outputs to the lone run's
-arrays, and check that a filled probe set's memory does not grow with the
-truncation width n."""
+run and to the reference step loop of ``test_systems`` bit for bit, pin the
+rows' rebuilt states and outputs to the lone run's arrays, check the batch
+contract of the output map on chunk blocks, and check that a filled probe
+set's memory does not grow with the truncation width n."""
 
 import tracemalloc
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+import test_systems
+from ioslab.errors import DomainError
 from ioslab.properties import ProbeSet
 from ioslab.signals import InputSignal
-from ioslab.systems import _CHUNK, SimPlan, full_state_wrap, simulate, simulate_batch
+from ioslab.systems import (_CHUNK, SimPlan, SystemModel, _batched, full_state_wrap, simulate,
+                            simulate_batch)
 from ioslab.zoo import blowup_seed_state, get_entry, make_example, zoo_ids
 
 
@@ -112,3 +118,102 @@ def test_probe_set_memory_does_not_grow_with_the_truncation_width():
     _retained_bytes(16)  # the first fill in a process also keeps one-off allocations
     narrow, wide = _retained_bytes(16), _retained_bytes(64)
     assert abs(wide - narrow) < 0.1 * narrow, (narrow, wide)
+
+
+# ---------------------------------------------------------------------------
+# the series against the reference step loop, on test_systems' batch cases
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def series_checked(monkeypatch):
+    """test_systems' batch-versus-reference check, made to also compare each
+    batch row's |y| and |x| series with the norms of the reference loop's
+    outputs and states.  Counts its calls."""
+    plain = test_systems._assert_batch_equals_rows
+
+    def checked(sys, x0s, us, plan):
+        batch = plain(sys, x0s, us, plan)
+        for x0, u, row in zip(x0s, us, batch):
+            _, states, outputs, _, _ = test_systems._reference_simulate(sys, x0, u, plan)
+            y = np.linalg.norm(outputs, axis=1)
+            x = np.asarray(sys.state_norm(states), dtype=float)
+            assert row.y_norms.tobytes() == y.tobytes()
+            assert row.x_norms.tobytes() == x.tobytes()
+        checked.calls += 1
+        return batch
+
+    checked.calls = 0
+    monkeypatch.setattr(test_systems, "_assert_batch_equals_rows", checked)
+    return checked
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing l2 row
+@pytest.mark.parametrize("zoo_id, n", test_systems._BATCH_CASES)
+def test_mixed_input_batch_series_equal_the_reference(series_checked, zoo_id, n):
+    test_systems.test_batch_equals_one_at_a_time(zoo_id, n)
+    assert series_checked.calls == 1
+
+
+_GUARD_EDGES = ["first step", "chunk end", "next chunk", "last step"]
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(test_systems.test_batch_equals_one_at_a_time_discrete, id="halving"),
+    *(pytest.param(partial(test_systems.test_guard_stamps_the_crossing_at_chunk_edges, edge),
+                   id=f"crossing at {edge}") for edge in _GUARD_EDGES),
+    pytest.param(test_systems.test_guard_with_a_row_ending_mid_chunk, id="row ends mid-chunk"),
+    pytest.param(test_systems.test_guard_on_a_discrete_doubling_map, id="doubling map"),
+    pytest.param(test_systems.test_nonfinite_step_from_a_large_state_freezes_and_stamps,
+                 id="non-finite freeze"),
+])
+def test_guard_batch_series_equal_the_reference(series_checked, case):
+    case()
+    assert series_checked.calls == 1
+
+
+# ---------------------------------------------------------------------------
+# the output map on (steps, P, n) chunk blocks
+# ---------------------------------------------------------------------------
+
+def test_batch_rejects_scalar_style_output():
+    sys = SystemModel(name="scalar_style_output", time_set="continuous", state_dim=3,
+                      input_dim=0, rhs=lambda x, u: -x, output=lambda x, u: x * x[0],
+                      output_dim=3)
+    x0s = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]])
+    with pytest.raises(DomainError, match="rows alone"):
+        simulate_batch(sys, x0s, [InputSignal.zero(0)] * 2, SimPlan(1.0, 1e-2))
+
+
+def test_the_corner_check_reads_every_leading_axis_of_a_chunk_block():
+    """On a (steps, P, n) block the first and last rows are [0, 0] and
+    [-1, -1]: an output that mixes steps is caught, one that acts on each row
+    passes."""
+    sys = make_example("l2_blowup", n=4)
+    block = np.arange(24.0).reshape(2, 3, 4) + 1.0
+    u = np.zeros((2, 3, 0))
+    rowwise = _batched(sys, "output", sys.output, (block, u), (2, 3, sys.output_dim))
+    assert np.array_equal(rowwise[1, 2], sys.output(block[1, 2], u[1, 2]))
+    with pytest.raises(DomainError, match="rows alone"):
+        _batched(sys, "output", lambda x, u: x - x[0], (block, u), block.shape)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing row
+def test_the_output_map_sees_no_discarded_state():
+    """A row that stops mid-chunk runs on to the chunk's end; the output map
+    must not see those steps.  The overflowing row's later steps are NaN."""
+    n = 16
+    sys = make_example("l2_blowup", n=n)
+
+    def finite_only(x, u):
+        assert np.isfinite(x).all(), "the output map saw a discarded state"
+        return sys.output(x, u)
+
+    strict = replace(sys, output=finite_only)
+    zero = InputSignal.zero(0)
+    x0s = np.array([blowup_seed_state(n, 6), np.full(n, 1e160), np.full(n, 0.1)])
+    plan = SimPlan(2.0, 1e-2, 50.0)
+    rows = simulate_batch(strict, x0s, [zero] * 3, plan)
+    for x0, row, plain in zip(x0s, rows, simulate_batch(sys, x0s, [zero] * 3, plan)):
+        assert row.y_norms.tobytes() == plain.y_norms.tobytes()
+        assert simulate(strict, x0, zero, plan).outputs.tobytes() == plain.outputs.tobytes()
+    assert rows[1].blow_up is not None and len(rows[1].times) == 2
