@@ -654,14 +654,15 @@ class ProbeData:
 _PW_PIECES = 4  # pieces of the seeded piecewise-constant probe input
 
 
-def _inputs_at_norm(plan: SamplingPlan, input_dim: int, s: float, seed_extra: int = 0):
+def _inputs_at_norm(plan: SamplingPlan, input_dim: int, s: float):
     """Input family at exactly sup norm s: a constant, a step switched off at
     half the horizon and a seeded piecewise-constant input, in that order."""
     if input_dim == 0 or s == 0.0:
         return [("zero", InputSignal.zero(input_dim))]
     e0 = np.zeros(input_dim)
     e0[0] = 1.0
-    rng = np.random.default_rng((plan.seed, int(s * 1e6), seed_extra))
+    # (seed, level, 0): the trailing 0 fixes which pw input each level draws
+    rng = np.random.default_rng((plan.seed, int(s * 1e6), 0))
     breaks = np.concatenate(([0.0], np.sort(rng.uniform(0, plan.horizon, _PW_PIECES - 1))))
     vals = rng.uniform(-1.0, 1.0, size=(_PW_PIECES, input_dim))
     peak = np.max(np.linalg.norm(vals, axis=1))
@@ -699,25 +700,24 @@ class ProbeSet:
         self.sys = sys
         self.plan = plan
         self._cache: dict = {}
-        self._drawn: dict = {}  # seed offset -> directions; (s, offset) -> input family
+        self._dirs = _directions(sys.state_dim, max(plan.directions, 3), plan.seed)
+        self._inputs: dict = {}  # s -> the input family at sup norm s
         self.probes = [Probe(i, tuple(x0), u, r, u.norm(), tag, tuple(d)) for i, (x0, u, r, tag, d)
                        in enumerate(self._family(plan.radii, plan.s_levels))]
 
     def _family(self, radii, levels, by_output: bool = False):
         """The one probe-construction rule: (x0, u, r, tag, direction) per state
-        radius x direction x input of each level's family.  Output-shell
-        candidates draw their own, with at least 3 directions and seeds offset
-        by 7.  Each direction list and input family is drawn once per set."""
-        plan, extra, drawn = self.plan, 7 if by_output else 0, self._drawn
-        if extra not in drawn:  # the direction list
-            drawn[extra] = _directions(self.sys.state_dim, max(plan.directions, 3)
-                                       if by_output else plan.directions, plan.seed + extra)
+        radius x direction x input of each level's family.  A set draws one
+        direction list of at least 3 entries and one input family per level;
+        plan probes and state shells take the list's first ``plan.directions``
+        entries, output-shell candidates all of it."""
         for s in levels:
-            if (s, extra) not in drawn:
-                drawn[(s, extra)] = _inputs_at_norm(plan, self.sys.input_dim, s, extra)
-        inputs = [pair for s in levels for pair in drawn[(s, extra)]]
+            if s not in self._inputs:
+                self._inputs[s] = _inputs_at_norm(self.plan, self.sys.input_dim, s)
+        inputs = [pair for s in levels for pair in self._inputs[s]]
+        dirs = self._dirs if by_output else self._dirs[: self.plan.directions]
         for r in radii:
-            for d in drawn[extra]:
+            for d in dirs:
                 x0 = np.asarray(self.sys.embed(r, d), dtype=float)
                 for tag, u in inputs:
                     yield x0, u, r, tag, d
@@ -759,9 +759,8 @@ class ProbeSet:
             idx = np.searchsorted(probe.u.breakpoints, traj.times, side="right") - 1
             urestr = run[idx]
             uval = np.linalg.norm(traj.input_values, axis=1)
-        else:
-            urestr = np.zeros_like(ynorm)
-            uval = np.zeros_like(ynorm)
+        else:  # one read-only zero view serves both series
+            urestr = uval = np.broadcast_to(0.0, ynorm.shape)
         return ProbeData(probe, traj, ynorm, ysup, xnorm, urestr, uval)
 
     def all_data(self) -> list[ProbeData]:
@@ -784,20 +783,15 @@ class ProbeSet:
 
     def _output_shell(self, r_y: float, s: float) -> list[Probe]:
         """Probes whose initial output norm lies at or below r_y: a ladder
-        of state radii is screened by rejection, keeping the candidates
-        inside the ball (preferring the top of the shell).  Sampling the
-        level set of the output map this way is heuristic."""
+        of state radii is screened by rejection, keeping every candidate
+        inside the ball in family order.  Sampling the level set of the
+        output map this way is heuristic."""
         ladder = [r_y * f for f in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
-        kept = []
-        for x0, u, radius, tag, d in self._family(ladder, (s,), by_output=True):
-            y0 = _initial_output(self.sys, x0, u)
-            if y0 <= r_y + 1e-12:
-                kept.append((float(y0), radius, x0, u, tag, tuple(d)))
-        kept.sort(key=lambda item: (-item[0], item[1], tuple(item[2])))
+        kept = [(x0, u, tag, d) for x0, u, _, tag, d in self._family(ladder, (s,), by_output=True)
+                if _initial_output(self.sys, x0, u) <= r_y + 1e-12]
         return [Probe(-2000 - i, tuple(x0), u, float(self.sys.state_norm(x0)), u.norm(),
-                      f"yshell:{tag}", d)
-                for i, (y0, radius, x0, u, tag, d) in
-                enumerate(kept[: 3 * max(self.plan.directions, 3)])]
+                      f"yshell:{tag}", tuple(d))
+                for i, (x0, u, tag, d) in enumerate(kept)]
 
 
 # ---------------------------------------------------------------------------
@@ -1777,8 +1771,6 @@ def first_crossing_time(sys: SystemModel, x0, u: InputSignal, target_radius: flo
     t0 = lo
 
     def norm_at(dt: float) -> float:
-        if dt <= 0.0:
-            return float(ynorm[k - 1])
         sub = simulate(sys, x_lo, u.shift(t0),
                        replace(plan, horizon=dt, step=min(plan.step, dt)))
         return float(np.linalg.norm(sub.outputs[-1]))

@@ -27,7 +27,7 @@ sat_polar    saturated spiral: the radius contracts (linearly far out,
              small output can swing to large output before contracting.
 l2_blowup    truncation of a sequence system whose n-th coordinate is
              pumped by the 0-th: single-coordinate seeds push coordinate n
-             up to level n within time 1, so reachability sets over a fixed
+             past level n within time 1, so reachability sets over a fixed
              ball grow without bound in the truncation width.
 l2_timewarp  the same system driven through an input-dependent time
              dilation 1/(1+u^2): inputs slow convergence arbitrarily, which
@@ -592,21 +592,24 @@ def _l2_blowup_entry() -> ZooEntry:
                 t=1.0,
                 output_floor=51.0,
                 note="seed coordinate j at the comparison level c and the "
-                     "0-th coordinate at 2e; coordinate j reaches level j "
-                     "within time 1",
+                     "0-th coordinate at 2e; the output floor j is a lower "
+                     "bound: from j = floor(0.8 n) the converged sup |y| "
+                     "peaks near t = 0.11 at 136.1, 553.2, 2,414 and 10,060 "
+                     "for n = 8, 16, 32 and 64, about 0.94-0.97 x 4 j^2 "
+                     "(at step 2e-4 the n = 64 run reads 2,517)",
             ),
             PropertyId.IOS: WitnessRecipe(
                 x0=(),
                 t=1.0,
                 output_floor=51.0,
                 note="same seed; no decaying bound from the ball of radius "
-                     "d can cap the excursion",
+                     "d can cap the excursion, which passes the floor j",
             ),
             PropertyId.ISS: WitnessRecipe(
                 x0=(),
                 t=1.0,
                 output_floor=51.0,
-                note="full-state output, same seed",
+                note="full-state output, same seed; the floor j is a lower bound",
             ),
         },
         certificates=_l2_certs,

@@ -262,6 +262,30 @@ def test_piecewise_kl_marginal_checks_dense_grid():
     assert cf.check_kl(beta, r_grid, t_grid) == []
 
 
+_TAIL = "t-marginal tail does not vanish"
+_R_UP = "r-marginal not strictly increasing at some t"
+
+
+@pytest.mark.parametrize("beta, problems", [
+    (cf.kl_separable(cf.identity(), cf.constant(1)), [_TAIL]),
+    (cf.kl_separable(cf.sat(), cf.exp_decay()), [_R_UP]),
+    (cf.kl_separable(cf.add(cf.identity(), cf.constant(1)), cf.exp_decay()),
+     ["r-marginal does not vanish at r = 0"]),
+    (cf.kl_separable(cf.identity(), cf.identity()),
+     [_R_UP, "t-marginal increasing at some r", _TAIL]),
+], ids=["no-decay", "saturated", "offset", "growing"])
+def test_check_kl_names_each_failed_marginal(beta, problems):
+    """Each marginal check that fails is named once, in check order, and a
+    certificate built on that beta is refused with the same names."""
+    from ioslab.errors import CertificateError
+    from ioslab.properties import Certificate, PropertyId
+
+    assert cf.check_kl(beta) == problems
+    with pytest.raises(CertificateError) as info:
+        Certificate(PropertyId.IOS, {"beta": beta, "gamma": cf.identity()})
+    assert str(info.value).endswith("fails KL checks: " + "; ".join(problems))
+
+
 def test_knot_sequence_rejects_nonincreasing():
     with pytest.raises(DomainError):
         cf.KnotSequence((0.0, 1.0, 1.0), cf.identity())

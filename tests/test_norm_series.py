@@ -120,6 +120,14 @@ def test_probe_set_memory_does_not_grow_with_the_truncation_width():
     assert abs(wide - narrow) < 0.1 * narrow, (narrow, wide)
 
 
+def test_an_input_free_probe_set_keeps_no_input_series():
+    """An input-free probe keeps its |y|, running sup and |x| series, and one
+    shared zero view for both input series: under 40 B per grid point."""
+    _retained_bytes(16)
+    points = 9 * 1001  # the default plan's 9 probes x 1,001 grid points
+    assert _retained_bytes(16) / points < 40.0
+
+
 # ---------------------------------------------------------------------------
 # the series against the reference step loop, on test_systems' batch cases
 # ---------------------------------------------------------------------------

@@ -1053,15 +1053,15 @@ def test_warm_probe_set_makes_no_kernel_call_and_builds_no_shell(lin_sys, lin_pl
 # one probe-construction rule
 # ---------------------------------------------------------------------------
 
-def _reference_probes(sys, plan, radii, levels, seed_extra, count, tag_prefix, first):
+def _reference_probes(sys, plan, radii, levels, count, tag_prefix, first):
     """Radius x direction x input family per level, written out from the two
-    draw functions: the plan probes (levels from zero, extra 0), a state
-    shell (one radius, one level) and the output-shell candidates (extra 7)."""
+    draw functions at the plan's seed: the plan probes (levels from zero), a
+    state shell (one radius, one level) and the output-shell candidates
+    (every one of at least 3 directions)."""
     import ioslab.properties as props
 
-    dirs = props._directions(sys.state_dim, count, plan.seed + seed_extra)
-    inputs = [pair for s in levels
-              for pair in props._inputs_at_norm(plan, sys.input_dim, s, seed_extra)]
+    dirs = props._directions(sys.state_dim, count, plan.seed)
+    inputs = [pair for s in levels for pair in props._inputs_at_norm(plan, sys.input_dim, s)]
     out = []
     for r in radii:
         for d in dirs:
@@ -1074,18 +1074,15 @@ def _reference_probes(sys, plan, radii, levels, seed_extra, count, tag_prefix, f
 
 
 def _reference_output_shell(sys, plan, r_y, s):
+    """Every candidate with |y(0)| <= r_y, in family order: no rank, no cap."""
     import ioslab.properties as props
 
-    count = max(plan.directions, 3)
     ladder = [r_y * f for f in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
-    kept = [(props._initial_output(sys, np.asarray(p.x0), p.u), p.r, np.asarray(p.x0), p.u,
-             p.tag, p.direction)
-            for p in _reference_probes(sys, plan, ladder, (s,), 7, count, "", 0)]
-    kept = [item for item in kept if item[0] <= r_y + 1e-12]
-    kept.sort(key=lambda item: (-item[0], item[1], tuple(item[2])))
-    return [props.Probe(-2000 - i, tuple(x0), u, float(sys.state_norm(x0)), u.norm(),
-                        f"yshell:{tag}", d)
-            for i, (y0, radius, x0, u, tag, d) in enumerate(kept[: 3 * count])]
+    kept = [p for p in _reference_probes(sys, plan, ladder, (s,), max(plan.directions, 3), "", 0)
+            if props._initial_output(sys, np.asarray(p.x0), p.u) <= r_y + 1e-12]
+    return [props.Probe(-2000 - i, p.x0, p.u, float(sys.state_norm(np.asarray(p.x0))), p.s,
+                        f"yshell:{p.tag}", p.direction)
+            for i, p in enumerate(kept)]
 
 
 def _probe_bytes(p):
@@ -1106,12 +1103,12 @@ def test_plan_probes_and_shells_follow_one_construction_rule(zid, seed_offset, s
     plan = replace(plan, seed=plan.seed + seed_offset, directions=directions)
     ps = ProbeSet(sys, plan)
     levels = (0.0,) + plan.input_norms  # the zero input first
-    expected = _reference_probes(sys, plan, plan.radii, levels, 0, plan.directions, "", 0)
+    expected = _reference_probes(sys, plan, plan.radii, levels, plan.directions, "", 0)
     assert list(map(_probe_bytes, ps.probes)) == list(map(_probe_bytes, expected))
     cells = [(plan.radii[0], 0.0), (plan.radii[-1], plan.s_max),
              (0.5 * plan.radii[-1], 0.5 * plan.s_max), (plan.radii[0], plan.s_max)]
     for r, s in cells:
-        state = _reference_probes(sys, plan, (r,), (s,), 0, plan.directions, "shell:", -1000)
+        state = _reference_probes(sys, plan, (r,), (s,), plan.directions, "shell:", -1000)
         assert list(map(_probe_bytes, ps._state_shell(r, s))) == list(map(_probe_bytes, state))
         output = _reference_output_shell(sys, plan, r, s)
         assert list(map(_probe_bytes, ps._output_shell(r, s))) == list(map(_probe_bytes, output))
@@ -1131,10 +1128,10 @@ def test_a_probe_set_draws_each_direction_list_and_input_family_once(lin_sys, li
     for _ in range(2):
         ps.shells(cells)
         ps.shells(cells, by_output=True)
-    # the plan's list and families, then the output shells' own
+    # one direction list, and one family per level: the plan's and s = 0.3
     assert len(draws) == len(set(draws))
-    assert sum(d[0] == "_directions" for d in draws) == 2
-    assert sum(d[0] == "_inputs_at_norm" for d in draws) == 2 * len(lin_plan.s_levels) + 2
+    assert sum(d[0] == "_directions" for d in draws) == 1
+    assert sum(d[0] == "_inputs_at_norm" for d in draws) == len(lin_plan.s_levels) + 1
 
 
 def test_plan_refuses_a_sim_with_another_horizon():
@@ -1161,6 +1158,21 @@ def test_output_reachability_bound_covers_every_drawn_output_shell_probe(zid):
         for t in mu.t_grid:
             sup = float(np.max(data.ynorm[data.times <= t + 1e-12]))
             assert sup <= mu.eval(data.y0, data.probe.s, t) + 1e-12, (data.probe.tag, t)
+
+
+def test_rotation_output_shell_keeps_the_large_states_of_a_small_output():
+    """On rotation y(0) = 0 along e_1 while |y| later reaches |x0|: the
+    r_y = 0.5 output shell keeps every screened candidate, state norms up to
+    8 included, so the output-axis table sees the unbounded reachability."""
+    entry = get_entry("rotation")
+    sys, plan = entry.factory(), entry.default_plan()
+    ps = ProbeSet(sys, plan)
+    shell = ps._output_shell(0.5, 0.0)
+    assert len(shell) == 13
+    assert max(p.r for p in shell) == 8.0
+    mu = build_reachability_bound(sys, plan, over_initial_output=True, probe_set=ps)
+    row = mu.values[plan.radii.index(0.5), 0]
+    assert row == pytest.approx(np.full(len(mu.t_grid), 48.0), rel=1e-6)
 
 
 @pytest.mark.parametrize("seed", [-1, 2.5, "7", None])
