@@ -67,6 +67,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -81,7 +82,7 @@ from .errors import (
     TableGapError,
 )
 from .signals import InputSignal
-from .systems import BatchRow, SimPlan, SystemModel, Trajectory, simulate, simulate_batch
+from .systems import SimPlan, SystemModel, Trajectory, simulate, simulate_batch
 
 __all__ = [
     "PropertyId",
@@ -630,17 +631,24 @@ class Probe:
 
 @dataclass
 class ProbeData:
+    """A probe and its simulated row: every series a checker reads is the
+    row's or is derived from it and the probe's input on first read."""
+
     probe: Probe
-    traj: BatchRow | Trajectory  # a simulate_batch row or a simulate run
-    ynorm: np.ndarray
-    ysup: np.ndarray      # running sup of |y|
-    xnorm: np.ndarray     # state norms under the system's norm
-    urestr: np.ndarray    # |u restricted to [0, t]| per grid point
-    uval_norm: np.ndarray
+    traj: Trajectory
 
     @property
     def times(self) -> np.ndarray:
         return self.traj.times
+
+    @property
+    def ynorm(self) -> np.ndarray:
+        return self.traj.y_norms
+
+    @property
+    def xnorm(self) -> np.ndarray:
+        """State norms under the system's norm."""
+        return self.traj.x_norms
 
     @property
     def blown(self) -> bool:
@@ -649,6 +657,23 @@ class ProbeData:
     @property
     def y0(self) -> float:
         return float(self.ynorm[0])
+
+    @cached_property
+    def ysup(self) -> np.ndarray:
+        """Running sup of |y|."""
+        return np.maximum.accumulate(self.ynorm)
+
+    @cached_property
+    def urestr(self) -> np.ndarray:
+        """|u restricted to [0, t]| per grid point."""
+        u = self.probe.u
+        run = np.maximum.accumulate(np.linalg.norm(u.values, axis=1))
+        return run[np.searchsorted(u.breakpoints, self.times, side="right") - 1]
+
+    @cached_property
+    def uval_norm(self) -> np.ndarray:
+        """|u(t)| per grid point."""
+        return np.linalg.norm(self.traj.input_values, axis=1)
 
 
 _PW_PIECES = 4  # pieces of the seeded piecewise-constant probe input
@@ -686,6 +711,10 @@ class ProbeSet:
 
     ``data_many`` looks probes up and simulates the misses as one kernel
     call; ``shells`` is the one request for the probes of (r, s) balls.
+    Rows are cached per (x0, u) key and data per probe: probes on one key
+    share its ``simulate_batch`` row, which holds the norm series and no
+    states, and each probe's ``ProbeData`` is made once, so the series it
+    derives on first read are derived once.
 
     Prefetch rule: when ``estimate_gain``, or a ``verify`` of plan probes,
     is handed a probe set with an empty cache, its first request simulates
@@ -699,7 +728,8 @@ class ProbeSet:
     def __init__(self, sys: SystemModel, plan: SamplingPlan):
         self.sys = sys
         self.plan = plan
-        self._cache: dict = {}
+        self._rows: dict = {}  # (x0, u) -> its simulate_batch row
+        self._cache: dict = {}  # probe -> its data
         self._dirs = _directions(sys.state_dim, max(plan.directions, 3), plan.seed)
         self._inputs: dict = {}  # s -> the input family at sup norm s
         self.probes = [Probe(i, tuple(x0), u, r, u.norm(), tag, tuple(d)) for i, (x0, u, r, tag, d)
@@ -726,42 +756,21 @@ class ProbeSet:
         return self.data_many([probe])[0]
 
     def data_many(self, probes) -> list[ProbeData]:
-        """Data for each probe: every key is looked up once, and all misses
-        run as one ``simulate_batch`` call (a key asked for twice runs once)."""
-        datas = [None] * len(probes)
-        misses: dict = {}  # key -> positions in probes that asked for it
-        for i, probe in enumerate(probes):
-            key = (probe.x0, probe.u)
-            hit = self._cache.get(key)
-            if hit is None:
-                misses.setdefault(key, []).append(i)
-            else:
-                datas[i] = hit
-        if misses:
-            firsts = [probes[where[0]] for where in misses.values()]
-            trajs = simulate_batch(self.sys, [p.x0 for p in firsts], [p.u for p in firsts],
-                                   self.plan.sim)
-            for (key, where), probe, traj in zip(misses.items(), firsts, trajs):
-                data = self._cache[key] = self._probe_data(probe, traj)
-                for i in where:
-                    datas[i] = data
-        # the constructor, not dataclasses.replace: this runs once per shell probe
-        return [d if d.probe.index == p.index else
-                ProbeData(p, d.traj, d.ynorm, d.ysup, d.xnorm, d.urestr, d.uval_norm)
-                for d, p in zip(datas, probes)]
-
-    def _probe_data(self, probe: Probe, traj: BatchRow) -> ProbeData:
-        ynorm, xnorm = traj.y_norms, traj.x_norms
-        ysup = np.maximum.accumulate(ynorm)
-        if probe.u.dim:
-            piece = np.linalg.norm(probe.u.values, axis=1)
-            run = np.maximum.accumulate(piece)
-            idx = np.searchsorted(probe.u.breakpoints, traj.times, side="right") - 1
-            urestr = run[idx]
-            uval = np.linalg.norm(traj.input_values, axis=1)
-        else:  # one read-only zero view serves both series
-            urestr = uval = np.broadcast_to(0.0, ynorm.shape)
-        return ProbeData(probe, traj, ynorm, ysup, xnorm, urestr, uval)
+        """Data for each probe, made once per probe.  Probes share the row of
+        their (x0, u) key, and the missing rows run as one ``simulate_batch``
+        call (a key asked for twice runs once)."""
+        datas = [self._cache.get(p) for p in probes]
+        if None not in datas:
+            return datas
+        new = [p for p, d in zip(probes, datas) if d is None]
+        keys = list(dict.fromkeys((p.x0, p.u) for p in new if (p.x0, p.u) not in self._rows))
+        if keys:
+            rows = simulate_batch(self.sys, [x0 for x0, _ in keys], [u for _, u in keys],
+                                  self.plan.sim)
+            self._rows.update(zip(keys, rows))
+        for p in new:
+            self._cache.setdefault(p, ProbeData(p, self._rows[p.x0, p.u]))
+        return [self._cache[p] for p in probes]
 
     def all_data(self) -> list[ProbeData]:
         return self.data_many(self.probes)
@@ -833,10 +842,8 @@ class Witness:
         traj = simulate(sys, np.asarray(self.x0), self.signal(), replace(sim, horizon=self.t))
         if traj.blow_up is not None and traj.blow_up <= self.t:
             return math.inf
-        k = traj.at_time(self.t)
-        if self.series == "state":
-            return float(sys.state_norm(traj.states[k]))
-        return float(np.linalg.norm(traj.outputs[k]))
+        series = traj.x_norms if self.series == "state" else traj.y_norms
+        return float(series[traj.at_time(self.t)])
 
     def to_dict(self) -> dict:
         return {
@@ -1749,14 +1756,15 @@ def first_crossing_time(sys: SystemModel, x0, u: InputSignal, target_radius: flo
                         plan: SimPlan) -> float:
     """First time the output norm enters the open ball of the given radius.
 
-    Grid detection plus bisection between the bracketing grid points;
-    returns +inf when the ball is never entered within the horizon.
+    Grid detection plus, in continuous time, bisection between the
+    bracketing grid points; a discrete-time system enters the ball at the
+    first grid time inside it.  Returns +inf when the ball is never entered
+    within the horizon.
     """
     if target_radius <= 0:
         raise DomainError("target radius must be positive")
     traj = simulate(sys, np.asarray(x0, dtype=float), u, plan)
-    ynorm = traj.output_norms()
-    inside = ynorm < target_radius
+    inside = traj.y_norms < target_radius
     if inside[0]:
         return 0.0
     hits = np.nonzero(inside)[0]
@@ -1766,6 +1774,8 @@ def first_crossing_time(sys: SystemModel, x0, u: InputSignal, target_radius: flo
                               traj.blow_up)
         return math.inf
     k = int(hits[0])
+    if sys.time_set == "discrete":  # no time between two steps to bisect
+        return float(traj.times[k])
     lo, hi = float(traj.times[k - 1]), float(traj.times[k])
     x_lo = traj.states[k - 1]
     t0 = lo
@@ -1773,7 +1783,7 @@ def first_crossing_time(sys: SystemModel, x0, u: InputSignal, target_radius: flo
     def norm_at(dt: float) -> float:
         sub = simulate(sys, x_lo, u.shift(t0),
                        replace(plan, horizon=dt, step=min(plan.step, dt)))
-        return float(np.linalg.norm(sub.outputs[-1]))
+        return float(sub.y_norms[-1])
 
     a, b = 0.0, hi - lo
     for _ in range(30):

@@ -11,14 +11,14 @@ One kernel integrates everything: it advances P trajectories in lockstep as
 one (P, n) state block.  Each row keeps its own grid (grids are padded to the
 longest row) and its own step sizes, so a row performs exactly the
 floating-point operations of a one-trajectory run and rows with different
-input breakpoints share a block.  ``simulate`` runs one row and keeps its
-states and outputs.  ``simulate_batch`` keeps no states: it reduces each
-chunk of steps to the norm series |y(t_k)| and |x(t_k)| of its rows as soon
-as the blow-up guard has read it, so its memory does not grow with the
-truncation width n.  Its rows (``BatchRow``) carry times, input values,
-blow-up and the two series eagerly, and rebuild ``states``/``outputs`` on
-first access by running the row alone, which by the row contract above
-gives the arrays the batch computed.
+input breakpoints share a block.  Both entry points return one row type,
+``Trajectory``: its times, input values, blow-up time and the norm series
+|y(t_k)| and |x(t_k)|, which the kernel reduces each chunk of steps to as
+soon as the blow-up guard has read it.  ``simulate`` runs one row and also
+keeps its states and outputs.  ``simulate_batch`` keeps no states, so its
+memory does not grow with the truncation width n; its rows rebuild
+``states``/``outputs`` on first access by running the row alone, which by
+the row contract above gives the arrays the batch computed.
 Batch contract: ``rhs``, ``output`` and ``state_norm`` take arrays with
 leading batch axes (index a coordinate as ``x[..., i]``, reduce over
 ``axis=-1``) and act on each row alone.  Both entry points evaluate
@@ -63,8 +63,8 @@ import numpy as np
 from .errors import DomainError, IntegrationError
 from .signals import InputSignal
 
-__all__ = ["SystemModel", "SimPlan", "Trajectory", "BatchRow", "AxiomReport", "simulate",
-           "simulate_batch", "check_axioms", "full_state_wrap"]
+__all__ = ["SystemModel", "SimPlan", "Trajectory", "AxiomReport", "simulate", "simulate_batch",
+           "check_axioms", "full_state_wrap"]
 
 _CHUNK = 32  # lockstep steps between two reads of the blow-up guard
 
@@ -127,26 +127,43 @@ class SimPlan:
                               "and a blow-up threshold > 0")
 
 
-@dataclass
 class Trajectory:
-    """Simulation result sampled on the integration grid.
+    """One simulated row, sampled on its integration grid.
 
-    ``outputs[k]`` is exactly ``h(states[k], input_values[k])`` by
-    construction.  ``blow_up`` is the first grid time at which the state norm
-    crossed the threshold, or None.  A ``simulate`` trajectory holds every
-    field eagerly; a ``simulate_batch`` row (``BatchRow``) holds the norm
-    series instead of ``states`` and ``outputs`` and rebuilds those on demand.
+    Eager: ``times``, ``input_values``, ``blow_up`` (the first grid time at
+    which the state norm crossed the threshold, or None), ``y_norms``
+    (|y(t_k)|, also ``output_norms()``) and ``x_norms`` (|x(t_k)| in
+    ``state_norm``).  ``outputs[k]`` is exactly ``h(states[k],
+    input_values[k])``.  A ``simulate`` row keeps ``states`` and ``outputs``;
+    a ``simulate_batch`` row rebuilds them on first access by running the
+    row alone through ``simulate``, which repeats the row's floating-point
+    operations (the batch contract), so they equal what the batch computed.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    outputs: np.ndarray
-    input_values: np.ndarray
-    blow_up: Optional[float]
-    oracle_states: Optional[np.ndarray] = None
+    __slots__ = ("times", "input_values", "blow_up", "y_norms", "x_norms", "oracle_states",
+                 "_arrays")
+
+    def __init__(self, times, input_values, blow_up, y_norms, x_norms, arrays):
+        """``arrays`` is (states, outputs), or a call that returns the lone run."""
+        self.times, self.input_values, self.blow_up = times, input_values, blow_up
+        self.y_norms, self.x_norms = y_norms, x_norms
+        self.oracle_states, self._arrays = None, arrays
+
+    def _kept(self) -> tuple:
+        if callable(self._arrays):
+            self._arrays = self._arrays()._arrays
+        return self._arrays
+
+    @property
+    def states(self) -> np.ndarray:
+        return self._kept()[0]
+
+    @property
+    def outputs(self) -> np.ndarray:
+        return self._kept()[1]
 
     def output_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.outputs, axis=1)
+        return self.y_norms
 
     def at_time(self, t: float) -> int:
         """Index of the grid point closest to t (grid contains probe times)."""
@@ -166,40 +183,6 @@ class Trajectory:
             flags[self.times >= self.blow_up] = 1.0
         data = np.column_stack([self.times, self.states, self.outputs, flags])
         np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
-
-
-class BatchRow:
-    """One row of a ``simulate_batch`` call, reduced to its norm series.
-
-    Eager: ``times``, ``input_values``, ``blow_up``, ``y_norms`` (|y(t_k)|,
-    also ``output_norms()``) and ``x_norms`` (|x(t_k)| in ``state_norm``).
-    ``states`` and ``outputs`` are rebuilt on first access by running the
-    row alone through ``simulate``, which repeats the row's floating-point
-    operations (the batch contract), so they equal what the batch computed.
-    """
-
-    __slots__ = ("times", "input_values", "blow_up", "y_norms", "x_norms", "_rerun", "_lone")
-
-    def __init__(self, times, input_values, blow_up, y_norms, x_norms, rerun):
-        self.times, self.input_values, self.blow_up = times, input_values, blow_up
-        self.y_norms, self.x_norms = y_norms, x_norms
-        self._rerun, self._lone = rerun, None
-
-    def _lone_run(self) -> Trajectory:
-        if self._lone is None:
-            self._lone = self._rerun()
-        return self._lone
-
-    @property
-    def states(self) -> np.ndarray:
-        return self._lone_run().states
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self._lone_run().outputs
-
-    def output_norms(self) -> np.ndarray:
-        return self.y_norms
 
 
 def _time_grid(horizon: float, step: float, breakpoints: np.ndarray) -> np.ndarray:
@@ -235,19 +218,19 @@ def simulate(
     return traj
 
 
-def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[BatchRow]:
+def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[Trajectory]:
     """Run row i of x0s under input us[i], all rows in lockstep.
 
     Row i is integrated on its own grid with its own step sizes, so it
     performs exactly the floating-point operations of a one-trajectory run.
     A row leaves the block when it blows up or reaches the end of its grid.
-    Each row keeps its norm series, not its states (:class:`BatchRow`).
+    Each row keeps its norm series, not its states (:class:`Trajectory`).
     """
     return _run(sys, x0s, us, plan, False)
 
 
-def _run(sys: SystemModel, x0s, us, plan: SimPlan, keep_states: bool) -> list:
-    """The kernel: a ``Trajectory`` per row with ``keep_states``, else a ``BatchRow``."""
+def _run(sys: SystemModel, x0s, us, plan: SimPlan, keep_states: bool) -> list[Trajectory]:
+    """The kernel: a ``Trajectory`` per row, keeping its states with ``keep_states``."""
     us = list(us)
     if not us:
         return []
@@ -273,15 +256,14 @@ def _run(sys: SystemModel, x0s, us, plan: SimPlan, keep_states: bool) -> list:
     _batched(sys, "rhs", sys.rhs, (x0s, u_vals[:, 0]), x0s.shape)
     x0_norms = _batched(sys, "state_norm", sys.state_norm, (x0s,), (len(us),))
     y0 = _batched(sys, "output", sys.output, (x0s, u_vals[:, 0]), (len(us), sys.output_dim))
+    # the norm series |x(t_k)| and |y(t_k)|, one row per trajectory
+    x_norms = np.empty((len(us), width))
+    y_norms = np.empty((len(us), width))
+    x_norms[:, 0], y_norms[:, 0] = x0_norms, np.linalg.norm(y0, axis=-1)
     if keep_states:
         states = np.empty((len(us), width, sys.state_dim))
         outputs = np.empty((len(us), width, sys.output_dim))
         states[:, 0], outputs[:, 0] = x0s, y0
-    else:
-        # the norm series |x(t_k)| and |y(t_k)|, one row per trajectory
-        x_norms = np.empty((len(us), width))
-        y_norms = np.empty((len(us), width))
-        x_norms[:, 0], y_norms[:, 0] = x0_norms, np.linalg.norm(y0, axis=-1)
 
     # time-major copies, so that a chunk reads contiguous (steps, P, .) slices
     u_steps = np.ascontiguousarray(u_vals.transpose(1, 0, 2))
@@ -322,23 +304,17 @@ def _run(sys: SystemModel, x0s, us, plan: SimPlan, keep_states: bool) -> list:
             # the output map on the states after each step, with the input values at their times
             y = _batched(sys, "output", sys.output, (block, u_steps[k + 1:end + 1, sel]),
                          block.shape[:2] + (sys.output_dim,), check=k == 0)
+            x_norms[sel, k + 1:end + 1] = norms.T
+            y_norms[sel, k + 1:end + 1] = np.linalg.norm(y, axis=-1).T
             if keep_states:
                 states[sel, k + 1:end + 1] = block.swapaxes(0, 1)
                 outputs[sel, k + 1:end + 1] = y.swapaxes(0, 1)
-            else:
-                x_norms[sel, k + 1:end + 1] = norms.T
-                y_norms[sel, k + 1:end + 1] = np.linalg.norm(y, axis=-1).T
             rows, x, k = rows[live], block[-1, live], end
 
-    out = []
-    for i, n_pts in enumerate(ends):
-        t_i, u_i = times[i, :n_pts], u_vals[i, :n_pts]
-        if keep_states:
-            out.append(Trajectory(t_i, states[i, :n_pts], outputs[i, :n_pts], u_i, blow_up[i]))
-        else:
-            out.append(BatchRow(t_i, u_i, blow_up[i], y_norms[i, :n_pts], x_norms[i, :n_pts],
-                                partial(simulate, sys, x0s[i], us[i], plan)))
-    return out
+    return [Trajectory(times[i, :n], u_vals[i, :n], blow_up[i], y_norms[i, :n], x_norms[i, :n],
+                       (states[i, :n], outputs[i, :n]) if keep_states
+                       else partial(simulate, sys, x0s[i], us[i], plan))
+            for i, n in enumerate(ends)]
 
 
 def _steps(sys: SystemModel, x, u_chunk, half_h, h, sixth_h) -> np.ndarray:

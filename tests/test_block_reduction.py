@@ -278,12 +278,14 @@ def _probe_data(draw):
               for _ in range(3)]
     ynorm, xnorm, unorm = series
     blow_up = float(times[-1]) if draw(st.integers(0, 4)) == 0 else None
-    probe = props.Probe(draw(st.integers(0, 2)), (0.0,), InputSignal.zero(1),
+    # the input takes the value unorm[k] from times[k] on, so the derived
+    # |u| series are unorm and its running max
+    probe = props.Probe(draw(st.integers(0, 2)), (0.0,), InputSignal(times, unorm),
                         draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))),
                         draw(st.sampled_from((0.0, 0.5, 1.0, 3.0))), "drawn")
-    traj = Trajectory(times, np.zeros((n, 1)), np.zeros((n, 1)), np.zeros((n, 1)), blow_up)
-    return ProbeData(probe, traj, ynorm, np.maximum.accumulate(ynorm), xnorm,
-                     np.maximum.accumulate(unorm), unorm)
+    traj = Trajectory(times, unorm[:, None], blow_up, ynorm, xnorm,
+                      (np.zeros((n, 1)), np.zeros((n, 1))))
+    return ProbeData(probe, traj)
 
 
 def _tau_table(values, s_grid):
@@ -377,10 +379,8 @@ def test_listing_order_decides_a_tie_of_one_probe_index():
     def data(ynorm):
         ynorm = np.array(ynorm)
         return ProbeData(props.Probe(0, (0.0,), InputSignal.zero(1), 0.5, 0.0, "tie"),
-                         Trajectory(np.array([0.0, 1.0, 2.0]), np.zeros((3, 1)),
-                                    np.zeros((3, 1)), np.zeros((3, 1)), None),
-                         ynorm, np.maximum.accumulate(ynorm), np.zeros(3), np.zeros(3),
-                         np.zeros(3))
+                         Trajectory(np.array([0.0, 1.0, 2.0]), np.zeros((3, 1)), None, ynorm,
+                                    np.zeros(3), (np.zeros((3, 1)), np.zeros((3, 1)))))
 
     taus = np.array([[[2.0, 2.0], [2.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]]])
     cert = Certificate(P.OUAG, {"gamma": _IDENT, "tau_table": ConvergenceTimeTable(

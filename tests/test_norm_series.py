@@ -3,9 +3,10 @@
 The kernel reduces every chunk of lockstep steps to |y(t_k)| and |x(t_k)|
 right after the blow-up guard.  These tests pin that reduction to the lone
 run and to the reference step loop of ``test_systems`` bit for bit, pin the
-rows' rebuilt states and outputs to the lone run's arrays, check the batch
-contract of the output map on chunk blocks, and check that a filled probe
-set's memory does not grow with the truncation width n."""
+rows' rebuilt states and outputs to the lone run's arrays, pin the series a
+probe's data derives from its row to the formulas a probe set once stored,
+check the batch contract of the output map on chunk blocks, and check that a
+filled probe set's memory does not grow with the truncation width n."""
 
 import tracemalloc
 from dataclasses import replace
@@ -34,6 +35,8 @@ def _assert_series_equal_lone(sys, x0s, us, plan):
     rows = simulate_batch(sys, x0s, us, plan)
     for x0, u, row in zip(x0s, us, rows):
         y, x, lone = _lone_norms(sys, x0, u, plan)
+        assert lone.y_norms.tobytes() == y.tobytes()
+        assert lone.x_norms.tobytes() == x.tobytes()
         assert row.y_norms.tobytes() == y.tobytes()
         assert row.output_norms().tobytes() == y.tobytes()
         assert row.x_norms.tobytes() == x.tobytes()
@@ -101,31 +104,78 @@ def test_batch_rows_rebuild_the_lone_states_and_outputs(zoo_id):
         assert np.array_equal(np.linalg.norm(row.outputs, axis=1), row.y_norms)
 
 
-def _retained_bytes(n):
-    """Bytes a filled default l2_blowup probe set keeps alive at width n."""
-    sys = make_example("l2_blowup", n=n)
-    ps = ProbeSet(sys, get_entry("l2_blowup").default_plan())
+def _eager_series(probe, traj):
+    """(running sup of |y|, |u| on [0, t], |u(t)|) by the formulas a probe
+    set once applied to every row it cached, with one read-only zero view
+    for both input series of an input-free probe."""
+    ynorm = traj.y_norms
+    ysup = np.maximum.accumulate(ynorm)
+    if probe.u.dim:
+        piece = np.linalg.norm(probe.u.values, axis=1)
+        run = np.maximum.accumulate(piece)
+        idx = np.searchsorted(probe.u.breakpoints, traj.times, side="right") - 1
+        urestr = run[idx]
+        uval = np.linalg.norm(traj.input_values, axis=1)
+    else:
+        urestr = uval = np.broadcast_to(0.0, ynorm.shape)
+    return ysup, urestr, uval
+
+
+@pytest.mark.parametrize("zoo_id", zoo_ids())
+def test_derived_series_equal_the_eager_formulas(zoo_id):
+    """Plan probes and the state shell on the first plan radius and input
+    level, whose probes are plan probes re-wrapped under shell indices."""
+    sys = make_example(zoo_id)
+    plan = get_entry(zoo_id).default_plan()
+    ps = ProbeSet(sys, plan)
+    datas = ps.all_data()
+    shell = ps.shells([(plan.radii[0], plan.s_levels[0])])[0]
+    by_row = {id(d.traj): d.probe.index for d in datas}
+    assert any(by_row.get(id(d.traj), d.probe.index) != d.probe.index for d in shell)
+    for data in datas + shell:
+        want = _eager_series(data.probe, data.traj)
+        for got, ref in zip((data.ysup, data.urestr, data.uval_norm), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+def _retained_bytes(zoo_id, **params):
+    """(bytes, grid points) a filled default probe set of the zoo entry keeps alive."""
+    sys = make_example(zoo_id, **params)
+    ps = ProbeSet(sys, get_entry(zoo_id).default_plan())
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ps.all_data()
-        return tracemalloc.get_traced_memory()[0] - before
+        datas = ps.all_data()
+        kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    return kept, sum(len(d.times) for d in datas)
 
 
 def test_probe_set_memory_does_not_grow_with_the_truncation_width():
-    _retained_bytes(16)  # the first fill in a process also keeps one-off allocations
-    narrow, wide = _retained_bytes(16), _retained_bytes(64)
+    _retained_bytes("l2_blowup", n=16)  # the first fill in a process also keeps one-off allocations
+    (narrow, _), (wide, _) = _retained_bytes("l2_blowup", n=16), _retained_bytes("l2_blowup", n=64)
     assert abs(wide - narrow) < 0.1 * narrow, (narrow, wide)
 
 
 def test_an_input_free_probe_set_keeps_no_input_series():
-    """An input-free probe keeps its |y|, running sup and |x| series, and one
-    shared zero view for both input series: under 40 B per grid point."""
-    _retained_bytes(16)
-    points = 9 * 1001  # the default plan's 9 probes x 1,001 grid points
-    assert _retained_bytes(16) / points < 40.0
+    """An input-free probe keeps its |y| and |x| series and an empty input
+    value array, and derives its input series only when read: under 40 B
+    per grid point (the default plan's 9 probes x 1,001 grid points)."""
+    _retained_bytes("l2_blowup", n=16)
+    kept, points = _retained_bytes("l2_blowup", n=16)
+    assert points == 9 * 1001
+    assert kept / points < 40.0
+
+
+def test_an_input_carrying_probe_set_keeps_no_derived_series():
+    """An input-carrying probe keeps its times, input values and |y| and |x|
+    series, and derives the running sups and |u| series only when read:
+    under 40 B per grid point, where four more eager series kept 56."""
+    _retained_bytes("l2_timewarp")
+    kept, points = _retained_bytes("l2_timewarp")
+    assert kept / points < 40.0, kept / points
 
 
 # ---------------------------------------------------------------------------

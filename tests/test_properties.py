@@ -508,6 +508,15 @@ def test_first_crossing_never_is_inf(lin_sys):
     assert math.isinf(tau)
 
 
+def test_first_crossing_of_a_discrete_system_is_a_grid_time():
+    # x -> x / 2 from 2: |y| reads 2, 1, 0.5, 0.25 at t = 0..3, so the ball
+    # of radius 0.3 is entered at the step to t = 3, with no time between steps
+    sys = SystemModel(name="halving", time_set="discrete", state_dim=1, input_dim=0,
+                      rhs=lambda x, u: 0.5 * x, output=lambda x, u: x)
+    tau = first_crossing_time(sys, [2.0], InputSignal.zero(0), 0.3, SimPlan(5.0, 1e-2))
+    assert tau == 3.0
+
+
 def test_first_crossing_blowup_raises():
     sys = SystemModel(
         name="quadratic_growth",
