@@ -25,10 +25,12 @@ for each notion's function form.  The quantifier patterns are:
   continuity tables   outputs from the tabulated ball must stay below the
                       row's level over the row's horizon (OCEP, table OULS)
 
-The window notions and the continuity tables share one rule: a trajectory
-that blows up inside the window is an unbounded sample there, and so is a
-witness replay that blows up by the witness's time.  ``estimate_gain`` fits
-the same certificate forms (``_SCHEMAS``) the checkers read.
+The window notions and the continuity tables share one rule
+(``_window_sup``): a trajectory that blows up inside the window is an
+unbounded sample there, and so is a witness replay that blows up by the
+witness's time.  ``estimate_gain`` fits the same certificate forms
+(``_SCHEMAS``) the checkers read, and its delta fit reads windows by the
+same rule.
 
 Across quantifiers the notions differ on two axes, each decided by one set:
 ``_BY_OUTPUT`` holds the notions whose bound or table radius reads the
@@ -40,13 +42,15 @@ against "by tau" for the checker and the tau fit alike.
 
 Probes come from the plan or from shells: the (r, s) balls that the
 tables (tau, delta and reachability) and the shell-sourced checks (OOULIM,
-the continuity tables) read.  ``ProbeSet.shells`` is the one shell request:
-each consumer asks it once for all its cells, and the misses run as one
-kernel call.  A probe set the caller shares between ``verify`` and
-``estimate_gain`` calls is simulated in one kernel call where it can: the
-first plan-probe request on its empty cache also simulates the delta fit's
-first-round continuity shells, which depend on the plan alone (see
-``ProbeSet``).
+the continuity tables) read.  A probe's data (``ProbeData``) is the probe
+and its simulated row, a ``Trajectory``: every series a check reads is the
+row's, under the row's names, and a probe set caches rows only.
+``ProbeSet.shells`` is the one shell request: each consumer asks it once
+for all its cells, and the misses run as one kernel call.  A probe set the
+caller shares between ``verify`` and ``estimate_gain`` calls is simulated
+in one kernel call where it can: the first plan-probe request on its empty
+cache also simulates the delta fit's first-round continuity shells, which
+depend on the plan alone (see ``ProbeSet``).
 
 Verdicts are three-valued.  "certified" never asserts the mathematical
 truth of a universally quantified statement; it records that no sampled
@@ -67,7 +71,6 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -631,49 +634,11 @@ class Probe:
 
 @dataclass
 class ProbeData:
-    """A probe and its simulated row: every series a checker reads is the
-    row's or is derived from it and the probe's input on first read."""
+    """A probe and its simulated row.  Every series a check reads is the
+    row's (``Trajectory``), eager or derived once per row."""
 
     probe: Probe
     traj: Trajectory
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.traj.times
-
-    @property
-    def ynorm(self) -> np.ndarray:
-        return self.traj.y_norms
-
-    @property
-    def xnorm(self) -> np.ndarray:
-        """State norms under the system's norm."""
-        return self.traj.x_norms
-
-    @property
-    def blown(self) -> bool:
-        return self.traj.blow_up is not None
-
-    @property
-    def y0(self) -> float:
-        return float(self.ynorm[0])
-
-    @cached_property
-    def ysup(self) -> np.ndarray:
-        """Running sup of |y|."""
-        return np.maximum.accumulate(self.ynorm)
-
-    @cached_property
-    def urestr(self) -> np.ndarray:
-        """|u restricted to [0, t]| per grid point."""
-        u = self.probe.u
-        run = np.maximum.accumulate(np.linalg.norm(u.values, axis=1))
-        return run[np.searchsorted(u.breakpoints, self.times, side="right") - 1]
-
-    @cached_property
-    def uval_norm(self) -> np.ndarray:
-        """|u(t)| per grid point."""
-        return np.linalg.norm(self.traj.input_values, axis=1)
 
 
 _PW_PIECES = 4  # pieces of the seeded piecewise-constant probe input
@@ -702,8 +667,9 @@ def _inputs_at_norm(plan: SamplingPlan, input_dim: int, s: float):
 
 
 def _initial_output(sys: SystemModel, x0: np.ndarray, u: InputSignal) -> float:
-    """|y(0)| from x0 under u, from the output map alone."""
-    return float(np.linalg.norm(np.atleast_1d(sys.output(x0, u(0.0)))))
+    """|y(0)| from x0 under u, from the output map alone, normed as the
+    kernel norms each output row."""
+    return float(np.linalg.norm(np.atleast_1d(sys.output(x0, u(0.0))), axis=-1))
 
 
 class ProbeSet:
@@ -711,10 +677,10 @@ class ProbeSet:
 
     ``data_many`` looks probes up and simulates the misses as one kernel
     call; ``shells`` is the one request for the probes of (r, s) balls.
-    Rows are cached per (x0, u) key and data per probe: probes on one key
-    share its ``simulate_batch`` row, which holds the norm series and no
-    states, and each probe's ``ProbeData`` is made once, so the series it
-    derives on first read are derived once.
+    The one cache holds rows per (x0, u) key: probes on one key share its
+    ``simulate_batch`` row, which holds the norm series and no states and
+    derives its other series once, and a request hands out (probe, row)
+    pairs.
 
     Prefetch rule: when ``estimate_gain``, or a ``verify`` of plan probes,
     is handed a probe set with an empty cache, its first request simulates
@@ -728,8 +694,7 @@ class ProbeSet:
     def __init__(self, sys: SystemModel, plan: SamplingPlan):
         self.sys = sys
         self.plan = plan
-        self._rows: dict = {}  # (x0, u) -> its simulate_batch row
-        self._cache: dict = {}  # probe -> its data
+        self._cache: dict = {}  # (x0, u) -> its simulate_batch row
         self._dirs = _directions(sys.state_dim, max(plan.directions, 3), plan.seed)
         self._inputs: dict = {}  # s -> the input family at sup norm s
         self.probes = [Probe(i, tuple(x0), u, r, u.norm(), tag, tuple(d)) for i, (x0, u, r, tag, d)
@@ -756,21 +721,16 @@ class ProbeSet:
         return self.data_many([probe])[0]
 
     def data_many(self, probes) -> list[ProbeData]:
-        """Data for each probe, made once per probe.  Probes share the row of
-        their (x0, u) key, and the missing rows run as one ``simulate_batch``
-        call (a key asked for twice runs once)."""
-        datas = [self._cache.get(p) for p in probes]
-        if None not in datas:
-            return datas
-        new = [p for p, d in zip(probes, datas) if d is None]
-        keys = list(dict.fromkeys((p.x0, p.u) for p in new if (p.x0, p.u) not in self._rows))
-        if keys:
-            rows = simulate_batch(self.sys, [x0 for x0, _ in keys], [u for _, u in keys],
+        """(probe, row) for each probe.  Probes share the row of their (x0, u)
+        key, and the missing rows run as one ``simulate_batch`` call (a key
+        asked for twice runs once)."""
+        keys = [(p.x0, p.u) for p in probes]
+        missing = list(dict.fromkeys(key for key in keys if key not in self._cache))
+        if missing:
+            rows = simulate_batch(self.sys, [x0 for x0, _ in missing], [u for _, u in missing],
                                   self.plan.sim)
-            self._rows.update(zip(keys, rows))
-        for p in new:
-            self._cache.setdefault(p, ProbeData(p, self._rows[p.x0, p.u]))
-        return [self._cache[p] for p in probes]
+            self._cache.update(zip(missing, rows))
+        return [ProbeData(p, self._cache[key]) for p, key in zip(probes, keys)]
 
     def all_data(self) -> list[ProbeData]:
         return self.data_many(self.probes)
@@ -973,13 +933,13 @@ class _Outcome:
 def _initial(prop: PropertyId, data: ProbeData) -> float:
     """The probe's initial condition as ``prop`` measures it: |y(0)| for
     the notions in ``_BY_OUTPUT``, |x0| for every other."""
-    return data.y0 if prop in _BY_OUTPUT else data.probe.r
+    return float(data.traj.y_norms[0]) if prop in _BY_OUTPUT else data.probe.r
 
 
 def _observed(prop: PropertyId, data: ProbeData) -> np.ndarray:
     """The norm series ``prop`` bounds: |x| for the notions in
     ``_OF_STATE``, |y| for every other."""
-    return data.xnorm if prop in _OF_STATE else data.ynorm
+    return data.traj.x_norms if prop in _OF_STATE else data.traj.y_norms
 
 
 def _in_ball(r: float, s: float, radius: float) -> bool:
@@ -1010,24 +970,28 @@ class _Block:
         self.probes = [d.probe for d in datas]
         self.index = np.array([p.index for p in self.probes])
         self.s = np.array([p.s for p in self.probes])
-        self.width = max(len(d.times) for d in datas)
-        self.times = self.pad(lambda d: d.times)
+        self.trajs = [d.traj for d in datas]
+        times = [traj.times for traj in self.trajs]
+        self.width = max(map(len, times))
+        self.times = self._padded(times)
 
-    def pad(self, series) -> np.ndarray:
-        """series(data) of every row, padded."""
+    def pad(self, name: str) -> np.ndarray:
+        """The series ``name`` of every row (a ``Trajectory`` attribute), padded."""
+        return self._padded([getattr(traj, name) for traj in self.trajs])
+
+    def _padded(self, series) -> np.ndarray:
         parts = []
-        for data in self.datas:
-            row = series(data)
+        for row in series:
             parts.append(row)
             if len(row) < self.width:
                 parts.append(row[-1:].repeat(self.width - len(row)))
-        return np.concatenate(parts).reshape(len(self.datas), self.width)
+        return np.concatenate(parts).reshape(len(series), self.width)
 
 
 def _blocks(datas, pos):
     """(first row, block) over ``datas`` (at ``pos`` in the checker's input)
     in blocks of at most ``_BLOCK_SAMPLES`` padded points (one row at least)."""
-    step = max(1, _BLOCK_SAMPLES // max((len(d.times) for d in datas), default=1))
+    step = max(1, _BLOCK_SAMPLES // max((len(d.traj.times) for d in datas), default=1))
     for i in range(0, len(datas), step):
         yield i, _Block(datas[i:i + step], pos[i:i + step])
 
@@ -1041,11 +1005,10 @@ def _pointwise_bound(cert: Certificate, block: _Block) -> np.ndarray:
     c = cert.get("c", 0.0)
     if "gamma2" in cert.params:  # IOSS
         g1, g2 = cert["gamma1"], cert["gamma2"]
-        return (cert["beta"](r, t) + g1(block.pad(lambda d: d.urestr))
-                + g2(block.pad(lambda d: d.ysup)))
+        return cert["beta"](r, t) + g1(block.pad("u_sup")) + g2(block.pad("y_sup"))
     if "sigma1" in cert.params:  # the output-map bounds
         s1, g1 = cert["sigma1"], cert["gamma1"]
-        return s1(block.pad(lambda d: d.xnorm)) + g1(block.pad(lambda d: d.uval_norm)) + c
+        return s1(block.pad("x_norms")) + g1(block.pad("u_norms")) + c
     if "beta" in cert.params:
         # beta(r, t) + gamma(s): IOpS adds c, OCAG shifts r by c
         shift, offset = (c, 0.0) if p == PropertyId.OCAG else (0.0, c)
@@ -1068,22 +1031,16 @@ def _in_cert_ball(cert: Certificate, r: float, y0: float, s: float) -> bool:
 
 def _probe_filter(cert: Certificate, data: ProbeData) -> bool:
     """``_in_cert_ball`` of a simulated probe."""
-    return _in_cert_ball(cert, data.probe.r, data.y0, data.probe.s)
+    return _in_cert_ball(cert, data.probe.r, data.traj.y_norms[0], data.probe.s)
 
 
 def _live(cert: Certificate, datas, out: _Outcome):
     """(positions in ``datas``, data) of the probes in the certificate's
     ball that did not blow up; the blown ones are counted into ``out``."""
     kept = [i for i, data in enumerate(datas) if _probe_filter(cert, data)]
-    pos = [i for i in kept if not datas[i].blown]
+    pos = [i for i in kept if datas[i].traj.blow_up is None]
     out.blown += len(kept) - len(pos)
     return pos, [datas[i] for i in pos]
-
-
-def _sup_until(data: ProbeData, horizon: float) -> int:
-    """Grid index of the largest |y| at times up to ``horizon``."""
-    mask = data.times <= horizon + 1e-12
-    return int(np.argmax(np.where(mask, data.ynorm, -math.inf)))
 
 
 def _check_pointwise(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome):
@@ -1109,7 +1066,7 @@ def _check_pointwise(cert: Certificate, datas, plan: SamplingPlan, out: _Outcome
                 continue
             block = _Block([block.datas[i] for i in kept], block.pos[kept])
             bound = _pointwise_bound(cert, block)
-        observed = block.pad(lambda d: _observed(cert.property, d))
+        observed = block.pad("x_norms" if cert.property in _OF_STATE else "y_norms")
         bound = np.broadcast_to(bound, observed.shape)
         k = np.argmin(bound - observed, axis=1)
         rows = np.arange(len(k))
@@ -1123,10 +1080,11 @@ def _window_sup(data: ProbeData, horizon: float) -> tuple[float, float]:
     """(t, |y(t)|) at the largest |y| up to ``horizon``.  A blow-up at or
     before the horizon is an unbounded excursion inside the window, the
     worst possible sample: (blow-up time, inf)."""
-    if data.blown and data.traj.blow_up <= horizon:
-        return data.traj.blow_up, math.inf
-    k = _sup_until(data, horizon)
-    return data.times[k], data.ynorm[k]
+    traj = data.traj
+    if traj.blow_up is not None and traj.blow_up <= horizon:
+        return traj.blow_up, math.inf
+    k = np.argmax(np.where(traj.times <= horizon + 1e-12, traj.y_norms, -math.inf))
+    return traj.times[k], traj.y_norms[k]
 
 
 def _check_window_rows(cert: Certificate, rows, plan: SamplingPlan, out: _Outcome, pos=None):
@@ -1138,11 +1096,11 @@ def _check_window_rows(cert: Certificate, rows, plan: SamplingPlan, out: _Outcom
         return
     bounds, horizons, datas = zip(*rows)
     bounds, horizons = np.array(bounds, dtype=float), np.array(horizons, dtype=float)
-    blow_up = np.array([d.traj.blow_up if d.blown else math.inf for d in datas])
+    blow_up = np.array([math.inf if d.traj.blow_up is None else d.traj.blow_up for d in datas])
     for lo, block in _blocks(datas, range(len(rows)) if pos is None else pos):
         rows = np.arange(len(block.datas))
         horizon, burst = horizons[lo + rows], blow_up[lo + rows] <= horizons[lo + rows]
-        ynorm = block.pad(lambda d: d.ynorm)
+        ynorm = block.pad("y_norms")
         inside = block.times <= horizon[:, None] + 1e-12
         k = np.argmax(np.where(inside, ynorm, -math.inf), axis=1)
         out.add(block, rows, np.where(burst, blow_up[lo + rows], block.times[rows, k]),
@@ -1162,7 +1120,7 @@ def _level_samples(datas, pos, levels, tau, gamma, out: _Outcome, after: bool):
     at or before tau (visit), against eps + gamma(s).  tau is (P, L), NaN
     where the cell is skipped; samples are listed probe by probe."""
     for lo, block in _blocks(datas, pos):
-        ynorm = block.pad(lambda d: d.ynorm)
+        ynorm = block.pad("y_norms")
         cells = tau[lo:lo + len(block.datas)]
         k = np.zeros(cells.shape, dtype=int)
         hit = np.zeros(cells.shape, dtype=bool)
@@ -1391,7 +1349,7 @@ def _refine_from(sys, cert, plan, ps, start, spent, budget):
         cands = []
         for r_new, d_new, amp_new in moves:
             x0 = np.asarray(sys.embed(r_new, d_new), dtype=float)
-            u = InputSignal(base_u.breakpoints, base_u.values * amp_new)
+            u = base_u.scale(amp_new)
             cands.append(Probe(probe.index, tuple(x0), u, r_new, u.norm(),
                                probe.tag + "+", tuple(d_new)))
         spent += len(cands)
@@ -1443,19 +1401,20 @@ def _shell_tau(datas, eps: float, mode: str, gamma_ref: ScalarFn):
     """
     worst = 0.0
     for data in datas:
-        if data.blown:
+        traj = data.traj
+        if traj.blow_up is not None:
             return None, data
-        ok = data.ynorm <= eps + gamma_ref(data.probe.s) + 1e-12
+        ok = traj.y_norms <= eps + gamma_ref(data.probe.s) + 1e-12
         if mode == "uag":
             if not ok[-1]:
                 return None, data
             bad = np.nonzero(~ok)[0]
-            tau = 0.0 if bad.size == 0 else float(data.times[bad[-1] + 1])
+            tau = 0.0 if bad.size == 0 else float(traj.times[bad[-1] + 1])
         else:
             hits = np.nonzero(ok)[0]
             if hits.size == 0:
                 return None, data
-            tau = float(data.times[hits[0]])
+            tau = float(traj.times[hits[0]])
         worst = max(worst, tau)
     return worst, None
 
@@ -1499,7 +1458,8 @@ def _table_shells(ps: ProbeSet, s_levels, over_initial_output: bool) -> list[lis
     if not over_initial_output:
         return shells
     drawn = [[data for shell in shells[k::n_s] for data in shell] for k in range(n_s)]
-    return [[data for data in drawn[k] if data.y0 - 1e-12 <= r] for r in radii for k in range(n_s)]
+    return [[data for data in drawn[k] if data.traj.y_norms[0] - 1e-12 <= r]
+            for r in radii for k in range(n_s)]
 
 
 def _fit_decay_rate(series_list, horizon: float) -> float:
@@ -1535,9 +1495,9 @@ def _fit_separable_kl(datas, series, plan: SamplingPlan) -> KLFn:
     excursions exactly: series(t) <= sigma(r) * exp(-a t) holds at every
     sample by construction of the envelope.
     """
-    a = _fit_decay_rate([(d.times, series(d)) for d in datas], plan.horizon)
+    a = _fit_decay_rate([(d.traj.times, series(d)) for d in datas], plan.horizon)
     sigma = _gain_envelope([d.probe.r for d in datas],
-                           [np.max(series(d) * np.exp(a * d.times)) for d in datas])
+                           [np.max(series(d) * np.exp(a * d.traj.times)) for d in datas])
     return cf.kl_separable(sigma, cf.compose(cf.exp_decay(), cf.scale(a)))
 
 
@@ -1610,7 +1570,7 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
     if "delta_table" in form:
         return Certificate(prop, {"delta_table": _fit_delta_table(
             plan, ps, with_tau=prop == PropertyId.OCEP)})
-    live = [d for d in ps.all_data() if not d.blown]
+    live = [d for d in ps.all_data() if d.traj.blow_up is None]
     if not live:
         raise EstimationError("every probe blew up; nothing to fit")
 
@@ -1635,13 +1595,13 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
     if not zero_in:
         raise EstimationError(f"{prop.value}: no zero-input probe survived to fit on")
     if "sigma1" in form:
-        sigma1 = _gain_envelope(np.concatenate([d.xnorm for d in zero_in]),
-                                np.concatenate([d.ynorm for d in zero_in]))
+        sigma1 = _gain_envelope(np.concatenate([d.traj.x_norms for d in zero_in]),
+                                np.concatenate([d.traj.y_norms for d in zero_in]))
         # residuals per instantaneous input value, which no row's one decisive
         # sample gives; a piecewise-constant input takes few values, so its
         # largest residual per value keeps the fit's arrays short
-        tops = [_largest_per(d.uval_norm, np.maximum(d.ynorm - sigma1(d.xnorm), 0.0))
-                for d in live]
+        tops = [_largest_per(row.u_norms, np.maximum(row.y_norms - sigma1(row.x_norms), 0.0))
+                for row in (d.traj for d in live)]
         params = {"sigma1": sigma1, "gamma1": _gain_envelope(*map(np.concatenate, zip(*tops)))}
         return Certificate(prop, params | ({"c": 0.0} if "c" in form else {}))
 
@@ -1650,7 +1610,7 @@ def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,
     gain = "gamma1" if "gamma1" in form else "gamma"
     if "sigma" in form:
         params = {"sigma": _gain_envelope([_initial(prop, d) for d in zero_in],
-                                          [np.max(d.ynorm) for d in zero_in])}
+                                          [np.max(d.traj.y_norms) for d in zero_in])}
     else:
         params = {"beta": _fit_separable_kl(zero_in, lambda d: _observed(prop, d), plan)}
     params[gain] = cf.zero()
@@ -1668,15 +1628,16 @@ def _fit_asymptotic_gain(datas, plan: SamplingPlan) -> ScalarFn:
     table cells unreachable), while the gain must vanish at zero.
     """
     cut = 0.8 * plan.horizon
-    driven = [d for d in datas if d.probe.s != 0.0 and d.times[-1] >= cut]
+    driven = [d for d in datas if d.probe.s != 0.0 and d.traj.times[-1] >= cut]
     return _gain_envelope([d.probe.s for d in driven],
-                          [np.max(d.ynorm[d.times >= cut]) for d in driven])
+                          [np.max(d.traj.y_norms[d.traj.times >= cut]) for d in driven])
 
 
 def _fit_delta_table(plan: SamplingPlan, ps: ProbeSet, with_tau: bool) -> DeltaTable:
     """Largest delta per (eps, horizon) row: halve from min(eps, largest
-    radius) until no probe of the delta and delta / 2 shells blows up or
-    exceeds 0.98 eps up to the horizon.  A row whose next halving would
+    radius) until no probe of the delta and delta / 2 shells exceeds 0.98
+    eps up to the horizon, as ``_window_sup`` reads the window (a blow-up
+    inside it is +inf, one after it is not).  A row whose next halving would
     drop below 1e-9 gets delta = 0 (an empty row), so every returned
     delta was checked.
 
@@ -1688,8 +1649,7 @@ def _fit_delta_table(plan: SamplingPlan, ps: ProbeSet, with_tau: bool) -> DeltaT
 
     def fails(i, datas) -> bool:
         eps, horizon = rows[i]
-        return any(data.blown or data.ynorm[_sup_until(data, horizon)] > eps * 0.98
-                   for data in datas)
+        return any(_window_sup(data, horizon)[1] > eps * 0.98 for data in datas)
 
     def halve(i) -> bool:
         deltas[i] = 0.0 if deltas[i] * 0.5 < 1e-9 else deltas[i] * 0.5

@@ -80,6 +80,8 @@ class InputSignal:
         return self._norm
 
     def __call__(self, t):
+        """u(t), elementwise on an array of times: the value of the piece
+        that owns t.  The kernel reads each row's input on its grid here."""
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0.0):
             raise DomainError("signals are defined on t >= 0")
@@ -107,6 +109,10 @@ class InputSignal:
         bp = np.concatenate(([0.0], self.breakpoints[idx + 1 :] - tau))
         vals = self.values[idx:]
         return InputSignal(bp, vals)
+
+    def scale(self, factor: float) -> "InputSignal":
+        """t -> factor * u(t), on the same pieces."""
+        return InputSignal(self.breakpoints, self.values * factor)
 
     def restrict(self, t1: float, t2: float) -> "InputSignal":
         """Zero-extension restriction: equals u on [t1, t2], zero elsewhere."""

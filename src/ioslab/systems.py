@@ -11,14 +11,18 @@ One kernel integrates everything: it advances P trajectories in lockstep as
 one (P, n) state block.  Each row keeps its own grid (grids are padded to the
 longest row) and its own step sizes, so a row performs exactly the
 floating-point operations of a one-trajectory run and rows with different
-input breakpoints share a block.  Both entry points return one row type,
-``Trajectory``: its times, input values, blow-up time and the norm series
-|y(t_k)| and |x(t_k)|, which the kernel reduces each chunk of steps to as
-soon as the blow-up guard has read it.  ``simulate`` runs one row and also
-keeps its states and outputs.  ``simulate_batch`` keeps no states, so its
-memory does not grow with the truncation width n; its rows rebuild
-``states``/``outputs`` on first access by running the row alone, which by
-the row contract above gives the arrays the batch computed.
+input breakpoints share a block.  A row reads its input on its grid through
+``InputSignal.__call__``, the one rule for sampling a signal.  Both entry
+points return one row type, ``Trajectory``: its times, input values, blow-up
+time and the norm series |y(t_k)| and |x(t_k)|, which the kernel reduces each
+chunk of steps to as soon as the blow-up guard has read it.  The series the
+checks derive from these (the running sups of |y| and |u| and the |u| series)
+are computed on a row's first read of each and kept once per row.
+``simulate`` runs one row and also keeps its states and outputs.
+``simulate_batch`` keeps no states, so its memory does not grow with the
+truncation width n; its rows rebuild ``states``/``outputs`` on first access
+by running the row alone, which by the row contract above gives the arrays
+the batch computed.
 Batch contract: ``rhs``, ``output`` and ``state_norm`` take arrays with
 leading batch axes (index a coordinate as ``x[..., i]``, reduce over
 ``axis=-1``) and act on each row alone.  Both entry points evaluate
@@ -130,24 +134,48 @@ class SimPlan:
 class Trajectory:
     """One simulated row, sampled on its integration grid.
 
-    Eager: ``times``, ``input_values``, ``blow_up`` (the first grid time at
-    which the state norm crossed the threshold, or None), ``y_norms``
-    (|y(t_k)|, also ``output_norms()``) and ``x_norms`` (|x(t_k)| in
-    ``state_norm``).  ``outputs[k]`` is exactly ``h(states[k],
+    Eager: ``times``, ``input_values`` (u(t_k), as ``InputSignal.__call__``
+    reads the input on the grid), ``blow_up`` (the first grid time at which
+    the state norm crossed the threshold, or None), ``y_norms`` (|y(t_k)|,
+    also ``output_norms()``) and ``x_norms`` (|x(t_k)| in ``state_norm``).
+    Lazy, each computed on its first read and kept once per row: ``y_sup``,
+    ``u_norms`` and ``u_sup``.  ``outputs[k]`` is exactly ``h(states[k],
     input_values[k])``.  A ``simulate`` row keeps ``states`` and ``outputs``;
     a ``simulate_batch`` row rebuilds them on first access by running the
     row alone through ``simulate``, which repeats the row's floating-point
     operations (the batch contract), so they equal what the batch computed.
     """
 
-    __slots__ = ("times", "input_values", "blow_up", "y_norms", "x_norms", "oracle_states",
-                 "_arrays")
+    __slots__ = ("times", "input_values", "blow_up", "y_norms", "x_norms", "_arrays",
+                 "_y_sup", "_u_norms", "_u_sup")
 
     def __init__(self, times, input_values, blow_up, y_norms, x_norms, arrays):
         """``arrays`` is (states, outputs), or a call that returns the lone run."""
         self.times, self.input_values, self.blow_up = times, input_values, blow_up
-        self.y_norms, self.x_norms = y_norms, x_norms
-        self.oracle_states, self._arrays = None, arrays
+        self.y_norms, self.x_norms, self._arrays = y_norms, x_norms, arrays
+        self._y_sup = self._u_norms = self._u_sup = None
+
+    @property
+    def y_sup(self) -> np.ndarray:
+        """Running sup of |y|."""
+        if self._y_sup is None:
+            self._y_sup = np.maximum.accumulate(self.y_norms)
+        return self._y_sup
+
+    @property
+    def u_norms(self) -> np.ndarray:
+        """|u(t_k)|: the norm of each input value."""
+        if self._u_norms is None:
+            self._u_norms = np.linalg.norm(self.input_values, axis=1)
+        return self._u_norms
+
+    @property
+    def u_sup(self) -> np.ndarray:
+        """Running sup of |u(t_k)|: the sup of the input values the row read
+        up to each grid time (in discrete time, the values at step times)."""
+        if self._u_sup is None:
+            self._u_sup = np.maximum.accumulate(self.u_norms)
+        return self._u_sup
 
     def _kept(self) -> tuple:
         if callable(self._arrays):
@@ -199,23 +227,13 @@ def _time_grid(horizon: float, step: float, breakpoints: np.ndarray) -> np.ndarr
     return grid[keep]
 
 
-def simulate(
-    sys: SystemModel,
-    x0,
-    u: InputSignal,
-    plan: SimPlan,
-    with_oracle: bool = False,
-) -> Trajectory:
+def simulate(sys: SystemModel, x0, u: InputSignal, plan: SimPlan) -> Trajectory:
     """Run the system from x0 under input u on [0, min(horizon, blow-up)],
     keeping its states and outputs."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.state_dim,):
         raise DomainError(f"state must have shape ({sys.state_dim},)")
-    traj = _run(sys, x0[None, :], [u], plan, True)[0]
-    if with_oracle and sys.analytic_flow is not None:
-        traj.oracle_states = np.stack([np.asarray(sys.analytic_flow(t, x0, u))
-                                       for t in traj.times])
-    return traj
+    return _run(sys, x0[None, :], [u], plan, True)[0]
 
 
 def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[Trajectory]:
@@ -252,7 +270,7 @@ def _run(sys: SystemModel, x0s, us, plan: SimPlan, keep_states: bool) -> list[Tr
     for i, (grid, u) in enumerate(zip(grids, us)):
         times[i, : len(grid)] = grid
         times[i, len(grid):] = grid[-1]  # padded steps have h = 0
-        u_vals[i, : len(grid)] = u.values[np.searchsorted(u.breakpoints, grid, side="right") - 1]
+        u_vals[i, : len(grid)] = u(grid)
     _batched(sys, "rhs", sys.rhs, (x0s, u_vals[:, 0]), x0s.shape)
     x0_norms = _batched(sys, "state_norm", sys.state_norm, (x0s,), (len(us),))
     y0 = _batched(sys, "output", sys.output, (x0s, u_vals[:, 0]), (len(us), sys.output_dim))

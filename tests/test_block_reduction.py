@@ -88,7 +88,7 @@ def _sweep(cert, datas, levels, sample, out):
     for data in datas:
         if not props._probe_filter(cert, data):
             continue
-        if data.blown:
+        if data.traj.blow_up is not None:
             out.blown.append(data.probe.index)
             continue
         for level in levels:
@@ -103,12 +103,12 @@ def _sweep(cert, datas, levels, sample, out):
 
 
 def _pointwise_bound(cert, data):
-    p, t, s, c = cert.property, data.times, data.probe.s, cert.get("c", 0.0)
+    p, t, s, c = cert.property, data.traj.times, data.probe.s, cert.get("c", 0.0)
     if p == P.IOSS:
-        return (cert["beta"](data.probe.r, t) + cert["gamma1"](data.urestr)
-                + cert["gamma2"](data.ysup))
+        return (cert["beta"](data.probe.r, t) + cert["gamma1"](data.traj.u_sup)
+                + cert["gamma2"](data.traj.y_sup))
     if p in (P.H_BOUNDED, P.H_K_BOUNDED):
-        return cert["sigma1"](data.xnorm) + cert["gamma1"](data.uval_norm) + c
+        return cert["sigma1"](data.traj.x_norms) + cert["gamma1"](data.traj.u_norms) + c
     if "beta" in cert.params:
         shift, offset = (c, 0.0) if p == P.OCAG else (0.0, c)
         return cert["beta"](data.probe.r + shift, t) + cert["gamma"](s) + offset
@@ -121,7 +121,7 @@ def _pointwise(cert, datas, plan, out):
         bound = _pointwise_bound(cert, data)
         observed = props._observed(cert.property, data)
         k = int(np.argmin(bound - observed))
-        return data.times[k], observed[k], bound[k]
+        return data.traj.times[k], observed[k], bound[k]
 
     gaps = _sweep(cert, datas, (None,), sample, out)
     if gaps:
@@ -149,11 +149,11 @@ def _uag(cert, datas, plan, out):
         if tau > plan.horizon + 1e-12:
             late.append((eps, r, tau))
             return None
-        mask = data.times >= tau - 1e-12
+        mask = data.traj.times >= tau - 1e-12
         if not np.any(mask):
             return None
-        k = int(np.argmax(np.where(mask, data.ynorm, -math.inf)))
-        return data.times[k], data.ynorm[k], eps + gamma(s)
+        k = int(np.argmax(np.where(mask, data.traj.y_norms, -math.inf)))
+        return data.traj.times[k], data.traj.y_norms[k], eps + gamma(s)
 
     _sweep(cert, datas, table.eps_grid, sample, out)
     if late:
@@ -168,11 +168,11 @@ def _lim(cert, datas, plan, out):
     def sample(data, eps):
         tau = plan.horizon if table is None else table.eval(
             eps, props._initial(cert.property, data), data.probe.s)
-        mask = data.times <= tau + 1e-12
+        mask = data.traj.times <= tau + 1e-12
         if not np.any(mask):
             return None
-        k = int(np.argmin(np.where(mask, data.ynorm, math.inf)))
-        return data.times[k], data.ynorm[k], eps + gamma(data.probe.s)
+        k = int(np.argmin(np.where(mask, data.traj.y_norms, math.inf)))
+        return data.traj.times[k], data.traj.y_norms[k], eps + gamma(data.probe.s)
 
     _sweep(cert, datas, plan.eps_grid if table is None else table.eps_grid, sample, out)
     if table is None:

@@ -111,7 +111,7 @@ def test_delta_forms_fit_when_every_plan_probe_blows_up(prop, table_form):
     sys = compile_system(parse_system("dim_x = 1\ndim_u = 0\ndx0 = x0 * x0\ny0 = x0"))
     plan = SamplingPlan(radii=(1.0, 2.0), eps_grid=(0.1,), horizon=3.0, directions=1)
     ps = ProbeSet(sys, plan)
-    assert all(d.blown for d in ps.all_data())
+    assert all(d.traj.blow_up is not None for d in ps.all_data())
     cert = estimate_gain(sys, prop, plan, probe_set=ps, table_form=table_form)
     assert cert["delta_table"].values.min() > 0.0
     assert verify(sys, cert, plan, probe_set=ps).certified
@@ -142,7 +142,7 @@ def test_zero_input_fits_refuse_without_a_surviving_zero_input_probe(blowup_at_r
 
 def test_delta_fit_needs_no_zero_input_probe(blowup_at_rest):
     sys, plan = blowup_at_rest
-    live = [d.probe for d in ProbeSet(sys, plan).all_data() if not d.blown]
+    live = [d.probe for d in ProbeSet(sys, plan).all_data() if d.traj.blow_up is None]
     assert {(p.r, p.tag) for p in live} == {(1.0, "const[2]"), (1.0, "step[2]")}
     cert = estimate_gain(sys, PropertyId.OCEP, plan, probe_set=ProbeSet(sys, plan))
     assert cert.property == PropertyId.OCEP and "delta_table" in cert.params

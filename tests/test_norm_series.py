@@ -19,6 +19,7 @@ import test_systems
 from ioslab.errors import DomainError
 from ioslab.properties import ProbeSet
 from ioslab.signals import InputSignal
+from ioslab.sysdsl import compile_system, parse_system
 from ioslab.systems import (_CHUNK, SimPlan, SystemModel, _batched, full_state_wrap, simulate,
                             simulate_batch)
 from ioslab.zoo import blowup_seed_state, get_entry, make_example, zoo_ids
@@ -134,9 +135,23 @@ def test_derived_series_equal_the_eager_formulas(zoo_id):
     assert any(by_row.get(id(d.traj), d.probe.index) != d.probe.index for d in shell)
     for data in datas + shell:
         want = _eager_series(data.probe, data.traj)
-        for got, ref in zip((data.ysup, data.urestr, data.uval_norm), want):
+        for got, ref in zip((data.traj.y_sup, data.traj.u_sup, data.traj.u_norms), want):
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+
+
+def test_a_discrete_rows_input_sup_reads_the_inputs_at_step_times():
+    """The step map reads u at integer times only, so the pulse of height 5
+    on [0.3, 0.6) never acts: |x| halves from 1 and the running sup of |u|,
+    kept once per row, stays 0."""
+    sys = compile_system(parse_system(
+        "dim_x = 1\ndim_u = 1\ntime = discrete\ndx0 = 0.5 * x0 + u0\ny0 = x0"))
+    u = InputSignal.steps([0, 0.3, 0.6], [[0], [5], [0]])
+    plan = SimPlan(3, 1)
+    for row in (simulate(sys, [1.0], u, plan), *simulate_batch(sys, [[1.0]], [u], plan)):
+        assert row.x_norms.tolist() == [1.0, 0.5, 0.25, 0.125]
+        assert row.u_sup.tolist() == [0.0] * 4
+        assert row.u_sup is row.u_sup
 
 
 def _retained_bytes(zoo_id, **params):
@@ -150,7 +165,7 @@ def _retained_bytes(zoo_id, **params):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    return kept, sum(len(d.times) for d in datas)
+    return kept, sum(len(d.traj.times) for d in datas)
 
 
 def test_probe_set_memory_does_not_grow_with_the_truncation_width():

@@ -143,7 +143,7 @@ def test_verify_ioss_runs_and_running_sup_monotone(lin_sys, lin_plan):
     assert verdict.certified
     ps = ProbeSet(lin_sys, lin_plan)
     for data in ps.all_data():
-        assert np.all(np.diff(data.ysup) >= 0.0)
+        assert np.all(np.diff(data.traj.y_sup) >= 0.0)
 
 
 def test_verify_local_ol_filters_ball(sin_sys, sin_plan):
@@ -609,7 +609,7 @@ def test_full_state_wrap_reads_the_state_norm_on_every_zoo_entry(zid):
     wrapped, plan = full_state_wrap(entry.factory()), entry.default_plan()
     ps = ProbeSet(wrapped, plan)
     for data in ps.all_data():
-        np.testing.assert_array_equal(data.ynorm, data.xnorm)
+        np.testing.assert_array_equal(data.traj.y_norms, data.traj.x_norms)
     params = {"beta": cf.kl_exp(), "gamma": cf.identity()}
     v_ios = verify(wrapped, Certificate(PropertyId.IOS, params), plan, probe_set=ps)
     v_iss = verify(wrapped, Certificate(PropertyId.ISS, params), plan, probe_set=ps)
@@ -757,7 +757,7 @@ def test_shells_align_with_cells_and_keep_duplicates(lin_sys, lin_plan):
         assert all(d.probe.r == r and d.probe.s == pytest.approx(s) for d in shell)
     assert [d.traj for d in shells[0]] == [d.traj for d in shells[2]]
     for shell in ps.shells([(0.5, 2.0)], by_output=True):
-        assert shell and all(d.y0 <= 0.5 + 1e-12 for d in shell)
+        assert shell and all(d.traj.y_norms[0] <= 0.5 + 1e-12 for d in shell)
 
 
 # ---------------------------------------------------------------------------
@@ -776,8 +776,7 @@ def _one_halving_per_call(plan, ps, with_tau):
     while halving:
         shells = ps.shells([cell for i in halving for cell in props._delta_cells(ps, deltas[i])])
         failed = [i for i, a, b in zip(halving, shells[::2], shells[1::2]) if any(
-            data.blown or data.ynorm[props._sup_until(data, rows[i][1])] > rows[i][0] * 0.98
-            for data in a + b)]
+            props._window_sup(data, rows[i][1])[1] > rows[i][0] * 0.98 for data in a + b)]
         for i in failed:
             deltas[i] = 0.0 if deltas[i] * 0.5 < 1e-9 else deltas[i] * 0.5
         halving = [i for i in failed if deltas[i] > 0]
@@ -821,6 +820,18 @@ def test_delta_estimates_are_checked_down_to_the_floor(prop, table_form):
     cert = estimate_gain(sys, prop, plan, table_form=table_form)
     verdict = verify(sys, cert, plan)
     assert not verdict.falsified, verdict.min_slack
+
+
+def test_delta_fit_reads_a_blow_up_past_the_rows_horizon_as_the_check_does():
+    """x' = x^2 from delta blows up at t = 1 / delta.  The row with horizon
+    5 keeps delta = 0.125, whose shell stays below 0.98 eps up to t = 5 and
+    blows up only at t = 8; the row with horizon 10 halves on to 0.0625."""
+    sys = compile_system(parse_system("dim_x = 1\ndim_u = 0\ndx0 = x0 * x0\ny0 = x0"))
+    plan = SamplingPlan(radii=(0.5,), eps_grid=(0.5,), horizon=10.0)
+    cert = estimate_gain(sys, PropertyId.OCEP, plan)
+    assert cert["delta_table"].tau_grid == (5.0, 10.0)
+    assert cert["delta_table"].values.tolist() == [[0.125, 0.0625]]
+    assert verify(sys, cert, plan).certified
 
 
 @pytest.mark.parametrize("field", ["radii", "eps_grid"])
@@ -1000,6 +1011,18 @@ def test_falsify_sweeps_the_obors_ball_by_initial_output(lin_plan, kernel_calls)
     assert kernel_calls[0] == len(inside)
 
 
+def test_initial_output_is_normed_as_the_kernel_norms_an_output_row():
+    """The output-shell screen and falsify's ball read |y(0)| bit for bit as
+    the checks read y_norms[0]; the 1-D norm of this output reads one ulp
+    lower (0.6560121950085989)."""
+    import ioslab.properties as props
+
+    sys = make_example("l2_blowup", n=2)
+    x0, zero = np.array([-0.004, 0.656]), InputSignal.zero(0)
+    y0 = props._initial_output(sys, x0, zero)
+    assert y0 == simulate(sys, x0, zero, SimPlan(1.0)).y_norms[0] == 0.656012195008599
+
+
 @pytest.mark.parametrize("fields", [
     {"radii": (1.0, 0.1)},
     {"radii": (0.5, 0.5)},
@@ -1165,8 +1188,9 @@ def test_output_reachability_bound_covers_every_drawn_output_shell_probe(zid):
     assert drawn
     for data in drawn:
         for t in mu.t_grid:
-            sup = float(np.max(data.ynorm[data.times <= t + 1e-12]))
-            assert sup <= mu.eval(data.y0, data.probe.s, t) + 1e-12, (data.probe.tag, t)
+            y = data.traj.y_norms
+            sup = float(np.max(y[data.traj.times <= t + 1e-12]))
+            assert sup <= mu.eval(y[0], data.probe.s, t) + 1e-12, (data.probe.tag, t)
 
 
 def test_rotation_output_shell_keeps_the_large_states_of_a_small_output():
