@@ -55,7 +55,8 @@ depend on the plan alone (see ``ProbeSet``).
 Verdicts are three-valued.  "certified" never asserts the mathematical
 truth of a universally quantified statement; it records that no sampled
 violation beat the margin, together with the sample count and the worst
-slack.  "falsified" always carries a replayable witness.  Anything else is
+slack.  "falsified" always carries a replayable witness: the violating
+probe and its decisive sample (``Witness``).  Anything else is
 "inconclusive" with a reason.
 
 Input-global notions (OGUAG, OGULIM) are only exercised up to the plan's
@@ -69,6 +70,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from typing import Optional
@@ -571,10 +573,16 @@ class SamplingPlan:
                            (self.eps_grid, "eps levels")):
             if any(a >= b for a, b in zip(grid, grid[1:])):
                 raise DomainError(f"plan needs strictly increasing {what}")
-        if not (isinstance(self.directions, int) and self.directions >= 1):
+        # stored as plain ints, which hash as JSON numbers (a bool would not)
+        for name in ("directions", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise DomainError(f"plan needs an integer {name}, not {value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        if self.directions < 1:
             raise DomainError("plan needs at least one direction")
         # it seeds the NumPy generators that draw directions and pw inputs
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if self.seed < 0:
             raise DomainError(f"plan needs an integer seed >= 0, not {self.seed!r}")
         # the zero input is always probed, so an input norm of 0 adds nothing
         object.__setattr__(self, "input_norms", tuple(s for s in norms if s > 0.0))
@@ -769,37 +777,30 @@ class ProbeSet:
 
 @dataclass(frozen=True)
 class Witness:
-    """Replayable violation: initial state, input, time, observed vs bound.
+    """A probe, kept whole so that it replays and can rejoin a probe set,
+    and its decisive sample: at time t it observed ``observed`` against
+    ``bound`` of the norm ``series`` names, "output" (|y|) or "state" (|x|,
+    for the notions in ``_OF_STATE``)."""
 
-    ``series`` names the norm that was observed: "output" (|y|) or "state"
-    (|x|, for the notions in ``_OF_STATE``).
-    """
-
-    x0: tuple
-    u: dict
+    probe: Probe
     t: float
     observed: float
     bound: float
-    margin: float
-    probe_index: int = -1
-    series: str = "output"
+    series: str
 
     @staticmethod
     def of_probe(prop: PropertyId, probe: Probe, t: float, observed: float,
                  bound: float) -> "Witness":
-        """The violation of ``prop`` by ``probe`` at time t."""
-        return Witness(x0=probe.x0, u=probe.u.to_dict(), t=t, observed=observed,
-                       bound=bound, margin=observed - bound, probe_index=probe.index,
-                       series="state" if prop in _OF_STATE else "output")
+        """The sample of ``prop`` by ``probe`` at time t."""
+        return Witness(probe, t, observed, bound, "state" if prop in _OF_STATE else "output")
 
-    def signal(self) -> InputSignal:
-        return InputSignal.from_dict(self.u)
+    margin = property(lambda self: self.observed - self.bound)  # > 0 for a violation
 
     def replay(self, sys: SystemModel, sim: SimPlan) -> float:
         """Re-simulate on [0, t] and return the observed norm (of ``series``)
         at t, or +inf when the run blows up at or before t (as ``_window_sup``
         reads a blow-up inside its window)."""
-        traj = simulate(sys, np.asarray(self.x0), self.signal(), replace(sim, horizon=self.t))
+        traj = simulate(sys, np.asarray(self.probe.x0), self.probe.u, replace(sim, horizon=self.t))
         if traj.blow_up is not None and traj.blow_up <= self.t:
             return math.inf
         series = traj.x_norms if self.series == "state" else traj.y_norms
@@ -807,13 +808,13 @@ class Witness:
 
     def to_dict(self) -> dict:
         return {
-            "x0": list(self.x0),
-            "u": self.u,
+            "x0": list(self.probe.x0),
+            "u": self.probe.u.to_dict(),
             "t": self.t,
             "observed": self.observed,
             "bound": self.bound,
             "margin": self.margin,
-            "probe_index": self.probe_index,
+            "probe_index": self.probe.index,
             "series": self.series,
         }
 
@@ -1271,56 +1272,58 @@ def falsify(sys: SystemModel, cert: Certificate, budget: int,
     search over the initial-state radius, the direction on their shell and
     the input amplitude, one batch per round, with the violation time taken
     as the worst grid time of each refined trajectory.  One checker call
-    scores each batch.  The verdict's ``samples`` counts probe requests, so
-    it bounds the simulations run and never exceeds ``budget``.  The search
-    is deterministic for a fixed plan seed.  Continuity-table certificates
-    are not supported: their checker needs the row each probe was drawn
-    for.
+    scores each batch into one ``Witness`` per probe, its decisive sample;
+    the search ranks, climbs from and returns these.  The verdict's
+    ``samples`` counts probe requests, so it bounds the simulations run and
+    never exceeds ``budget``, which must be >= 0.  The search is
+    deterministic for a fixed plan seed.  Continuity-table certificates are
+    not supported: their checker needs the row each probe was drawn for.
     """
     _, check = _checker(cert)
     if check is _check_window_rows:
         raise CertificateError(f"falsification unsupported for {cert.property.value}")
+    if budget < 0:
+        raise DomainError(f"falsify needs a budget >= 0, not {budget}")
     phash = plan_hash(plan)
     ps = ProbeSet(sys, plan)
     # the ball is known before any simulation: |y(0)| is the output map at x0
-    swept = [p for p in ps.probes
-             if _in_cert_ball(cert, p.r, _initial_output(sys, np.asarray(p.x0), p.u), p.s)]
-    swept = swept[: max(budget, 0)]
+    in_ball = [p for p in ps.probes
+               if _in_cert_ball(cert, p.r, _initial_output(sys, np.asarray(p.x0), p.u), p.s)]
+    swept = in_ball[:budget]
     spent = len(swept)
     ranked = sorted(_scored(cert, plan, ps, swept).values(),
-                    key=lambda item: (-item[0], item[1].index))
+                    key=lambda w: (-w.margin, w.probe.index))
     if not ranked:
-        return Verdict("inconclusive", cert.property, spent, None, None,
-                       "no admissible probes for this certificate", phash)
+        reason = (f"budget 0 runs none of the {len(in_ball)} probes in the certificate's ball"
+                  if in_ball and not budget else "no admissible probes for this certificate")
+        return Verdict("inconclusive", cert.property, spent, None, None, reason, phash)
 
     # multi-start local refinement from the three best swept probes of distinct
     # radii, so a degenerate near-zero basin cannot shadow a genuine violation
     starts = {}
-    for item in ranked:
-        starts.setdefault(round(item[1].r, 9), item)
+    for w in ranked:
+        starts.setdefault(round(w.probe.r, 9), w)
     best = ranked[0]
     for start in list(starts.values())[:3]:
         if spent >= budget:
             break
         refined, spent = _refine_from(sys, cert, plan, ps, start, spent, budget)
-        if refined[0] > best[0]:
+        if refined.margin > best.margin:
             best = refined
-    margin = best[0]
-    if margin > plan.delta_margin:
-        return Verdict("falsified", cert.property, spent, float(-margin),
-                       Witness.of_probe(cert.property, *best[1:]), None, phash)
-    return Verdict("inconclusive", cert.property, spent, float(-margin), None,
-                   f"budget exhausted, max slack = {-margin:.6g}", phash)
+    if best.margin > plan.delta_margin:
+        return Verdict("falsified", cert.property, spent, float(-best.margin), best, None, phash)
+    return Verdict("inconclusive", cert.property, spent, float(-best.margin), None,
+                   f"budget exhausted, max slack = {-best.margin:.6g}", phash)
 
 
 def _scored(cert, plan, ps, probes) -> dict:
-    """Position in ``probes`` -> (observed - bound, probe, t, observed, bound)
-    of the probe's decisive sample, from one checker call over the batch; a
-    probe without one (outside the ball, blown up, no finite slack) is absent."""
+    """Position in ``probes`` -> the ``Witness`` of the probe's decisive
+    sample, from one checker call over the batch; a probe without one
+    (outside the ball, blown up, no finite slack) is absent."""
     out = _Outcome()
     _checker(cert)[1](cert, ps.data_many(probes), plan, out)
-    return {pos: (observed - bound, probes[pos], t, observed, bound)
-            for pos, (_, t, observed, bound) in out.by_row().items()}
+    return {pos: Witness.of_probe(cert.property, *sample)
+            for pos, sample in out.by_row().items()}
 
 
 def _refine_from(sys, cert, plan, ps, start, spent, budget):
@@ -1330,15 +1333,15 @@ def _refine_from(sys, cert, plan, ps, start, spent, budget):
     smaller best.  Amplitudes are absolute factors on the swept input, so
     accepted steps do not compound."""
     best = start
-    base_u = start[1].u
-    span_r = _initial_span(plan.radii, start[1].r)
-    dir_best = np.asarray(start[1].direction) / np.linalg.norm(start[1].direction)
+    base_u = start.probe.u
+    span_r = _initial_span(plan.radii, start.probe.r)
+    dir_best = np.asarray(start.probe.direction) / np.linalg.norm(start.probe.direction)
     amp = 1.0
     stale = 0
     for _ in range(18):
         if spent >= budget or span_r <= 1e-9 or stale >= 4:
             break
-        probe = best[1]
+        probe = best.probe
         moves = [(probe.r + fr * span_r, dir_best, amp) for fr in (-1.0, -0.5, 0.5, 1.0)
                  if probe.r + fr * span_r > 1e-9]
         moves += [(probe.r, d_new, amp) for d_new in
@@ -1354,8 +1357,8 @@ def _refine_from(sys, cert, plan, ps, start, spent, budget):
                                probe.tag + "+", tuple(d_new)))
         spent += len(cands)
         scored = _scored(cert, plan, ps, cands)
-        top = max(scored, key=lambda pos: scored[pos][0], default=None)
-        if top is not None and scored[top][0] > best[0]:
+        top = max(scored, key=lambda pos: scored[pos].margin, default=None)
+        if top is not None and scored[top].margin > best.margin:
             best, (_, dir_best, amp), stale = scored[top], moves[top], 0
         else:
             stale += 1
@@ -1528,8 +1531,7 @@ def _residual_gain(prop, params: dict, plan: SamplingPlan, ps: ProbeSet) -> Scal
     certificate ``params`` with a zero input gain: so the gain is read off
     the samples ``verify`` reads, and a probe without one constrains nothing."""
     scored = _scored(Certificate(prop, dict(params)), plan, ps, ps.probes).values()
-    return _gain_envelope([probe.s for _, probe, *_ in scored],
-                          [margin for margin, *_ in scored])
+    return _gain_envelope([w.probe.s for w in scored], [w.margin for w in scored])
 
 
 def estimate_gain(sys: SystemModel, prop: PropertyId, plan: SamplingPlan,

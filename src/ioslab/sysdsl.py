@@ -446,7 +446,6 @@ def compile_system(doc: SystemSpecDoc) -> SystemModel:
         rhs=rhs,
         output=output,
         output_dim=doc.output_dim,
-        meta={"descriptor": True},
     )
 
 

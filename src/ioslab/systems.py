@@ -58,7 +58,7 @@ its block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -108,7 +108,6 @@ class SystemModel:
     analytic_flow: Optional[Callable[[float, np.ndarray, InputSignal], np.ndarray]] = None
     state_norm: Callable[[np.ndarray], float] = _euclidean
     embed: Callable[[float, np.ndarray], np.ndarray] = _embed_default
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.time_set not in ("continuous", "discrete"):
@@ -477,5 +476,4 @@ def full_state_wrap(sys: SystemModel) -> SystemModel:
         analytic_flow=sys.analytic_flow,
         state_norm=sys.state_norm,
         embed=sys.embed,
-        meta=dict(sys.meta, full_state=True),
     )

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -107,7 +107,7 @@ class WitnessRecipe:
     x0: tuple
     t: float
     output_floor: float
-    note: str = ""
+    note: str
 
     def signal(self, input_dim: int) -> InputSignal:
         """The input of the replay: every recipe replays the zero input."""
@@ -129,12 +129,12 @@ class ZooEntry:
 
     id: str
     factory: Callable[..., SystemModel]
-    stated: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
-    certificates: Callable[[], dict] = lambda: {}
-    default_plan: Callable[[], SamplingPlan] = None
-    estimable: tuple = ()
-    notes: str = ""
+    stated: dict
+    witnesses: dict
+    certificates: Callable[[], dict]
+    default_plan: Callable[[], SamplingPlan]
+    estimable: tuple
+    notes: str
 
     @cached_property
     def expected(self) -> dict:
@@ -239,7 +239,6 @@ def _sat_polar() -> SystemModel:
         output_dim=1,
         state_norm=lambda x: np.abs(x[..., 1]),
         embed=embed,
-        meta={"polar": True},
     )
 
 
@@ -287,7 +286,6 @@ def _l2_blowup(n: int) -> SystemModel:
         rhs=_l2_rhs(n),
         output=lambda x, u: np.asarray(x, dtype=float),
         output_dim=n,
-        meta={"truncation": n},
     )
 
 
@@ -300,8 +298,7 @@ def _l2_timewarp(n: int) -> SystemModel:
         # which rounds differently for a few inputs
         return base(x, u) / (1.0 + np.float_power(u[..., :1], 2))
 
-    return replace(blowup, name=f"l2_timewarp_{n}", input_dim=1, rhs=rhs,
-                   meta={**blowup.meta, "timewarp": True})
+    return replace(blowup, name=f"l2_timewarp_{n}", input_dim=1, rhs=rhs)
 
 
 def _lin_scalar() -> SystemModel:

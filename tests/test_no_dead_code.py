@@ -136,3 +136,31 @@ def test_every_defaulted_dataclass_field_is_set_somewhere():
                            for count, keywords in calls.get(cls, []))):
                 unset.append(f"{path.name}:{cls}.{name}")
     assert unset == []
+
+
+def test_every_defaulted_dataclass_field_is_omitted_somewhere():
+    """A field's default is used when a call to its class leaves the field
+    out: fewer positional arguments than its position and no keyword for it,
+    with no ``*`` or ``**`` splat that might set it.  A class passed as an
+    argument (``.map(Name)``) is called elsewhere on any fields, so it counts
+    as leaving every field out."""
+    calls: dict = {}  # class name -> [(positional count, keywords)] of splat-free calls
+    passed = set()
+    for text in _corpus():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            keywords = [k.arg for k in node.keywords]
+            if None not in keywords and not any(isinstance(a, ast.Starred) for a in node.args):
+                calls.setdefault(name, []).append((len(node.args), set(keywords)))
+            passed.update(a.id if isinstance(a, ast.Name) else a.attr for a in node.args
+                          if isinstance(a, (ast.Name, ast.Attribute)))
+    always_set = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls, name, pos in _defaulted_fields(ast.parse(path.read_text())):
+            if not (cls in passed or any(count <= pos and name not in keywords
+                                         for count, keywords in calls.get(cls, []))):
+                always_set.append(f"{path.name}:{cls}.{name}")
+    assert always_set == []

@@ -269,7 +269,7 @@ def test_falsify_sin_output_ol_localises_pi(sin_sys):
     cert = Certificate(PropertyId.OL, {"sigma": cf.identity(), "gamma": cf.zero()})
     verdict = falsify(sin_sys, cert, 900, plan)
     assert verdict.falsified
-    x0 = abs(verdict.witness.x0[0])
+    x0 = abs(verdict.witness.probe.x0[0])
     assert abs(x0 - math.pi) < 0.1
 
 
@@ -434,6 +434,40 @@ def test_estimate_verify_round_trip_for_every_estimable_property(zid):
             cert = estimate_gain(sys, prop, plan, probe_set=ps, **kwargs)
             verdict = verify(sys, cert, plan, probe_set=ps)
             assert verdict.certified, (prop, kwargs, verdict.min_slack)
+
+
+# exact time-1 maps of three zoo entries, so each twin samples its entry's
+# flow at integer times: (descriptor, "holds" certificates, estimable notions)
+_DISCRETE_TWINS = {
+    "lin_scalar": ("dim_x = 1\ndim_u = 1\ntime = discrete\n"
+                   "dx0 = exp(-1) * x0 + (1 - exp(-1)) * u0\ny0 = x0", 17, 10),
+    "rotation": ("dim_x = 2\ndim_u = 0\ntime = discrete\n"
+                 "dx0 = cos(1) * x0 - sin(1) * x1\ndx1 = sin(1) * x0 + cos(1) * x1\ny0 = x0",
+                 6, 7),
+    "sin_output": ("dim_x = 1\ndim_u = 0\ntime = discrete\ndx0 = exp(-1) * x0\ny0 = sin(x0)",
+                   9, 7),
+}
+
+
+@pytest.mark.parametrize("zid", list(_DISCRETE_TWINS))
+def test_discrete_twins_certify_and_round_trip_on_their_entries_plans(zid):
+    """The paper's characterisations cover discrete time too: on the time-1
+    map of an entry, on the entry's default plan, every analytic "holds"
+    certificate certifies and every estimable notion round-trips estimate ->
+    verify."""
+    text, n_certs, n_estimable = _DISCRETE_TWINS[zid]
+    entry = get_entry(zid)
+    sys, plan = compile_system(parse_system(text)), entry.default_plan()
+    assert sys.time_set == "discrete"
+    ps = ProbeSet(sys, plan)
+    certs = entry.certificates()
+    assert (len(certs), len(entry.estimable)) == (n_certs, n_estimable)
+    for prop, cert in certs.items():
+        verdict = verify(sys, cert, plan, probe_set=ps)
+        assert verdict.certified, (prop, verdict.min_slack)
+    for prop in entry.estimable:
+        verdict = verify(sys, estimate_gain(sys, prop, plan, probe_set=ps), plan, probe_set=ps)
+        assert verdict.certified, (prop, verdict.min_slack)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +753,7 @@ def test_falsify_refinement_scales_the_swept_input(lin_sys, lin_plan, monkeypatc
             assert any(math.isclose(n, best * f, rel_tol=1e-12) for f in (1.0, 0.8, 1.25))
         seen.update(norms)
     # 18 rounds of at most x1.25 each from the largest swept norm
-    assert verdict.witness and InputSignal.from_dict(verdict.witness.u).norm() <= \
+    assert verdict.witness and verdict.witness.probe.u.norm() <= \
         max(lin_plan.input_norms) * 1.25 ** 18
 
 
@@ -909,6 +943,9 @@ def test_blow_up_inside_a_continuity_window_is_a_violation(prop):
     {"eps_grid": (0.0, 0.5)},
     {"directions": 0},
     {"directions": 1.5},
+    # a bool is an int to Python, but it would hash as JSON true/false
+    {"directions": True},
+    {"seed": False},
 ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
 def test_malformed_plans_are_refused_at_construction(fields):
     """Each of these once simulated and then failed inside a checker, or
@@ -917,6 +954,12 @@ def test_malformed_plans_are_refused_at_construction(fields):
         SamplingPlan(**{"radii": (1.0,), **fields})
     # the zero input is always probed: an input norm of 0 is dropped, not refused
     assert SamplingPlan(radii=(1.0,), input_norms=(0.0, 1.0)).input_norms == (1.0,)
+
+
+def test_numpy_integer_plan_fields_are_stored_as_plain_ints():
+    plan = SamplingPlan(radii=(1.0,), directions=np.int64(2), seed=np.uint32(7))
+    assert (type(plan.directions), type(plan.seed)) == (int, int)
+    assert plan_hash(plan) == plan_hash(SamplingPlan(radii=(1.0,), directions=2, seed=7))
 
 
 # the falsify_search benchmark cases, built from the zoo: (status, samples,
@@ -962,7 +1005,7 @@ def test_falsify_search_verdicts_and_one_checker_call_per_batch(name, monkeypatc
     monkeypatch.setattr(props, "_checker", counting)
     expected, checker_calls = _SEARCH_CASES[name]
     v = falsify(*_search_case(name))
-    assert (v.status, v.samples, v.min_slack, v.witness.probe_index,
+    assert (v.status, v.samples, v.min_slack, v.witness.probe.index,
             round(v.witness.t, 2)) == expected
     assert len(calls) == checker_calls
 
@@ -977,6 +1020,20 @@ def test_falsify_without_a_probe_in_the_ball_is_inconclusive(lin_sys, lin_plan):
     assert falsify(lin_sys, cert, 0, lin_plan).samples == 0
 
 
+def test_falsify_refuses_a_negative_budget(lin_sys, lin_plan, kernel_calls):
+    with pytest.raises(DomainError, match="budget >= 0"):
+        falsify(lin_sys, ios_exp_cert(), -1, lin_plan)
+    assert kernel_calls == []
+
+
+def test_falsify_with_budget_zero_names_the_budget(lin_sys, lin_plan, kernel_calls):
+    """Every one of the plan's 42 probes lies in the IOS ball; budget 0 runs none."""
+    v = falsify(lin_sys, ios_exp_cert(), 0, lin_plan)
+    assert (v.status, v.samples, v.reason) == (
+        "inconclusive", 0, "budget 0 runs none of the 42 probes in the certificate's ball")
+    assert kernel_calls == []
+
+
 @pytest.mark.parametrize("name", list(_SEARCH_CASES))
 def test_witnesses_replay_their_observation_exactly(name):
     """A replay integrates [0, t] only, on the probe's own grid up to t, so it
@@ -985,6 +1042,18 @@ def test_witnesses_replay_their_observation_exactly(name):
     for v in (falsify(sys, cert, budget, plan), verify(sys, cert, plan)):
         assert v.falsified
         assert v.witness.replay(sys, plan.sim) == v.witness.observed
+
+
+@pytest.mark.parametrize("name", list(_SEARCH_CASES))
+def test_a_witness_probe_rejoins_a_probe_set_as_it_is(name):
+    """A witness holds its probe whole: fed back to a fresh probe set, the
+    probe's row reads the witness's observation at its time, bit for bit."""
+    sys, cert, budget, plan = _search_case(name)
+    for v in (falsify(sys, cert, budget, plan), verify(sys, cert, plan)):
+        w = v.witness
+        (data,) = ProbeSet(sys, plan).data_many([w.probe])
+        series = data.traj.x_norms if w.series == "state" else data.traj.y_norms
+        assert series[data.traj.at_time(w.t)] == w.observed
 
 
 def test_falsify_spends_nothing_outside_the_certificate_ball(lin_sys, lin_plan, kernel_calls):

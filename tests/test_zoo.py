@@ -185,7 +185,7 @@ def test_make_example_rejects_unknown():
 
 def test_full_state_alias():
     sys = zoo.make_example("full_state", base="lin_scalar")
-    assert sys.meta.get("full_state") is True
+    assert sys.name == "lin_scalar_full_state"
 
 
 @pytest.mark.parametrize("zoo_id, params, unknown", [
