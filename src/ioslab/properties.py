@@ -1275,15 +1275,16 @@ def falsify(sys: SystemModel, cert: Certificate, budget: int,
     scores each batch into one ``Witness`` per probe, its decisive sample;
     the search ranks, climbs from and returns these.  The verdict's
     ``samples`` counts probe requests, so it bounds the simulations run and
-    never exceeds ``budget``, which must be >= 0.  The search is
+    never exceeds ``budget``, an integer >= 0.  The search is
     deterministic for a fixed plan seed.  Continuity-table certificates are
     not supported: their checker needs the row each probe was drawn for.
     """
     _, check = _checker(cert)
     if check is _check_window_rows:
         raise CertificateError(f"falsification unsupported for {cert.property.value}")
-    if budget < 0:
-        raise DomainError(f"falsify needs a budget >= 0, not {budget}")
+    if isinstance(budget, bool) or not hasattr(budget, "__index__") or operator.index(budget) < 0:
+        raise DomainError(f"falsify needs an integer budget >= 0, not {budget!r}")
+    budget = operator.index(budget)
     phash = plan_hash(plan)
     ps = ProbeSet(sys, plan)
     # the ball is known before any simulation: |y(0)| is the output map at x0

@@ -8,11 +8,12 @@ each step sees a constant input value, which preserves RK4's order for
 piecewise-constant inputs.
 
 One kernel integrates everything: it advances P trajectories in lockstep as
-one (P, n) state block.  Each row keeps its own grid (grids are padded to the
-longest row) and its own step sizes, so a row performs exactly the
-floating-point operations of a one-trajectory run and rows with different
-input breakpoints share a block.  A row reads its input on its grid through
-``InputSignal.__call__``, the one rule for sampling a signal.  Both entry
+one (P, n) state block.  Each distinct input signal of a call gets one grid
+and one input series (padded to the longest grid), shared by its rows; a
+chunk of steps forms its rows' step sizes from these grids, so a row performs
+exactly the floating-point operations of a one-trajectory run and rows with
+different input breakpoints share a block.  A signal is read on its grid
+through ``InputSignal.__call__``, the one rule for sampling a signal.  Both entry
 points return one row type, ``Trajectory``: its times, input values, blow-up
 time and the norm series |y(t_k)| and |x(t_k)|, which the kernel reduces each
 chunk of steps to as soon as the blow-up guard has read it.  The series the
@@ -133,8 +134,9 @@ class SimPlan:
 class Trajectory:
     """One simulated row, sampled on its integration grid.
 
-    Eager: ``times``, ``input_values`` (u(t_k), as ``InputSignal.__call__``
-    reads the input on the grid), ``blow_up`` (the first grid time at which
+    Eager: ``times`` and ``input_values`` (u(t_k), as ``InputSignal.__call__``
+    reads the input on the grid), read-only views shared by the rows of one
+    call that read equal signals; ``blow_up`` (the first grid time at which
     the state norm crossed the threshold, or None), ``y_norms`` (|y(t_k)|,
     also ``output_norms()``) and ``x_norms`` (|x(t_k)| in ``state_norm``).
     Lazy, each computed on its first read and kept once per row: ``y_sup``,
@@ -196,21 +198,6 @@ class Trajectory:
         """Index of the grid point closest to t (grid contains probe times)."""
         return int(np.argmin(np.abs(self.times - t)))
 
-    def write_csv(self, path) -> None:
-        n = self.states.shape[1]
-        m = self.outputs.shape[1]
-        header = (
-            ["t"]
-            + [f"x_{i}" for i in range(n)]
-            + [f"y_{j}" for j in range(m)]
-            + ["blowup_flag"]
-        )
-        flags = np.zeros(len(self.times))
-        if self.blow_up is not None:
-            flags[self.times >= self.blow_up] = 1.0
-        data = np.column_stack([self.times, self.states, self.outputs, flags])
-        np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
-
 
 def _time_grid(horizon: float, step: float, breakpoints: np.ndarray) -> np.ndarray:
     """The multiples k * step below the horizon, the breakpoints inside it
@@ -238,8 +225,9 @@ def simulate(sys: SystemModel, x0, u: InputSignal, plan: SimPlan) -> Trajectory:
 def simulate_batch(sys: SystemModel, x0s, us, plan: SimPlan) -> list[Trajectory]:
     """Run row i of x0s under input us[i], all rows in lockstep.
 
-    Row i is integrated on its own grid with its own step sizes, so it
-    performs exactly the floating-point operations of a one-trajectory run.
+    Row i is integrated on its signal's grid with that grid's step sizes,
+    so it performs exactly the floating-point operations of a
+    one-trajectory run; rows that read equal signals share one grid.
     A row leaves the block when it blows up or reaches the end of its grid.
     Each row keeps its norm series, not its states (:class:`Trajectory`).
     """
@@ -258,21 +246,29 @@ def _run(sys: SystemModel, x0s, us, plan: SimPlan, keep_states: bool) -> list[Tr
         if u.dim != sys.input_dim:
             raise DomainError(f"input dim {u.dim} does not match system ({sys.input_dim})")
 
+    # one grid and one input series per distinct signal, shared by its rows:
+    # equal signals give equal grids and values (an InputSignal hashes once)
+    slot = {}  # signal -> its row of the shared arrays, in first-seen order
+    sig = np.array([slot.setdefault(u, len(slot)) for u in us])  # row -> its signal's row
     if sys.time_set == "discrete":
-        grids = [np.arange(0.0, np.floor(plan.horizon) + 1.0)] * len(us)
+        grids = [np.arange(0.0, np.floor(plan.horizon) + 1.0)] * len(slot)
     else:
-        grids = [_time_grid(plan.horizon, plan.step, u.breakpoints) for u in us]
-    lengths = np.array([len(g) for g in grids])
+        grids = [_time_grid(plan.horizon, plan.step, u.breakpoints) for u in slot]
+    lengths = np.array([len(g) for g in grids])[sig]
     width = int(lengths.max())
-    times = np.empty((len(us), width))
-    u_vals = np.empty((len(us), width, sys.input_dim))
-    for i, (grid, u) in enumerate(zip(grids, us)):
-        times[i, : len(grid)] = grid
-        times[i, len(grid):] = grid[-1]  # padded steps have h = 0
-        u_vals[i, : len(grid)] = u(grid)
-    _batched(sys, "rhs", sys.rhs, (x0s, u_vals[:, 0]), x0s.shape)
+    times = np.empty((len(slot), width))
+    u_vals = np.empty((len(slot), width, sys.input_dim))
+    for d, (grid, u) in enumerate(zip(grids, slot)):
+        times[d, : len(grid)] = grid
+        times[d, len(grid):] = grid[-1]  # padded steps have h = 0
+        u_vals[d, : len(grid)] = u(grid)
+    del grids
+    times.setflags(write=False)  # read-only, as are the row views of both
+    u_vals.setflags(write=False)
+    u0 = u_vals[sig, 0]
+    _batched(sys, "rhs", sys.rhs, (x0s, u0), x0s.shape)
     x0_norms = _batched(sys, "state_norm", sys.state_norm, (x0s,), (len(us),))
-    y0 = _batched(sys, "output", sys.output, (x0s, u_vals[:, 0]), (len(us), sys.output_dim))
+    y0 = _batched(sys, "output", sys.output, (x0s, u0), (len(us), sys.output_dim))
     # the norm series |x(t_k)| and |y(t_k)|, one row per trajectory
     x_norms = np.empty((len(us), width))
     y_norms = np.empty((len(us), width))
@@ -282,9 +278,6 @@ def _run(sys: SystemModel, x0s, us, plan: SimPlan, keep_states: bool) -> list[Tr
         outputs = np.empty((len(us), width, sys.output_dim))
         states[:, 0], outputs[:, 0] = x0s, y0
 
-    # time-major copies, so that a chunk reads contiguous (steps, P, .) slices
-    u_steps = np.ascontiguousarray(u_vals.transpose(1, 0, 2))
-    h = np.ascontiguousarray(np.diff(times, axis=1).T)[..., None]
     # the RK4 step constants 0.5 * h, h and h / 6 are formed per chunk and, for
     # n > 1, repeated into buffers at the state's width, so that each stage
     # multiplies two contiguous (P, n) blocks.  The buffers are made once per
@@ -303,23 +296,27 @@ def _run(sys: SystemModel, x0s, us, plan: SimPlan, keep_states: bool) -> list[Tr
             # steps k .. end - 1, the chunk ending no later than an active row's grid
             end = min(k + _CHUNK, int(lengths[rows].min()) - 1)
             sel = slice(None) if rows.size == len(us) else rows
-            h_k = h[k:end, sel]
+            # the chunk's grid times and input values, time-major: (steps + 1, P, .)
+            at = sig[rows]
+            t_k = times[:, k:end + 1].T.take(at, axis=1)
+            u_k = u_vals[:, k:end + 1].transpose(1, 0, 2).take(at, axis=1)
+            h_k = (t_k[1:] - t_k[:-1])[..., None]
             consts = [0.5 * h_k, h_k, h_k / 6.0]
             if sys.state_dim > 1:
                 for buf, c in zip(wide, consts):
                     buf[:end - k, :rows.size] = c
                 consts = [buf[:end - k, :rows.size] for buf in wide]
-            block = _steps(sys, x, u_steps[k:end, sel], *consts)
+            block = _steps(sys, x, u_k[:-1], *consts)
             live = lengths[rows] > end + 1
-            hits, norms = _guard(sys, plan.blow_up_threshold, x, block, times, rows, k)
+            hits, norms = _guard(sys, plan.blow_up_threshold, x, block, t_k)
             for r, j in hits:
                 i = rows[r]
-                blow_up[i] = float(times[i, k + j + 1])
+                blow_up[i] = float(t_k[j + 1, r])
                 ends[i] = k + j + 2
                 live[r] = False
                 block[j + 1:, r] = block[j, r]  # so the output map sees no discarded state
             # the output map on the states after each step, with the input values at their times
-            y = _batched(sys, "output", sys.output, (block, u_steps[k + 1:end + 1, sel]),
+            y = _batched(sys, "output", sys.output, (block, u_k[1:]),
                          block.shape[:2] + (sys.output_dim,), check=k == 0)
             x_norms[sel, k + 1:end + 1] = norms.T
             y_norms[sel, k + 1:end + 1] = np.linalg.norm(y, axis=-1).T
@@ -328,10 +325,10 @@ def _run(sys: SystemModel, x0s, us, plan: SimPlan, keep_states: bool) -> list[Tr
                 outputs[sel, k + 1:end + 1] = y.swapaxes(0, 1)
             rows, x, k = rows[live], block[-1, live], end
 
-    return [Trajectory(times[i, :n], u_vals[i, :n], blow_up[i], y_norms[i, :n], x_norms[i, :n],
+    return [Trajectory(times[d, :n], u_vals[d, :n], blow_up[i], y_norms[i, :n], x_norms[i, :n],
                        (states[i, :n], outputs[i, :n]) if keep_states
                        else partial(simulate, sys, x0s[i], us[i], plan))
-            for i, n in enumerate(ends)]
+            for i, (d, n) in enumerate(zip(sig, ends))]
 
 
 def _steps(sys: SystemModel, x, u_chunk, half_h, h, sixth_h) -> np.ndarray:
@@ -352,14 +349,15 @@ def _steps(sys: SystemModel, x, u_chunk, half_h, h, sixth_h) -> np.ndarray:
     return block
 
 
-def _guard(sys: SystemModel, threshold: float, x, block, times, rows, k):
+def _guard(sys: SystemModel, threshold: float, x, block, t_k):
     """([(r, j)], norms): for each row r of the chunk that stops, j its first
-    step (k + j overall) to a non-finite state or a norm above the threshold;
+    step of the chunk to a non-finite state or a norm above the threshold;
     and the state norms of block, shape (steps, P).
 
-    block[j] holds the states after step k + j from the states x.  A row's
-    first non-finite state is replaced in block by the state before it, and
-    the norms are taken after that.
+    block[j] holds the states after step j of the chunk from the states x,
+    a step from the grid times t_k[j, r] to t_k[j + 1, r].  A row's first
+    non-finite state is replaced in block by the state before it, and the
+    norms are taken after that.
     """
     bad = ~np.isfinite(block).all(axis=-1)
     if bad.any():
@@ -379,7 +377,7 @@ def _guard(sys: SystemModel, threshold: float, x, block, times, rows, k):
     if errors:
         j, r = min(errors)
         raise IntegrationError(f"{sys.name}: non-finite right-hand side at t = "
-                               f"{times[rows[r], k + j]:g} with moderate state")
+                               f"{t_k[j, r]:g} with moderate state")
     return hits, norms
 
 

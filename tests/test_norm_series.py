@@ -193,6 +193,17 @@ def test_an_input_carrying_probe_set_keeps_no_derived_series():
     assert kept / points < 40.0, kept / points
 
 
+@pytest.mark.parametrize("zoo_id", ["l2_timewarp", "lin_scalar"])
+def test_probes_reading_one_signal_keep_one_grid_and_input_series(zoo_id):
+    """A plan reads each input signal at many initial states; the rows of one
+    signal share its grid and input series, so a filled default probe set
+    keeps under 24 B per grid point, where a grid and series per row kept 32
+    and 33."""
+    _retained_bytes(zoo_id)
+    kept, points = _retained_bytes(zoo_id)
+    assert kept / points < 24.0, kept / points
+
+
 # ---------------------------------------------------------------------------
 # the series against the reference step loop, on test_systems' batch cases
 # ---------------------------------------------------------------------------

@@ -1034,6 +1034,19 @@ def test_falsify_with_budget_zero_names_the_budget(lin_sys, lin_plan, kernel_cal
     assert kernel_calls == []
 
 
+@pytest.mark.parametrize("budget", [2.5, True])
+def test_falsify_refuses_a_budget_that_is_not_an_integer(lin_sys, lin_plan, kernel_calls, budget):
+    with pytest.raises(DomainError, match="integer budget"):
+        falsify(lin_sys, ios_exp_cert(), budget, lin_plan)
+    assert kernel_calls == []
+
+
+def test_falsify_takes_a_numpy_integer_budget(lin_sys, lin_plan):
+    got = falsify(lin_sys, ios_exp_cert(), np.int64(3), lin_plan)
+    assert got.samples == 3
+    assert got.to_dict() == falsify(lin_sys, ios_exp_cert(), 3, lin_plan).to_dict()
+
+
 @pytest.mark.parametrize("name", list(_SEARCH_CASES))
 def test_witnesses_replay_their_observation_exactly(name):
     """A replay integrates [0, t] only, on the probe's own grid up to t, so it

@@ -1,4 +1,4 @@
-"""Simulation, axiom probes, RK4 convergence order, trajectory export."""
+"""Simulation, axiom probes, RK4 convergence order and the lockstep kernel."""
 
 from __future__ import annotations
 
@@ -162,17 +162,6 @@ def test_blow_up_states_finite_before_flag():
         assert np.all(np.isfinite(traj.states[:-1]))
 
 
-def test_trajectory_csv_header_and_flag(tmp_path):
-    sys = make_example("lin_scalar")
-    traj = simulate(sys, [1.0], InputSignal.constant([0.5]), SimPlan(1.0, 0.25))
-    path = tmp_path / "traj.csv"
-    traj.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,x_0,y_0,blowup_flag"
-    assert len(lines) == 1 + len(traj.times)
-    assert lines[1].endswith(",0.000000000000000000e+00")
-
-
 def test_full_state_wrap_outputs_state():
     sys = full_state_wrap(make_example("lin_scalar"))
     traj = simulate(sys, [1.5], InputSignal.constant([1.0]), SimPlan(1.0, 1e-2))
@@ -315,6 +304,63 @@ def test_batch_equals_one_at_a_time_discrete():
     us = _mixed_inputs(1)
     _assert_batch_equals_rows(_halving(), np.array([[4.0], [-1.0], [0.5], [2.0]]), us,
                               SimPlan(6.0))
+
+
+# ---------------------------------------------------------------------------
+# rows that read equal signals share one grid and one input series
+# ---------------------------------------------------------------------------
+
+def test_rows_of_equal_signals_share_their_grid_and_input_series():
+    sys = make_example("lin_scalar")
+    # two equal signals built apart, and one that differs
+    u, twin, other = (InputSignal.steps([0.0, 0.555], [[1.5], [level]])
+                      for level in (0.0, 0.0, 2.0))
+    batch = simulate_batch(sys, np.array([[1.0], [-2.0], [0.5]]), [u, twin, other],
+                           SimPlan(2.0, 1e-2))
+    first, second, third = batch
+    assert np.shares_memory(first.times, second.times)
+    assert np.shares_memory(first.input_values, second.input_values)
+    assert not np.shares_memory(first.times, third.times)
+    assert not np.shares_memory(first.input_values, third.input_values)
+    for a, b in ((first, second), (first, third), (second, third)):
+        assert not np.shares_memory(a.y_norms, b.y_norms)
+        assert not np.shares_memory(a.x_norms, b.x_norms)
+    assert not np.array_equal(first.y_norms, second.y_norms)
+    for row in batch:
+        for shared in (row.times, row.input_values):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 1.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing row
+def test_rows_sharing_a_signal_stop_at_their_own_steps():
+    """Four rows read one signal (three copies of it built apart); a fifth
+    reads another.  One row is quiet, two cross the threshold mid-chunk at
+    different steps and one overflows on its first step."""
+    n = 16
+    sys = make_example("l2_blowup", n=n)
+    shared = [_mixed_inputs(0)[3] for _ in range(3)]
+    us = [shared[0], shared[1], shared[2], shared[0], InputSignal.zero(0)]
+    x0s = np.array([blowup_seed_state(n, 3), blowup_seed_state(n, 4), blowup_seed_state(n, 6),
+                    np.full(n, 1e160), blowup_seed_state(n, 3)])
+    batch = _assert_batch_equals_rows(sys, x0s, us, SimPlan(2.0, 1e-2, blow_up_threshold=50.0))
+    ends = [len(row.times) - 1 for row in batch]
+    assert [row.blow_up is None for row in batch] == [True, False, False, False, True]
+    assert ends[3] == 1 and len(set(ends[:4])) == 4
+    for end in ends[1:3]:
+        assert end < _CHUNK and end - 1 not in (0, _CHUNK - 1)
+    assert all(np.shares_memory(batch[0].times, row.times) for row in batch[1:4])
+    assert not np.shares_memory(batch[0].times, batch[4].times)
+
+
+def test_a_discrete_batch_sharing_a_signal_equals_its_rows():
+    shared = _mixed_inputs(1)[3]
+    us = [shared, _mixed_inputs(1)[3], shared, _mixed_inputs(1)[1]]
+    batch = _assert_batch_equals_rows(_halving(), np.array([[4.0], [-1.0], [0.5], [2.0]]), us,
+                                      SimPlan(6.0))
+    assert np.shares_memory(batch[0].input_values, batch[1].input_values)
+    assert np.shares_memory(batch[0].input_values, batch[2].input_values)
+    assert not np.shares_memory(batch[0].input_values, batch[3].input_values)
 
 
 def test_batch_rejects_scalar_style_rhs():
